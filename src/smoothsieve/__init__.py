@@ -4,4 +4,4 @@ embedder."""
 
 __version__ = "0.1.0"
 
-from . import gf, graded, mpoly, sieve, variety, zeta  # noqa: F401
+from . import gf, graded, linalg, mpoly, sieve, variety, zeta  # noqa: F401

@@ -35,7 +35,6 @@ class RunConfig:
     ell_max: int = 3
     exact: bool | None = None
     out: str = "json"
-    threads: int = 1
     max_degree: int | None = None
     r: int = 2
     s_values: tuple = ()
@@ -49,7 +48,7 @@ class RunConfig:
 
     def echo(self):
         out = {"subcommand": self.subcommand, "seed": self.seed,
-               "threads": self.threads, "out": self.out}
+               "out": self.out}
         if self.scheme:
             out["scheme"] = self.scheme
         if self.q is not None:
@@ -124,7 +123,6 @@ def build_parser():
         p.add_argument("--q", type=int, default=None,
                        help="override the base field size")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", choices=("json", "csv"), default="json")
         p.add_argument("--cap", type=int, default=sieve.DEFAULT_CAP)
         p.add_argument("--max-degree", type=int, default=None,
@@ -181,10 +179,8 @@ def build_parser():
 def parse_args(argv) -> RunConfig:
     ns = build_parser().parse_args(argv)
     cfg = RunConfig(subcommand=ns.subcommand, scheme=ns.scheme, q=ns.q,
-                    seed=ns.seed, threads=ns.threads, out=ns.out, cap=ns.cap,
+                    seed=ns.seed, out=ns.out, cap=ns.cap,
                     max_degree=ns.max_degree)
-    if cfg.threads < 1:
-        raise UsageError("--threads must be >= 1")
     if ns.subcommand in ("estimate", "singdist", "lowdeg"):
         deg = getattr(ns, "degree", None)
         if deg is not None:
@@ -229,7 +225,7 @@ def run(config: RunConfig):
     elif config.subcommand == "estimate":
         rep = sieve.estimate_density(problem, config.degrees, config.budget,
                                      config.sing_bound, config.exact,
-                                     config.seed, config.cap, config.threads)
+                                     config.seed, config.cap)
         report["result"] = rep.to_json_dict()
     elif config.subcommand == "singdist":
         if config.mode == "predict":
@@ -239,8 +235,7 @@ def run(config: RunConfig):
             rep = sieve.estimate_sing_dist(problem, config.degrees,
                                            config.budget, config.sing_bound,
                                            config.ell_max, config.exact,
-                                           config.seed, config.cap,
-                                           config.threads)
+                                           config.seed, config.cap)
         report["result"] = rep.to_json_dict()
     elif config.subcommand == "lowdeg":
         value = sieve.low_degree_predictor(problem, config.r, config.cap)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import linalg
+
 ENUMERATION_CAP = 1 << 24
 _TABLE_CAP = 1 << 16
 
@@ -524,7 +526,9 @@ def _subfield_codes(spec, j):
         mat = new
     for r in range(K):
         mat[r][r] = (mat[r][r] - 1) % p
-    basis = _nullspace_fp(mat, p)
+    fp = make_field(p)
+    basis = [linalg.entries(fp, v) for v in linalg.kernel(
+        fp, [linalg.row(fp, K, enumerate(r)) for r in mat], K)]
     assert len(basis) == j, "subfield dimension mismatch"
     # span of the basis
     codes = []
@@ -533,43 +537,10 @@ def _subfield_codes(spec, j):
         v = [0] * K
         for c, b in zip(coeffs, basis):
             if c:
-                for r in range(K):
-                    v[r] = (v[r] + c * b[r]) % p
+                for r, x in b:
+                    v[r] = (v[r] + c * x) % p
         codes.append(spec.from_digits(v))
     return sorted(codes)
-
-
-def _nullspace_fp(mat, p):
-    rows = [list(r) for r in mat]
-    n = len(rows[0]) if rows else 0
-    pivots = {}
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for c, pr in pivots.items():
-            v[c] = (-rows[pr][fc]) % p
-        basis.append(v)
-    return basis
 
 
 @lru_cache(maxsize=None)

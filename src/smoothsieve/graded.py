@@ -1,119 +1,17 @@
 """Graded pieces of homogeneous ideals over F_q by pure linear algebra:
 degree-d pieces, degreewise saturation, membership and projective
 emptiness certificates.  No Groebner bases anywhere; everything reduces
-to row reduction of multiplication matrices.
-
-Rows over F_2 are machine integers used as bitsets (bit j = coefficient
-of the j-th graded-lex monomial); generic q uses tuples of codes.
+to row reduction of multiplication matrices (`linalg`).  Column j of a row
+is the coefficient of the j-th graded-lex monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import gf, mpoly
+from . import gf, linalg, mpoly
 from .gf import FieldSpec
 from .mpoly import MPoly, monomial_index, monomials_of_degree
-
-
-# ---------------------------------------------------------------------------
-# Row reduction.  GF(2) rows are ints; generic rows are tuples of codes.
-
-def _rref2(rows):
-    pivots = {}
-    for row in rows:
-        while row:
-            c = (row & -row).bit_length() - 1
-            if c in pivots:
-                row ^= pivots[c]
-            else:
-                pivots[c] = row
-                break
-    # full reduction
-    for c in sorted(pivots, reverse=True):
-        r = pivots[c]
-        for c2 in pivots:
-            if c2 < c and (pivots[c2] >> c) & 1:
-                pivots[c2] ^= r
-    return tuple(pivots[c] for c in sorted(pivots))
-
-
-def _rrefq(rows, spec):
-    pivots = {}
-    for row in rows:
-        row = list(row)
-        while True:
-            c = next((j for j, x in enumerate(row) if x), None)
-            if c is None:
-                break
-            if c in pivots:
-                prow = pivots[c]
-                f = spec.neg(row[c])
-                row = [spec.add(x, spec.mul(f, y)) for x, y in zip(row, prow)]
-            else:
-                inv = spec.inv(row[c])
-                pivots[c] = tuple(spec.mul(inv, x) for x in row)
-                break
-    for c in sorted(pivots, reverse=True):
-        r = pivots[c]
-        for c2 in list(pivots):
-            if c2 < c and pivots[c2][c]:
-                f = spec.neg(pivots[c2][c])
-                pivots[c2] = tuple(spec.add(x, spec.mul(f, y))
-                                   for x, y in zip(pivots[c2], r))
-    return tuple(pivots[c] for c in sorted(pivots))
-
-
-def _reduce2(vec, rows):
-    for r in rows:
-        lead = r & -r
-        if vec & lead:
-            vec ^= r
-    return vec
-
-
-def _reduceq(vec, rows, spec):
-    vec = list(vec)
-    for r in rows:
-        c = next(j for j, x in enumerate(r) if x)
-        if vec[c]:
-            f = spec.neg(vec[c])
-            vec = [spec.add(x, spec.mul(f, y)) for x, y in zip(vec, r)]
-    return tuple(vec)
-
-
-def _kernel2(rows, ncols):
-    """Basis of the right kernel of the matrix whose rows are bitsets."""
-    rref = _rref2(rows)
-    pivot_cols = [(r & -r).bit_length() - 1 for r in rref]
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for pc, r in zip(pivot_cols, rref):
-            if (r >> free) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
-
-
-def _kernelq(rows, ncols, spec):
-    rref = _rrefq(rows, spec)
-    pivot_cols = [next(j for j, x in enumerate(r) if x) for r in rref]
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for pc, r in zip(pivot_cols, rref):
-            if r[free]:
-                v[pc] = spec.neg(r[free])
-        basis.append(tuple(v))
-    return basis
 
 
 class SubspaceBasis:
@@ -132,9 +30,8 @@ class SubspaceBasis:
         return len(self.rows)
 
     def contains_vector(self, vec) -> bool:
-        if self.spec.q == 2:
-            return _reduce2(vec, self.rows) == 0
-        return not any(_reduceq(vec, self.rows, self.spec))
+        return not linalg.entries(
+            self.spec, linalg.reduce(self.spec, vec, self.rows))
 
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis) and self.degree == other.degree
@@ -147,10 +44,7 @@ class SubspaceBasis:
         monos = monomials_of_degree(nvars, self.degree)
         out = []
         for row in self.rows:
-            if self.spec.q == 2:
-                terms = {monos[j]: 1 for j in range(self.ncols) if (row >> j) & 1}
-            else:
-                terms = {monos[j]: c for j, c in enumerate(row) if c}
+            terms = {monos[j]: c for j, c in linalg.entries(self.spec, row)}
             out.append(MPoly(self.spec, nvars, terms))
         return out
 
@@ -158,19 +52,8 @@ class SubspaceBasis:
 def poly_to_vector(f: MPoly, degree: int):
     """Coefficient vector of a homogeneous f in the degree-d monomial basis."""
     idx = monomial_index(f.nvars, degree)
-    if f.spec.q == 2:
-        v = 0
-        for e, c in f.terms.items():
-            v |= 1 << idx[e]
-        return v
-    v = [0] * len(idx)
-    for e, c in f.terms.items():
-        v[idx[e]] = c
-    return tuple(v)
-
-
-def rref_rows(rows, ncols, spec):
-    return _rref2(rows) if spec.q == 2 else _rrefq(rows, spec)
+    return linalg.row(f.spec, len(idx),
+                      ((idx[e], c) for e, c in f.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +124,10 @@ class GradedIdeal:
             if dg > d:
                 continue
             for m in monomials_of_degree(self.nvars, d - dg):
-                if spec.q == 2:
-                    row = 0
-                    for e, c in g.terms.items():
-                        row |= 1 << idx[tuple(a + b for a, b in zip(e, m))]
-                else:
-                    row = [0] * ncols
-                    for e, c in g.terms.items():
-                        row[idx[tuple(a + b for a, b in zip(e, m))]] = c
-                rows.append(row)
-        basis = SubspaceBasis(spec, d, ncols, rref_rows(rows, ncols, spec))
+                rows.append(linalg.row(spec, ncols, [
+                    (idx[tuple(a + b for a, b in zip(e, m))], c)
+                    for e, c in g.terms.items()]))
+        basis = SubspaceBasis(spec, d, ncols, linalg.echelon(spec, rows))
         self._pieces[d] = basis
         return basis
 
@@ -300,38 +177,19 @@ class GradedIdeal:
         target = self.piece(d + n)
         idx_up = monomial_index(nvars, d + n)
         ncols_up = len(idx_up)
-        # residuals of x_i^n * m_j reduced modulo piece(d+n); conditions stacked
-        cond_rows = []  # one row per condition component, columns = S_d coords
+        # column j of the stage-i conditions: x_i^n * m_j reduced modulo
+        # piece(d+n)
+        cond_rows = []
         for i in range(nvars):
             residuals = []
             for m in monos_d:
                 e = list(m)
                 e[i] += n
-                if spec.q == 2:
-                    v = _reduce2(1 << idx_up[tuple(e)], target.rows)
-                else:
-                    vec = [0] * ncols_up
-                    vec[idx_up[tuple(e)]] = 1
-                    v = _reduceq(vec, target.rows, spec)
-                residuals.append(v)
-            if spec.q == 2:
-                for bit in range(ncols_up):
-                    row = 0
-                    for j, v in enumerate(residuals):
-                        if (v >> bit) & 1:
-                            row |= 1 << j
-                    if row:
-                        cond_rows.append(row)
-            else:
-                for bit in range(ncols_up):
-                    row = tuple(v[bit] for v in residuals)
-                    if any(row):
-                        cond_rows.append(row)
-        if spec.q == 2:
-            kern = _kernel2(cond_rows, dim_d)
-        else:
-            kern = _kernelq(cond_rows, dim_d, spec)
-        return SubspaceBasis(spec, d, dim_d, rref_rows(kern, dim_d, spec))
+                unit = linalg.row(spec, ncols_up, [(idx_up[tuple(e)], 1)])
+                residuals.append(linalg.reduce(spec, unit, target.rows))
+            cond_rows += linalg.transpose(spec, residuals, ncols_up)
+        kern = linalg.kernel(spec, cond_rows, dim_d)
+        return SubspaceBasis(spec, d, dim_d, linalg.echelon(spec, kern))
 
     # -- membership ------------------------------------------------------------
 

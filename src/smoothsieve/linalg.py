@@ -1,0 +1,176 @@
+"""Row reduction over finite fields: echelon form, reduction, rank and
+kernel over F_q and over the residue fields kappa(P).
+
+This module owns the row format and the pivot rule.  Callers build rows
+with `row`, read them with `entries`, and pass the field to every call.
+
+- Format: the field picks it.  Over F_2 a row is an int bitset (bit j
+  holds column j); over any other field it is a tuple of element codes.
+- Pivot rule: `echelon` returns the reduced row-echelon form whose pivot
+  is the lowest nonzero column of each row, scaled to 1, with the rows
+  sorted by pivot.  That form is unique, so stored bases (and everything
+  derived from them, such as candidate indices) are canonical.  `rank`,
+  `fills` and `basis` need no particular rows; over F_2 they pivot on the
+  highest set bit, because int.bit_length finds it fastest.
+"""
+
+from __future__ import annotations
+
+
+def row(spec, ncols, terms):
+    """The row of length ncols with the given (column, code) entries and
+    zeros elsewhere."""
+    if spec.q == 2:
+        out = 0
+        for j, c in terms:
+            if c:
+                out |= 1 << j
+        return out
+    out = [0] * ncols
+    for j, c in terms:
+        out[j] = c
+    return tuple(out)
+
+
+def entries(spec, r):
+    """(column, code) of every nonzero entry of the row, by column."""
+    if spec.q == 2:
+        out = []
+        while r:
+            low = r & -r
+            out.append((low.bit_length() - 1, 1))
+            r ^= low
+        return out
+    return [(j, c) for j, c in enumerate(r) if c]
+
+
+def _pivots(spec, rows, stop=None):
+    """Pivot column -> basis row, one row of `rows` at a time; returns early
+    once the rank reaches `stop`.  Over F_2 the pivot is the highest set
+    bit; otherwise it is the lowest nonzero column, scaled to 1."""
+    pivots = {}
+    if spec.q == 2:
+        for r in rows:
+            while r:
+                c = r.bit_length() - 1
+                p = pivots.get(c)
+                if p is None:
+                    pivots[c] = r
+                    if len(pivots) == stop:
+                        return pivots
+                    break
+                r ^= p
+        return pivots
+    for r in rows:
+        while True:
+            c = next((j for j, x in enumerate(r) if x), None)
+            if c is None:
+                break
+            p = pivots.get(c)
+            if p is None:
+                inv = spec.inv(r[c])
+                pivots[c] = tuple(spec.mul(inv, x) for x in r)
+                if len(pivots) == stop:
+                    return pivots
+                break
+            f = spec.neg(r[c])
+            r = [spec.add(x, spec.mul(f, y)) for x, y in zip(r, p)]
+    return pivots
+
+
+def rank(spec, rows) -> int:
+    return len(_pivots(spec, rows))
+
+
+def fills(spec, rows, ncols) -> bool:
+    """Whether the rows span all ncols columns; reads no more of the rows
+    (any iterable) than it needs."""
+    return len(_pivots(spec, rows, ncols)) == ncols
+
+
+def basis(spec, rows) -> tuple:
+    """Some basis of the row space, one row per pivot, sorted by pivot.
+    Over F_2 the pivot is the highest set bit, which keeps the rows short;
+    use `echelon` where the exact rows matter."""
+    pivots = _pivots(spec, rows)
+    return tuple(pivots[c] for c in sorted(pivots))
+
+
+def echelon(spec, rows) -> tuple:
+    """The reduced row-echelon form of the row space (see the module
+    docstring for the pivot rule)."""
+    if spec.q == 2:
+        pivots = {}
+        for r in rows:
+            while r:
+                c = (r & -r).bit_length() - 1
+                p = pivots.get(c)
+                if p is None:
+                    pivots[c] = r
+                    break
+                r ^= p
+        for c in sorted(pivots, reverse=True):
+            r = pivots[c]
+            for c2, r2 in pivots.items():
+                if c2 < c and (r2 >> c) & 1:
+                    pivots[c2] = r2 ^ r
+    else:
+        pivots = _pivots(spec, rows)
+        for c in sorted(pivots, reverse=True):
+            r = pivots[c]
+            for c2, r2 in pivots.items():
+                if c2 < c and r2[c]:
+                    f = spec.neg(r2[c])
+                    pivots[c2] = tuple(spec.add(x, spec.mul(f, y))
+                                       for x, y in zip(r2, r))
+    return tuple(pivots[c] for c in sorted(pivots))
+
+
+def _pivot(spec, r):
+    if spec.q == 2:
+        return (r & -r).bit_length() - 1
+    return next(j for j, x in enumerate(r) if x)
+
+
+def reduce(spec, vec, ech):
+    """vec minus its projection on the span of the echelon form ech: zero
+    exactly when vec lies in that span."""
+    if spec.q == 2:
+        for r in ech:
+            if vec & r & -r:
+                vec ^= r
+        return vec
+    vec = list(vec)
+    for r in ech:
+        c = _pivot(spec, r)
+        if vec[c]:
+            f = spec.neg(vec[c])
+            vec = [spec.add(x, spec.mul(f, y)) for x, y in zip(vec, r)]
+    return tuple(vec)
+
+
+def kernel(spec, rows, ncols) -> list:
+    """Basis of {v : r . v = 0 for every row r}, one vector per non-pivot
+    column of the echelon form, in column order."""
+    pivots = [(_pivot(spec, r), r) for r in echelon(spec, rows)]
+    taken = {c for c, _ in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in taken:
+            continue
+        terms = [(free, 1)]
+        for c, r in pivots:
+            x = (r >> free) & 1 if spec.q == 2 else r[free]
+            if x:
+                terms.append((c, spec.neg(x)))
+        basis.append(row(spec, ncols, terms))
+    return basis
+
+
+def transpose(spec, rows, ncols) -> list:
+    """The nonzero rows of the transpose of the len(rows) x ncols matrix."""
+    cols = [[] for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j, c in entries(spec, r):
+            cols[j].append((i, c))
+    return [row(spec, len(rows), col) for col in cols if col]

@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import gf, variety, zeta
+from . import gf, linalg, variety, zeta
 from .graded import EmptinessCertificate, GradedIdeal
 from .mpoly import (MPoly, monomial_index, monomials_of_degree,
                     normalized_projective_points)
@@ -331,42 +331,21 @@ class CandidateSpace:
         spec = self.problem.field
         monos = self.monomials
         if spec.q == 2 and isinstance(coords, int):
-            bits = self.bits_of(coords)
-            terms = {}
-            m = bits
-            while m:
-                t = (m & -m).bit_length() - 1
-                m &= m - 1
-                terms[monos[t]] = 1
+            terms = {monos[t]: c
+                     for t, c in linalg.entries(spec, self.bits_of(coords))}
             return MPoly(spec, self.problem.nvars, terms)
         # generic: coords is a sequence of codes over the basis rows
         acc = {}
         rows = self.basis_rows
         if rows is None:
-            rows = tuple(_unit_row(len(monos), j, spec) for j in range(len(monos)))
+            rows = [linalg.row(spec, len(monos), [(j, 1)])
+                    for j in range(len(monos))]
         for c, row in zip(coords, rows):
             if not c:
                 continue
-            if isinstance(row, int):
-                m = row
-                while m:
-                    t = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc[monos[t]] = spec.add(acc.get(monos[t], 0), c)
-            else:
-                for t, rc in enumerate(row):
-                    if rc:
-                        acc[monos[t]] = spec.add(acc.get(monos[t], 0),
-                                                 spec.mul(c, rc))
+            for t, rc in linalg.entries(spec, row):
+                acc[monos[t]] = spec.add(acc.get(monos[t], 0), spec.mul(c, rc))
         return MPoly(spec, self.problem.nvars, acc)
-
-
-def _unit_row(ncols, j, spec):
-    if spec.q == 2:
-        return 1 << j
-    row = [0] * ncols
-    row[j] = 1
-    return tuple(row)
 
 
 def candidate_space(problem: SchemeProblem, d: int,
@@ -392,29 +371,15 @@ def _x_jacobian_pivots(X: SchemePresentation, point: ClosedPoint):
         return ()
     ext = point.residue
     rep = point.representative
-    rows = []
-    for g in X.equations:
-        row = [g.partial(j).evaluate_codes(rep, ext) for j in range(X.nvars)]
-        if any(row):
-            rows.append(row)
-    # eliminate to echelon form over kappa(P)
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for pc, prow in pivots:
-            if row[pc]:
-                f = ext.neg(row[pc])
-                row = [ext.add(x, ext.mul(f, y)) for x, y in zip(row, prow)]
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            continue
-        inv = ext.inv(row[c])
-        pivots.append((c, [ext.mul(inv, x) for x in row]))
+    pivots = linalg.echelon(ext, [
+        linalg.row(ext, X.nvars, ((j, g.partial(j).evaluate_codes(rep, ext))
+                                  for j in range(X.nvars)))
+        for g in X.equations])
     m = X.dim()
     if m is not None and len(pivots) != X.ambient_dim - m:
         raise UnsupportedPresentation(
             f"X is not smooth of dimension {m} at {point.rep_strings()}")
-    return tuple((c, tuple(r)) for c, r in pivots)
+    return pivots
 
 
 def _point_condition_vectors(X: SchemePresentation, point: ClosedPoint, monos):
@@ -441,12 +406,10 @@ def _point_condition_vectors(X: SchemePresentation, point: ClosedPoint, monos):
             v = _monomial_value(tuple(shifted), rep, ext)
             col.append(ext.mul(v, e_j) if e_j != 1 else v)
         grads.append(col)
-    for pc, prow in _x_jacobian_pivots(X, point):
+    for prow in _x_jacobian_pivots(X, point):
+        (pc, _), *rest = linalg.entries(ext, prow)
         lead = grads[pc]
-        for j in range(nvars):
-            c = prow[j]
-            if j == pc or not c:
-                continue
+        for j, c in rest:
             grads[j] = [ext.sub(a, ext.mul(c, b)) for a, b in zip(grads[j], lead)]
         grads[pc] = [0] * len(monos)
     conds = [values] + [g for g in grads if any(g)]
@@ -464,7 +427,7 @@ def _monomial_value(expo, rep, ext):
 
 
 def _masks_for_point(X, point, monos, basis_rows):
-    """F_2 parity masks over candidate index bits (q = 2 only)."""
+    """Independent F_2 parity masks over candidate index bits (q = 2 only)."""
     conds, ext = _point_condition_vectors(X, point, monos)
     e = ext.k  # bits per value over F_2
     raw = []
@@ -484,18 +447,8 @@ def _masks_for_point(X, point, monos, basis_rows):
                 if (row & mask).bit_count() & 1:
                     t |= 1 << tbit
             transformed.append(t)
-        raw = [m for m in transformed if m]
-    # reduce to independent masks
-    pivots = {}
-    for m in raw:
-        while m:
-            c = m.bit_length() - 1
-            if c in pivots:
-                m ^= pivots[c]
-            else:
-                pivots[c] = m
-                break
-    return tuple(sorted(pivots.values()))
+        raw = transformed
+    return linalg.basis(X.spec, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +509,6 @@ def _fast_cert_smooth(spec, nvars, d, fbits) -> bool:
                 pb ^= 1 << t
         if pb:
             partials.append(pb)
-    pivots = {}
-    count = 0
-
-    def feed(row):
-        nonlocal count
-        while row:
-            c = row.bit_length() - 1
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = row
-                count += 1
-                return
-            row ^= p
-
     def rows():
         for pb in partials:
             for mult in pm_partial:
@@ -589,14 +528,16 @@ def _fast_cert_smooth(spec, nvars, d, fbits) -> bool:
                 row |= 1 << mult[i]
             yield row
 
-    for row in rows():
-        feed(row)
-        if count == target:
-            return True
-    return False
+    return linalg.fills(spec, rows(), target)
 
 
-def _slow_is_smooth(problem, f: MPoly, e_max=3):
+# Extension degrees the slow certificate searches for a singular point, and
+# the largest power w^n tried when proving V(J) lies in the removed locus.
+_SLOW_CERT_E_MAX = 3
+_RADICAL_POWER_CAP = 6
+
+
+def _slow_is_smooth(problem, f: MPoly):
     """Full certificate for X cap H_f smooth of dimension dim X - 1."""
     X = problem.X
     if not _exactable(X):
@@ -606,7 +547,7 @@ def _slow_is_smooth(problem, f: MPoly, e_max=3):
     gens = _jacobian_ideal_polys(list(X.equations) + [f], problem.field,
                                  problem.nvars)
     J = GradedIdeal(problem.field, problem.nvars, gens)
-    return _empty_on_open(J, X.removed, e_max=e_max)
+    return _empty_on_open(J, X.removed, _SLOW_CERT_E_MAX)
 
 
 def _exactable(X: SchemePresentation) -> bool:
@@ -643,8 +584,7 @@ def _det(mat, spec, nvars):
     return acc
 
 
-def _empty_on_open(J: GradedIdeal, removed, e_max=3,
-                   k_max=None, n_cap=6) -> EmptinessCertificate:
+def _empty_on_open(J: GradedIdeal, removed, e_max) -> EmptinessCertificate:
     """Emptiness of V(J) outside the removed locus."""
     base = J.spec
     for e in range(1, e_max + 1):
@@ -655,14 +595,14 @@ def _empty_on_open(J: GradedIdeal, removed, e_max=3,
                     continue
                 return EmptinessCertificate("nonempty", witness=pt,
                                             witness_field=ext)
-    direct = J.is_projectively_empty(k_max=k_max, point_search=False)
+    direct = J.is_projectively_empty(point_search=False)
     if direct.status == "empty" or not removed:
         return direct
     # V(J) subset of the removed locus: radical membership for each generator
     for w in removed:
         ok = False
         wn = w
-        for _ in range(n_cap):
+        for _ in range(_RADICAL_POWER_CAP):
             if J.contains(wn):
                 ok = True
                 break
@@ -695,10 +635,10 @@ class ScanResult:
 
 @lru_cache(maxsize=8)
 def _scan_cached(problem, d, budget, sing_bound, exact, seed, cap):
-    return _run_scan(problem, d, budget, sing_bound, exact, seed, cap, threads=1)
+    return _run_scan(problem, d, budget, sing_bound, exact, seed, cap)
 
 
-def _run_scan(problem, d, budget, sing_bound, exact, seed, cap, threads=1):
+def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     spec = problem.field
     space = candidate_space(problem, d, cap)
     flags = list(space.flags)
@@ -755,27 +695,6 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap, threads=1):
                       unresolved, tuple(dict.fromkeys(flags)))
 
 
-def _mask_kernel_basis(masks, rank):
-    """Basis of {v : parity(v & m) = 0 for all m}; masks are independent
-    with distinct top-bit pivots (as produced by _masks_for_point)."""
-    pivots = {m.bit_length() - 1: m for m in masks}
-    cols = sorted(pivots, reverse=True)
-    for c in cols:  # finish the reduction so pivot bits appear once
-        for c2 in cols:
-            if c2 != c and (pivots[c2] >> c) & 1:
-                pivots[c2] ^= pivots[c]
-    basis = []
-    for free in range(rank):
-        if free in pivots:
-            continue
-        v = 1 << free
-        for c, m in pivots.items():
-            if (m >> free) & 1:
-                v |= 1 << c
-        basis.append(v)
-    return basis
-
-
 def _scan_all_f2(space, conds):
     """ell totals for every candidate index over F_2.
 
@@ -792,7 +711,7 @@ def _scan_all_f2(space, conds):
             continue
         if len(masks) == R:
             continue             # kernel = {0}; only f = 0, handled below
-        basis = _mask_kernel_basis(masks, R)
+        basis = linalg.kernel(space.problem.field, masks, R)
         members = np.zeros(1, dtype=np.int64)
         for b in basis:
             members = np.concatenate([members, members ^ np.int64(b)])
@@ -895,7 +814,7 @@ def _default_exact(problem, budget, degrees) -> bool:
 
 def estimate_density(problem: SchemeProblem, degrees, budget=("exhaustive",),
                      sing_bound=None, exact=None, seed=0,
-                     cap: int = DEFAULT_CAP, threads: int = 1) -> DensityReport:
+                     cap: int = DEFAULT_CAP) -> DensityReport:
     """Empirical fraction of f in I_d with X cap H_f smooth of dimension
     dim X - 1, per degree and aggregated; f = 0 counts in the denominator
     and never as smooth."""
@@ -909,8 +828,8 @@ def estimate_density(problem: SchemeProblem, degrees, budget=("exhaustive",),
     total_all = 0
     flags = []
     for d in degrees:
-        res = _scan_for(problem, d, tuple(budget), sing_bound, exact, seed,
-                        cap, threads)
+        res = _scan_cached(problem, d, tuple(budget), sing_bound, exact, seed,
+                           cap)
         per_degree.append((d, EstimateValue(res.smooth_count, res.count_total)))
         total_smooth += res.smooth_count
         total_all += res.count_total
@@ -925,15 +844,9 @@ def estimate_density(problem: SchemeProblem, degrees, budget=("exhaustive",),
                          flags=tuple(dict.fromkeys(flags)))
 
 
-def _scan_for(problem, d, budget, sing_bound, exact, seed, cap, threads):
-    if threads == 1:
-        return _scan_cached(problem, d, budget, sing_bound, exact, seed, cap)
-    return _run_scan(problem, d, budget, sing_bound, exact, seed, cap, threads)
-
-
 def estimate_sing_dist(problem: SchemeProblem, degrees, budget=("exhaustive",),
                        sing_bound=None, ell_max=3, exact=None, seed=0,
-                       cap: int = DEFAULT_CAP, threads: int = 1) -> SingDistReport:
+                       cap: int = DEFAULT_CAP) -> SingDistReport:
     """Histogram of ell(f) = total degree of singular points found at
     degree <= B; candidates whose singularities exceed the classification
     capacity (ell > ell_max, f = 0, or uncertified scan-clean candidates in
@@ -948,8 +861,8 @@ def estimate_sing_dist(problem: SchemeProblem, degrees, budget=("exhaustive",),
     agg_total = 0
     flags = []
     for d in degrees:
-        res = _scan_for(problem, d, tuple(budget), sing_bound, exact, seed,
-                        cap, threads)
+        res = _scan_cached(problem, d, tuple(budget), sing_bound, exact, seed,
+                           cap)
         hist = {}
         hist["0"] = res.smooth_count
         over = res.unresolved

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from . import gf, mpoly
+from . import gf, linalg, mpoly
 from .gf import FieldSpec
-from .graded import GradedIdeal
+from .graded import GradedIdeal, poly_to_vector
 from .mpoly import MPoly, normalized_projective_points, projective_point_count
 
 
@@ -123,13 +123,14 @@ def enumerate_closed_points(scheme: SchemePresentation, max_degree: int,
     """Every closed point of degree <= max_degree, exactly once, grouped
     into Frobenius orbits, ordered by (degree, representative)."""
     base = scheme.spec
-    out = []
-    for e in range(1, max_degree + 1):
+    for e in range(1, max_degree + 1):  # refuse before enumerating anything
         q_e = base.q ** e
         total = projective_point_count(q_e, scheme.ambient_dim)
         if total > cap or q_e > cap:
             raise EnumerationCapExceeded(
                 f"P^{scheme.ambient_dim}(F_{q_e}) has {total} points (cap {cap})")
+    out = []
+    for e in range(1, max_degree + 1):
         ext = gf.make_field(base.p, base.k * e)
         k_base = base.k
         seen = set()
@@ -199,29 +200,10 @@ def _jacobian_rank_at(equations, point: ClosedPoint, chart: int | None = None) -
     rows = []
     for eq in equations:
         deh = eq.dehomogenize(chart)
-        row = [deh.partial(i).evaluate_codes(rep, ext) for i in cols]
-        if any(row):
-            rows.append(row)
-    # small dense elimination over kappa(P)
-    rank = 0
-    ncols = len(cols)
-    rows = [list(r) for r in rows]
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ext.inv(rows[rank][c])
-        rows[rank] = [ext.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = ext.neg(rows[i][c])
-                rows[i] = [ext.add(x, ext.mul(f, y))
-                           for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        rows.append(linalg.row(ext, len(cols), (
+            (j, deh.partial(i).evaluate_codes(rep, ext))
+            for j, i in enumerate(cols))))
+    return linalg.rank(ext, rows)
 
 
 def _require_on_scheme(equations, removed, point: ClosedPoint):
@@ -264,16 +246,10 @@ def effective_generators(V: SchemePresentation):
         if sat.rank > ideal.piece(d).rank:
             known = GradedIdeal(V.spec, V.nvars, gens)
             for g in sat.to_polys(V.nvars):
-                if not known.piece(d).contains_vector(
-                        _vec_of(g, d)):
+                if not known.piece(d).contains_vector(poly_to_vector(g, d)):
                     gens.append(g)
                     known = GradedIdeal(V.spec, V.nvars, gens)
     return tuple(gens), flag
-
-
-def _vec_of(g, d):
-    from .graded import poly_to_vector
-    return poly_to_vector(g, d)
 
 
 def embedding_dimension(V: SchemePresentation, point: ClosedPoint,

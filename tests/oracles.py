@@ -14,7 +14,12 @@ from smoothsieve.mpoly import monomials_of_degree
 
 
 def dense_rank_mod_p(rows, p):
-    """Gaussian elimination on lists of ints mod p."""
+    return len(dense_rref_mod_p(rows, p))
+
+
+def dense_rref_mod_p(rows, p):
+    """Gauss-Jordan elimination on lists of ints mod p: the nonzero rows of
+    the reduced row-echelon form, pivots scaled to 1, in pivot order."""
     rows = [list(r) for r in rows if any(x % p for x in r)]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -36,7 +41,7 @@ def dense_rank_mod_p(rows, p):
         rank += 1
         if rank == len(rows):
             break
-    return rank
+    return rows[:rank]
 
 
 def multiples_matrix(gens, d, nvars, p):

@@ -1,0 +1,42 @@
+"""Golden reports: the `result` member of four CLI runs, byte for byte.
+
+Sampled scans through Z and embedding chains map a candidate index to a
+form through the canonical basis rows of the candidate space, and
+`points` reports ranks over the residue fields, so these files pin the
+row-reduction core's canonical echelon form.  Regenerate a file only for a
+deliberate change of report content.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from smoothsieve import cli, sieve
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "estimate_nodal_sample": ["estimate", "--scheme", "nodal_cubic.scm",
+                              "-d", "4", "--budget", "sample:300",
+                              "--seed", "3"],
+    "embed_nodal": ["embed", "--scheme", "nodal_cubic.scm", "--d-min", "3",
+                    "--seed", "5"],
+    "estimate_p2_q4_sample": ["estimate", "--scheme", "p2.scm", "--q", "4",
+                              "-d", "2", "--budget", "sample:50",
+                              "--seed", "1"],
+    "points_cuspidal": ["points", "--scheme", "cuspidal_cubic.scm",
+                        "--max-degree", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_result(name, schemes_dir):
+    argv = list(CASES[name])
+    i = argv.index("--scheme") + 1
+    argv[i] = str(schemes_dir / argv[i])
+    sieve._scan_cached.cache_clear()
+    code, report = cli.run(cli.parse_args(argv))
+    assert code == 0
+    expected = (GOLDEN / f"{name}.json").read_text()
+    assert json.dumps(report["result"], indent=2) + "\n" == expected

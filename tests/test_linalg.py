@@ -1,0 +1,124 @@
+import random
+
+import pytest
+
+import oracles
+from smoothsieve import gf, linalg
+
+PRIME_FIELDS = [gf.make_field(p) for p in (2, 3, 5)]
+ALL_FIELDS = PRIME_FIELDS + [gf.make_field(2, 2), gf.make_field(2, 3),
+                             gf.make_field(3, 2)]
+
+
+def dense(spec, r, ncols):
+    v = [0] * ncols
+    for j, c in linalg.entries(spec, r):
+        v[j] = c
+    return v
+
+
+def dot(spec, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = spec.add(acc, spec.mul(x, y))
+    return acc
+
+
+def random_matrices(spec, seed, count=25):
+    """Dense code matrices, some with rows that are combinations of others."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ncols = rng.randrange(1, 11)
+        rows = [[rng.randrange(spec.q) if rng.random() < 0.6 else 0
+                 for _ in range(ncols)] for _ in range(rng.randrange(0, 9))]
+        for _ in range(rng.randrange(0, 3)):
+            if rows:
+                a, b = rng.choice(rows), rng.choice(rows)
+                f = rng.randrange(spec.q)
+                rows.append([spec.add(x, spec.mul(f, y)) for x, y in zip(a, b)])
+        yield rows, ncols
+
+
+@pytest.mark.parametrize("spec", PRIME_FIELDS, ids=lambda s: f"F{s.q}")
+def test_echelon_matches_dense_oracle(spec):
+    for rows, ncols in random_matrices(spec, seed=spec.q):
+        ech = linalg.echelon(spec, [linalg.row(spec, ncols, enumerate(r))
+                                    for r in rows])
+        want = oracles.dense_rref_mod_p(rows, spec.p)
+        assert [dense(spec, r, ncols) for r in ech] == want
+        assert linalg.rank(spec, [linalg.row(spec, ncols, enumerate(r))
+                                  for r in rows]) == len(want)
+
+
+@pytest.mark.parametrize("spec", ALL_FIELDS, ids=lambda s: f"F{s.q}")
+def test_echelon_kernel_reduce_properties(spec):
+    rng = random.Random(100 + spec.q)
+    for rows, ncols in random_matrices(spec, seed=spec.q + 7):
+        packed = [linalg.row(spec, ncols, enumerate(r)) for r in rows]
+        ech = linalg.echelon(spec, packed)
+        # canonical form: each pivot is 1, alone in its column, and pivots
+        # increase down the rows
+        pivots = [linalg.entries(spec, r)[0] for r in ech]
+        assert all(c == 1 for _, c in pivots)
+        cols = [j for j, _ in pivots]
+        assert cols == sorted(set(cols))
+        for i, r in enumerate(ech):
+            v = dense(spec, r, ncols)
+            assert all(v[j] == 0 for k, j in enumerate(cols) if k != i)
+        # every input row lies in the span
+        for r in packed:
+            assert not linalg.entries(spec, linalg.reduce(spec, r, ech))
+        # the kernel is annihilated by every row, and rank + nullity = ncols
+        kern = linalg.kernel(spec, packed, ncols)
+        for v in kern:
+            for r in rows:
+                assert dot(spec, r, dense(spec, v, ncols)) == 0
+        assert linalg.rank(spec, packed) == len(ech)
+        assert linalg.echelon(spec, linalg.basis(spec, packed)) == ech
+        assert linalg.fills(spec, packed, ncols) == (len(ech) == ncols)
+        assert len(ech) + len(kern) == ncols
+        assert len(linalg.echelon(spec, kern)) == len(kern)
+        # reduce leaves a residual that vanishes on the pivot columns and
+        # differs from its input by an element of the span
+        vec = [rng.randrange(spec.q) for _ in range(ncols)]
+        res = dense(spec, linalg.reduce(
+            spec, linalg.row(spec, ncols, enumerate(vec)), ech), ncols)
+        assert all(res[j] == 0 for j in cols)
+        diff = [spec.sub(x, y) for x, y in zip(vec, res)]
+        back = linalg.reduce(spec, linalg.row(spec, ncols, enumerate(diff)),
+                             ech)
+        assert not linalg.entries(spec, back)
+
+
+def test_f2_highest_bit_rank_agrees_with_echelon():
+    # rank, fills and basis pivot on the highest bit, echelon on the lowest
+    f2 = gf.make_field(2)
+    rng = random.Random(5)
+    for _ in range(200):
+        ncols = rng.randrange(1, 12)
+        rows = [rng.getrandbits(ncols) | rng.getrandbits(ncols)
+                for _ in range(rng.randrange(1, 16))]
+        for n in range(len(rows)):
+            prefix = rows[:n + 1]
+            ech = linalg.echelon(f2, prefix)
+            assert linalg.rank(f2, prefix) == len(ech)
+            assert linalg.echelon(f2, linalg.basis(f2, prefix)) == ech
+        # fills stops reading rows once they span everything
+        seen = []
+
+        def stream():
+            for r in rows:
+                seen.append(r)
+                yield r
+        full = linalg.fills(f2, stream(), ncols)
+        assert full == (len(linalg.echelon(f2, rows)) == ncols)
+        if full:
+            assert len(linalg.echelon(f2, seen[:-1])) == ncols - 1
+
+
+def test_row_and_entries_round_trip():
+    for spec in ALL_FIELDS:
+        terms = [(0, 1), (3, spec.q - 1), (5, 1)]
+        assert linalg.entries(spec, linalg.row(spec, 7, terms)) == terms
+        assert linalg.transpose(spec, [linalg.row(spec, 7, terms)], 7) == [
+            linalg.row(spec, 1, [(0, c)]) for _, c in terms]

@@ -64,10 +64,23 @@ def test_orbit_structure_and_moebius(schemes_dir):
                           if e % P.degree == 0)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    # the cap is checked for every degree before any point is enumerated;
+    # the message names the first degree over it, F_{2^8}
+    calls = []
+    real = variety.normalized_projective_points
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(variety, "normalized_projective_points", counting)
     P3 = SchemePresentation(F2, 4)
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(EnumerationCapExceeded) as info:
         enumerate_closed_points(P3, 9)
+    assert str(info.value) == ("P^3(F_256) has 16843009 points "
+                               "(cap 16777216)")
+    assert calls == []
 
 
 def test_hyperplane_sections_smooth():

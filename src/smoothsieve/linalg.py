@@ -9,9 +9,9 @@ with `row`, read them with `entries`, and pass the field to every call.
 - Pivot rule: `echelon` returns the reduced row-echelon form whose pivot
   is the lowest nonzero column of each row, scaled to 1, with the rows
   sorted by pivot.  That form is unique, so stored bases (and everything
-  derived from them, such as candidate indices) are canonical.  `rank`,
-  `fills` and `basis` need no particular rows; over F_2 they pivot on the
-  highest set bit, because int.bit_length finds it fastest.
+  derived from them, such as candidate indices) are canonical.  `rank` and
+  `fills` need no particular rows; over F_2 they pivot on the highest set
+  bit, because int.bit_length finds it fastest.
 """
 
 from __future__ import annotations
@@ -42,6 +42,32 @@ def entries(spec, r):
             r ^= low
         return out
     return [(j, c) for j, c in enumerate(r) if c]
+
+
+def from_index(spec, index, ncols):
+    """The row whose entries are the base-q digits of index, least
+    significant first (over F_2, the bitset itself)."""
+    if spec.q == 2:
+        return index
+    out = []
+    for _ in range(ncols):
+        index, c = divmod(index, spec.q)
+        out.append(c)
+    return tuple(out)
+
+
+def combine(spec, coeffs, rows, ncols):
+    """The sum of c * rows[i] over the entries (i, c) of the row coeffs."""
+    if spec.q == 2:
+        out = 0
+        for i, _ in entries(spec, coeffs):
+            out ^= rows[i]
+        return out
+    out = [0] * ncols
+    for i, c in entries(spec, coeffs):
+        for j, x in entries(spec, rows[i]):
+            out[j] = spec.add(out[j], spec.mul(c, x))
+    return tuple(out)
 
 
 def _pivots(spec, rows, stop=None):
@@ -86,14 +112,6 @@ def fills(spec, rows, ncols) -> bool:
     """Whether the rows span all ncols columns; reads no more of the rows
     (any iterable) than it needs."""
     return len(_pivots(spec, rows, ncols)) == ncols
-
-
-def basis(spec, rows) -> tuple:
-    """Some basis of the row space, one row per pivot, sorted by pivot.
-    Over F_2 the pivot is the highest set bit, which keeps the rows short;
-    use `echelon` where the exact rows matter."""
-    pivots = _pivots(spec, rows)
-    return tuple(pivots[c] for c in sorted(pivots))
 
 
 def echelon(spec, rows) -> tuple:

@@ -3,10 +3,11 @@ predictors for smooth hypersurface sections through a subscheme, the
 singularity-count distribution, empirical estimators over F_q, and the
 constructive curve embedder.
 
-The estimators' hot path (exhaustive scans over F_2 coefficient spaces)
-runs on numpy bit-parallel kernels: the 2-jet vanishing condition at a
-closed point is F_2-linear in the candidate's coefficients, so each
-point contributes a handful of parity masks.
+The estimators share one scan engine for every q = p^k: the conditions for
+a section to be singular at a closed point P are F_p-linear in the
+candidate's F_p-coordinates, so exhaustive scans enumerate each point's
+F_p-kernel as an index array and sampled scans evaluate the functionals in
+numpy batches.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -301,7 +302,11 @@ def low_degree_predictor(problem: SchemeProblem, r: int,
 
 
 # ---------------------------------------------------------------------------
-# Candidate spaces and linear singularity conditions over F_2.
+# Candidate spaces and linear singularity conditions.
+#
+# A candidate is the index sum(code_i * q^i) over the basis rows of I_d.
+# Codes are base-p digit vectors, so digit i*k + j of the index, digit j of
+# code_i, is an F_p-coordinate; over F_2 the index is the bitset.
 
 @dataclass(frozen=True)
 class CandidateSpace:
@@ -315,37 +320,21 @@ class CandidateSpace:
     def monomials(self):
         return monomials_of_degree(self.problem.nvars, self.d)
 
-    def bits_of(self, index_bits: int) -> int:
-        """Monomial-space coefficient bitset of the candidate (q = 2)."""
+    def row_of(self, index: int):
+        """The candidate's coefficient row over the monomial basis."""
+        spec = self.problem.field
+        coeffs = linalg.from_index(spec, index, self.rank)
         if self.basis_rows is None:
-            return index_bits
-        f = 0
-        m = index_bits
-        while m:
-            t = (m & -m).bit_length() - 1
-            m &= m - 1
-            f ^= self.basis_rows[t]
-        return f
+            return coeffs
+        return linalg.combine(spec, coeffs, self.basis_rows,
+                              len(self.monomials))
 
-    def poly_of(self, coords) -> MPoly:
+    def poly_of(self, index: int) -> MPoly:
         spec = self.problem.field
         monos = self.monomials
-        if spec.q == 2 and isinstance(coords, int):
-            terms = {monos[t]: c
-                     for t, c in linalg.entries(spec, self.bits_of(coords))}
-            return MPoly(spec, self.problem.nvars, terms)
-        # generic: coords is a sequence of codes over the basis rows
-        acc = {}
-        rows = self.basis_rows
-        if rows is None:
-            rows = [linalg.row(spec, len(monos), [(j, 1)])
-                    for j in range(len(monos))]
-        for c, row in zip(coords, rows):
-            if not c:
-                continue
-            for t, rc in linalg.entries(spec, row):
-                acc[monos[t]] = spec.add(acc.get(monos[t], 0), spec.mul(c, rc))
-        return MPoly(spec, self.problem.nvars, acc)
+        return MPoly(spec, self.problem.nvars,
+                     {monos[t]: c
+                      for t, c in linalg.entries(spec, self.row_of(index))})
 
 
 def candidate_space(problem: SchemeProblem, d: int,
@@ -361,6 +350,14 @@ def candidate_space(problem: SchemeProblem, d: int,
     basis, flag = ideal.saturated_piece(d)
     flags = () if flag == "stable" else ("saturation-capped",)
     return CandidateSpace(problem, d, basis.rank, basis.rows, flags)
+
+
+def _draw(rng, q, rank):
+    """A uniform candidate index: one getrandbits call over F_2, one
+    randrange per coordinate otherwise, so seeded runs stay reproducible."""
+    if q == 2:
+        return rng.getrandbits(rank)
+    return sum(rng.randrange(q) * q ** i for i in range(rank))
 
 
 def _x_jacobian_pivots(X: SchemePresentation, point: ClosedPoint):
@@ -382,8 +379,20 @@ def _x_jacobian_pivots(X: SchemePresentation, point: ClosedPoint):
     return pivots
 
 
-def _point_condition_vectors(X: SchemePresentation, point: ClosedPoint, monos):
-    """Per-condition vectors over kappa(P), indexed by the monomial basis.
+@lru_cache(maxsize=None)
+def _lowering(nvars: int, d: int):
+    """Per variable j: (position of m, position of m / x_j in degree d - 1,
+    m_j) for each degree-d monomial m with m_j > 0."""
+    below = monomial_index(nvars, d - 1) if d else {}
+    return tuple(tuple((t, below[m[:j] + (m[j] - 1,) + m[j + 1:]], m[j])
+                       for t, m in enumerate(monomials_of_degree(nvars, d))
+                       if m[j])
+                 for j in range(nvars))
+
+
+def _point_condition_vectors(X: SchemePresentation, point: ClosedPoint, d):
+    """Per-condition vectors over kappa(P), indexed by the degree-d
+    monomial basis, 1 + nvars of them (some may be zero).
 
     Conditions: f(P) = 0 together with the components of grad f(P) reduced
     modulo the row space of X's Jacobian at P; their simultaneous vanishing
@@ -391,64 +400,73 @@ def _point_condition_vectors(X: SchemePresentation, point: ClosedPoint, monos):
     """
     ext = point.residue
     rep = point.representative
-    nvars = X.nvars
-    values = [ _monomial_value(m, rep, ext) for m in monos ]
+    below = values = [1]  # monomial values at P, one degree at a time
+    for e in range(1, d + 1):
+        below, values = values, [0] * len(monomials_of_degree(X.nvars, e))
+        for j, lowered in enumerate(_lowering(X.nvars, e)):
+            for t, i, _ in lowered:
+                values[t] = ext.mul(below[i], rep[j])
     grads = []
-    for j in range(nvars):
-        col = []
-        for m in monos:
-            e_j = m[j] % ext.p
-            if m[j] == 0 or e_j == 0:
-                col.append(0)
-                continue
-            shifted = list(m)
-            shifted[j] -= 1
-            v = _monomial_value(tuple(shifted), rep, ext)
-            col.append(ext.mul(v, e_j) if e_j != 1 else v)
+    for lowered in _lowering(X.nvars, d):
+        col = [0] * len(values)
+        for t, i, n in lowered:
+            col[t] = ext.mul(below[i], n % ext.p)
         grads.append(col)
     for prow in _x_jacobian_pivots(X, point):
         (pc, _), *rest = linalg.entries(ext, prow)
         lead = grads[pc]
         for j, c in rest:
             grads[j] = [ext.sub(a, ext.mul(c, b)) for a, b in zip(grads[j], lead)]
-        grads[pc] = [0] * len(monos)
-    conds = [values] + [g for g in grads if any(g)]
-    return conds, ext
+        grads[pc] = [0] * len(values)
+    return [values] + grads
 
 
-def _monomial_value(expo, rep, ext):
-    v = 1
-    for x, n in zip(rep, expo):
-        if n:
-            if x == 0:
-                return 0
-            v = ext.mul(v, ext.pow(x, n))
-    return v
+@lru_cache(maxsize=None)
+def _fp_table(base: gf.FieldSpec, ext: gf.FieldSpec):
+    """table[a, j, t] = digit t of x^j * a in ext, for each code a of ext and
+    each power-basis element x^j of base: times a base-valued coefficient,
+    an ext-valued condition is F_p-linear in the coefficient's digits."""
+    emb = gf.embed_map(base, ext)
+    powers = [emb[base.from_digits([0] * j + [1])] for j in range(base.k)]
+    return np.array([[ext.digits(ext.mul(g, a)) for g in powers]
+                     for a in range(ext.q)], dtype=np.min_scalar_type(ext.p))
 
 
-def _masks_for_point(X, point, monos, basis_rows):
-    """Independent F_2 parity masks over candidate index bits (q = 2 only)."""
-    conds, ext = _point_condition_vectors(X, point, monos)
-    e = ext.k  # bits per value over F_2
-    raw = []
-    for vec in conds:
-        for b in range(e):
-            mask = 0
-            for i, v in enumerate(vec):
-                if (v >> b) & 1:
-                    mask |= 1 << i
-            if mask:
-                raw.append(mask)
-    if basis_rows is not None:
-        transformed = []
-        for mask in raw:
-            t = 0
-            for tbit, row in enumerate(basis_rows):
-                if (row & mask).bit_count() & 1:
-                    t |= 1 << tbit
-            transformed.append(t)
-        raw = transformed
-    return linalg.basis(X.spec, raw)
+def _conditions(X: SchemePresentation, space: CandidateSpace, points):
+    """(e, functionals) per degree e of the given closed points: the jet
+    conditions as an int array over F_p of shape (points of degree e, rows,
+    candidate digits), one row per digit of each kappa(P)-valued condition;
+    a candidate is singular at P exactly when all of P's rows vanish on it."""
+    spec = X.spec
+    monos = space.monomials
+    width = len(monos) * spec.k
+    lift = None  # candidate digits -> monomial-coefficient digits
+    if space.basis_rows is not None:
+        codes = np.zeros((space.rank, len(monos)), dtype=np.int64)
+        for i, r in enumerate(space.basis_rows):
+            for t, c in linalg.entries(spec, r):
+                codes[i, t] = c
+        lift = (_fp_table(spec, spec)[codes].transpose(1, 3, 0, 2)
+                .reshape(width, spec.k * space.rank).astype(np.int64))
+    out = []
+    for degree, group in groupby(points, key=lambda P: P.degree):
+        group = list(group)
+        table = _fp_table(spec, group[0].residue)
+        # Euler: f(P) = 0 follows from the gradient conditions unless p | d
+        skip = int(space.d % spec.p != 0)
+        vecs = np.empty((len(group), 1 + X.nvars - skip, len(monos)),
+                        dtype=np.min_scalar_type(len(table) - 1))
+        for i, P in enumerate(group):
+            vecs[i] = _point_condition_vectors(X, P, space.d)[skip:]
+        rows = vecs.shape[1] * table.shape[2]
+        funcs = np.empty((len(group), rows, spec.k * space.rank), table.dtype)
+        chunk = max(1, _BLOCK_ENTRIES // (rows * width))
+        for i in range(0, len(group), chunk):
+            f = (table[vecs[i:i + chunk]].transpose(0, 1, 4, 2, 3)
+                 .reshape(-1, rows, width))
+            funcs[i:i + chunk] = f if lift is None else f @ lift % spec.p
+        out.append((degree, funcs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -640,47 +658,44 @@ def _scan_cached(problem, d, budget, sing_bound, exact, seed, cap):
 
 def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     spec = problem.field
-    space = candidate_space(problem, d, cap)
-    flags = list(space.flags)
     X = problem.X
-    points = enumerate_closed_points(X, sing_bound, cap)
-    monos = space.monomials
-    if spec.q == 2:
-        conds = [(P.degree, _masks_for_point(X, P, monos, space.basis_rows))
-                 for P in points]
-    else:
-        conds = None
+    space = candidate_space(problem, d, cap)
     if budget[0] == "exhaustive":
         total = spec.q ** space.rank
         if total > cap:
             raise variety.EnumerationCapExceeded(
                 f"|I_d| = {total} exceeds cap {cap}")
-        if spec.q == 2:
-            counter, zero_found_idx = _scan_all_f2(space, conds)
-        else:
-            counter, zero_found_idx = _scan_all_generic(problem, space, points)
     else:
-        n_samples = budget[1]
-        total = n_samples
-        counter, zero_found_idx = _scan_sampled(problem, space, points,
-                                                conds, n_samples, seed)
+        total = budget[1]
+    if exact and not _exactable(X):
+        raise UnsupportedPresentation(
+            "exact mode supports X = P^n (minus a closed set) or a "
+            "complete intersection presentation")
+    flags = list(space.flags)
+    conds = _conditions(X, space, enumerate_closed_points(X, sing_bound, cap))
+    if budget[0] == "exhaustive":
+        indices = range(total)
+        ell = _scan_all(space, conds)
+        ell[0] = _INFINITE   # f = 0
+    else:
+        rng = random.Random(seed)
+        indices = [_draw(rng, spec.q, space.rank) for _ in range(total)]
+        ell = _ells(space, conds, indices)
+        ell[[i for i, index in enumerate(indices) if not index]] = _INFINITE
+    counts = np.bincount(ell + 1).tolist()  # ell >= _INFINITE = -1
+    counter = {v - 1: c for v, c in enumerate(counts) if c and v != 1}
+    clean = np.nonzero(ell == 0)[0].tolist()  # positions in indices
     # resolve scan-clean candidates
     smooth = 0
     unresolved = 0
     if exact:
-        if not _exactable(X):
-            raise UnsupportedPresentation(
-                "exact mode supports X = P^n (minus a closed set) or a "
-                "complete intersection presentation")
         fast = (spec.q == 2 and not X.equations and not X.removed)
-        for cand in zero_found_idx:
-            if fast:
-                fbits = space.bits_of(cand) if isinstance(cand, int) else cand
-                if _fast_cert_smooth(spec, problem.nvars, d, fbits):
-                    smooth += 1
-                    continue
-            f = space.poly_of(cand)
-            cert = _slow_is_smooth(problem, f)
+        for i in clean:
+            if fast and _fast_cert_smooth(spec, problem.nvars, d,
+                                          space.row_of(indices[i])):
+                smooth += 1
+                continue
+            cert = _slow_is_smooth(problem, space.poly_of(indices[i]))
             if cert.status == "empty":
                 smooth += 1
             else:
@@ -689,114 +704,110 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
                     flags.append("certificate-inconclusive")
         flags.append("exact-certificates")
     else:
-        smooth = len(zero_found_idx)
+        smooth = len(clean)
         flags.append(f"bounded-smoothness:B={sing_bound}")
     return ScanResult(d, total, tuple(sorted(counter.items())), smooth,
                       unresolved, tuple(dict.fromkeys(flags)))
 
 
-def _scan_all_f2(space, conds):
-    """ell totals for every candidate index over F_2.
+def _scan_all(space, conds):
+    """ell for every candidate index, in index order: per point, the
+    F_p-kernel of its functionals is enumerated as an index array."""
+    spec = space.problem.field
+    fp = gf.make_field(spec.p)
+    width = spec.k * space.rank
+    ell = np.zeros(spec.q ** space.rank, dtype=np.int64)
+    for degree, group in conds:
+        for funcs in group:
+            basis = linalg.kernel(fp, [linalg.row(fp, width, enumerate(r))
+                                       for r in funcs.tolist()], width)
+            if len(basis) == width:
+                ell += degree    # vacuous conditions: singular everywhere
+            elif basis:          # an empty basis leaves only f = 0
+                ell[_span_indices(fp, basis)] += degree  # distinct indices
+    return ell
 
-    Per point, the singular candidates form the kernel of its parity-mask
-    matrix; the kernel is enumerated directly (iterated doubling over a
-    basis), so the work per point is proportional to the kernel size.
-    """
-    R = space.rank
-    n = 1 << R
-    ell = np.zeros(n, dtype=np.int64)
-    for degree, masks in conds:
-        if not masks:
-            ell += degree        # vacuous conditions: singular everywhere
-            continue
-        if len(masks) == R:
-            continue             # kernel = {0}; only f = 0, handled below
-        basis = linalg.kernel(space.problem.field, masks, R)
+
+def _span_indices(fp, basis):
+    """The index of every F_p-combination of the basis vectors (linalg rows
+    over F_p), by iterated p-fold extension."""
+    if fp.p == 2:  # the rows are bitsets and digit addition is XOR
         members = np.zeros(1, dtype=np.int64)
         for b in basis:
             members = np.concatenate([members, members ^ np.int64(b)])
-        ell[members] += degree   # members are distinct within one point
-    body = ell[1:]  # candidate 0 is f = 0, classified separately
-    vals, cnts = np.unique(body[body > 0], return_counts=True)
-    counter = {int(v): int(c) for v, c in zip(vals, cnts)}
-    counter[_INFINITE] = counter.get(_INFINITE, 0) + 1  # f = 0
-    zero_found = (np.nonzero(body == 0)[0] + 1).tolist()
-    return counter, zero_found
+        return members
+    # Over odd p the digit sum carries.  A column where exactly one vector
+    # has a 1 holds that vector's coefficient, so its part of the index
+    # adds; the other (pivot) columns are summed as digits and reduced.
+    p = fp.p
+    vecs = np.array(basis, dtype=np.int64)
+    weights = p ** np.arange(vecs.shape[1], dtype=np.int64)
+    lone = ((vecs != 0).sum(axis=0) == 1) & (vecs.max(axis=0) == 1)
+    members = np.zeros(1, dtype=np.int64)
+    digits = np.zeros((1, int((~lone).sum())), dtype=np.int64)
+    for v in vecs:
+        step = int(v[lone] @ weights[lone])
+        members = np.concatenate([members + a * step for a in range(p)])
+        digits = np.concatenate([digits + a * v[~lone] for a in range(p)])
+    return members + digits % p @ weights[~lone]
 
 
-def _scan_sampled(problem, space, points, conds, n_samples, seed):
-    spec = problem.field
-    rng = random.Random(seed)
-    counter = {}
-    zero_found = []
-    R = space.rank
-    for _ in range(n_samples):
-        if spec.q == 2:
-            cand = rng.getrandbits(R) if R else 0
-            if cand == 0:
-                counter[_INFINITE] = counter.get(_INFINITE, 0) + 1
-                continue
-            total = 0
-            for degree, masks in conds:
-                if all(((cand & m).bit_count() & 1) == 0 for m in masks):
-                    total += degree
-            if total:
-                counter[total] = counter.get(total, 0) + 1
-            else:
-                zero_found.append(cand)
-        else:
-            coords = tuple(rng.randrange(spec.q) for _ in range(R))
-            f = space.poly_of(coords)
-            if not f:
-                counter[_INFINITE] = counter.get(_INFINITE, 0) + 1
-                continue
-            total = _ell_found_generic(problem.X, f, points)
-            if total:
-                counter[total] = counter.get(total, 0) + 1
-            else:
-                zero_found.append(coords)
-    return counter, zero_found
+# float64 entries per batch of candidate digits (512 KB) and per block of
+# functionals or of their values (128 KB) in the sampled classifier
+_DIGIT_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 14
 
 
-def _scan_all_generic(problem, space, points):
-    spec = problem.field
-    counter = {}
-    zero_found = []
-    for coords in product(range(spec.q), repeat=space.rank):
-        f = space.poly_of(coords)
-        if not f:
-            counter[_INFINITE] = counter.get(_INFINITE, 0) + 1
-            continue
-        total = _ell_found_generic(problem.X, f, points)
-        if total:
-            counter[total] = counter.get(total, 0) + 1
-        else:
-            zero_found.append(coords)
-    return counter, zero_found
+def _ells(space, conds, indices):
+    """ell for each candidate index: per batch of digit vectors and block
+    of points, the functionals' values and an all-zero test mod p per
+    point; sums stay far below 2^53, so float64 tells multiples of p."""
+    spec = space.problem.field
+    width = spec.k * space.rank
+    out = np.zeros(len(indices), dtype=np.int64)
+    step = max(1, _DIGIT_ENTRIES // max(width, 1))
+    for lo in range(0, len(indices), step):
+        digits = _digits(indices[lo:lo + step], spec.p, width)
+        for degree, group in conds:
+            rows = group.shape[1]
+            per_block = max(1, _BLOCK_ENTRIES // rows
+                            // max(width, len(digits)))
+            for i in range(0, len(group), per_block):
+                block = group[i:i + per_block]
+                prod = digits @ np.concatenate(block, dtype=np.float64).T
+                prod /= spec.p
+                hit = (prod != np.floor(prod)).reshape(len(prod), -1, rows)
+                out[lo:lo + step] += degree * (~hit.any(axis=2)).sum(axis=1)
+    return out
 
 
-def _ell_found_generic(X, f, points):
-    total = 0
-    for P in points:
-        if f.evaluate_codes(P.representative, P.residue) != 0:
-            continue
-        if _singular_at(X, f, P):
-            total += P.degree
-    return total
+@lru_cache(maxsize=None)
+def _digit_table(p):
+    """(c, table): p^c is the largest power of p up to 256, and table[v]
+    holds the c base-p digits of v, least significant first."""
+    c = 1
+    while p ** (c + 1) <= 256:
+        c += 1
+    return c, np.array([[v // p ** t % p for t in range(c)]
+                        for v in range(p ** c)], dtype=np.float64)
 
 
-def _singular_at(X, f, P):
-    conds, ext = _point_condition_vectors(X, P, tuple(f.terms.keys()))
-    coeffs = list(f.terms.values())
-    emap = gf.embed_map(f.spec, ext)
-    for vec in conds:
-        acc = 0
-        for c, v in zip(coeffs, vec):
-            if v:
-                acc = ext.add(acc, ext.mul(emap[c], v))
-        if acc != 0:
-            return False
-    return True
+def _digits(indices, p, width):
+    """The first `width` base-p digits of each index, least significant
+    first, as a float64 matrix with one row per index."""
+    c, table = _digit_table(p)
+    per_word = 1
+    while p ** (c * (per_word + 1)) <= 1 << 62:
+        per_word += 1
+    nwords = -(-width // (c * per_word))
+    words = []
+    for index in indices:
+        for _ in range(nwords):
+            index, w = divmod(index, p ** (c * per_word))
+            words.append(w)
+    words = np.array(words, dtype=np.int64).reshape(len(indices), nwords, 1)
+    chunks = words // p ** (c * np.arange(per_word)) % p ** c
+    return table[chunks].reshape(len(indices), -1)[:, :width]
 
 
 # ---------------------------------------------------------------------------
@@ -892,39 +903,13 @@ def estimate_low_degree(problem: SchemeProblem, r: int, d: int,
                         n_samples: int, seed: int = 0,
                         cap: int = DEFAULT_CAP) -> EstimateValue:
     """Sampled fraction of f in I_d smooth at every point of degree < r."""
-    spec = problem.field
     space = candidate_space(problem, d, cap)
     points = enumerate_closed_points(problem.X, r - 1, cap) if r > 1 else []
+    conds = _conditions(problem.X, space, points)
     rng = random.Random(seed)
-    good = 0
-    if spec.q == 2:
-        conds = [(P.degree, _masks_for_point(problem.X, P, space.monomials,
-                                             space.basis_rows))
-                 for P in points]
-        for _ in range(n_samples):
-            cand = rng.getrandbits(space.rank) if space.rank else 0
-            if cand == 0:
-                if not conds:
-                    good += 1
-                continue
-            smooth = True
-            for degree, masks in conds:
-                if all(((cand & m).bit_count() & 1) == 0 for m in masks):
-                    smooth = False
-                    break
-            if smooth:
-                good += 1
-    else:
-        for _ in range(n_samples):
-            coords = tuple(rng.randrange(spec.q) for _ in range(space.rank))
-            f = space.poly_of(coords)
-            if not f:
-                if points:
-                    continue
-                good += 1
-                continue
-            if not any(_singular_at(problem.X, f, P) for P in points):
-                good += 1
+    indices = [_draw(rng, problem.field.q, space.rank)
+               for _ in range(n_samples)]
+    good = int(np.count_nonzero(_ells(space, conds, indices) == 0))
     note = "binomial sampling; uncertainty ~ sqrt(p(1-p)/N)"
     return EstimateValue(good, n_samples, note)
 
@@ -1001,11 +986,7 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
             budget = min(budget_per_degree, problem.field.q ** space.rank)
             seen = set()
             while tries < budget:
-                if problem.field.q == 2:
-                    cand = rng.getrandbits(space.rank)
-                else:
-                    cand = tuple(rng.randrange(problem.field.q)
-                                 for _ in range(space.rank))
+                cand = _draw(rng, problem.field.q, space.rank)
                 if not cand or cand in seen:
                     tries += 1
                     continue

@@ -190,3 +190,57 @@ def zero_cycles_by_support(point_degrees, n_max):
 
     rec(0, 0, 0, 1)
     return table
+
+
+# ---------------------------------------------------------------------------
+# Per-candidate singular-point classification: for each form f, evaluate f
+# and its partials at every closed point with MPoly.evaluate_codes, and
+# compare ranks of X's Jacobian with and without grad f by a naive
+# elimination over the residue field.  No jet conditions, no candidate
+# indices, no kernels.
+
+def singular_at(X, f, P):
+    """Whether X cap H_f is singular at the closed point P of X: f(P) = 0
+    and grad f(P) lies in the span of the gradients of X's equations."""
+    ext, rep = P.residue, P.representative
+    if f.evaluate_codes(rep, ext):
+        return False
+    jac = [[g.partial(j).evaluate_codes(rep, ext) for j in range(X.nvars)]
+           for g in X.equations]
+    grad = [f.partial(j).evaluate_codes(rep, ext) for j in range(X.nvars)]
+    return _rank_over(ext, jac + [grad]) == _rank_over(ext, jac)
+
+
+def ell_oracle(X, f, points):
+    """Total degree of the listed points at which X cap H_f is singular."""
+    return sum(P.degree for P in points if singular_at(X, f, P))
+
+
+def ell_histogram_oracle(X, forms, points):
+    """{ell: count} over the forms, ell = 0 included; the zero form is
+    counted under -1."""
+    hist = {}
+    for f in forms:
+        ell = ell_oracle(X, f, points) if f else -1
+        hist[ell] = hist.get(ell, 0) + 1
+    return hist
+
+
+def _rank_over(ext, rows):
+    """Rank of a list of code rows over the field ext, by elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = ext.inv(rows[rank][c])
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = ext.neg(ext.mul(rows[i][c], inv))
+                rows[i] = [ext.add(x, ext.mul(f, y))
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

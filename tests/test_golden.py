@@ -1,10 +1,11 @@
-"""Golden reports: the `result` member of four CLI runs, byte for byte.
+"""Golden reports: the `result` member of seven CLI runs, byte for byte.
 
 Sampled scans through Z and embedding chains map a candidate index to a
 form through the canonical basis rows of the candidate space, and
 `points` reports ranks over the residue fields, so these files pin the
-row-reduction core's canonical echelon form.  Regenerate a file only for a
-deliberate change of report content.
+row-reduction core's canonical echelon form.  The runs over F_3 and F_5
+pin the seeded draw and the scan counts over odd characteristic.
+Regenerate a file only for a deliberate change of report content.
 """
 
 import json
@@ -27,6 +28,16 @@ CASES = {
                               "--seed", "1"],
     "points_cuspidal": ["points", "--scheme", "cuspidal_cubic.scm",
                         "--max-degree", "3"],
+    "singdist_p2_q3_exhaustive": ["singdist", "estimate", "--scheme",
+                                  "p2.scm", "--q", "3", "-d", "2",
+                                  "--budget", "exhaustive",
+                                  "--sing-bound", "3"],
+    "lowdeg_p1_q3_sample": ["lowdeg", "--scheme", "p1.scm", "--q", "3",
+                            "--r", "2", "-d", "8", "--samples", "500",
+                            "--seed", "4"],
+    "estimate_p2_q5_sample": ["estimate", "--scheme", "p2.scm", "--q", "5",
+                              "-d", "2", "--budget", "sample:100",
+                              "--seed", "2"],
 }
 
 

@@ -1,0 +1,113 @@
+"""The scan engine against independent per-candidate classification, closed
+forms for plane conics, and caps that refuse before any work."""
+
+import random
+from itertools import product
+
+import pytest
+
+from oracles import ell_histogram_oracle
+from smoothsieve import sieve, variety
+from smoothsieve.mpoly import MPoly, monomials_of_degree
+from smoothsieve.variety import load_problem, parse_problem
+
+QUADRIC = "q = 3\nP 3 : x y z w\nX:\n  x*y + z*w\ndim X = 2\n"
+
+
+def engine_histogram(problem, d, budget, sing_bound, seed=0):
+    """{ell: count} of a bounded scan, ell = 0 for scan-clean forms and -1
+    for the zero form."""
+    res = sieve._run_scan(problem, d, budget, sing_bound, False, seed,
+                          sieve.DEFAULT_CAP)
+    hist = dict(res.ell_counts)
+    hist[0] = res.smooth_count
+    return hist
+
+
+def all_forms(problem, d):
+    monos = monomials_of_degree(problem.nvars, d)
+    return [MPoly(problem.field, problem.nvars, dict(zip(monos, coeffs)))
+            for coeffs in product(range(problem.field.q), repeat=len(monos))]
+
+
+def drawn_forms(space, n, seed):
+    """The forms a seeded scan over q != 2 draws: one randrange(q) per
+    coordinate, coordinate i weighting basis row i (a tuple of codes)."""
+    spec = space.problem.field
+    nvars = space.problem.nvars
+    monos = space.monomials
+    rows = space.basis_rows or [tuple(int(i == j) for j in range(len(monos)))
+                                for i in range(len(monos))]
+    rng = random.Random(seed)
+    forms = []
+    for _ in range(n):
+        f = MPoly.zero(spec, nvars)
+        for row in rows:
+            c = rng.randrange(spec.q)
+            f = f + MPoly(spec, nvars, {monos[t]: spec.mul(c, x)
+                                        for t, x in enumerate(row) if x})
+        forms.append(f)
+    return forms
+
+
+@pytest.mark.parametrize("scheme,q,d,bound", [
+    ("p2", 3, 2, 2), ("p2", 3, 2, 3), ("p2", 4, 2, 1), ("p1", 3, 4, 3)])
+def test_exhaustive_histogram_matches_oracle(schemes_dir, scheme, q, d, bound):
+    prob = load_problem(schemes_dir / f"{scheme}.scm", q_override=q)
+    points = variety.enumerate_closed_points(prob.X, bound)
+    expected = ell_histogram_oracle(prob.X, all_forms(prob, d), points)
+    assert engine_histogram(prob, d, ("exhaustive",), bound) == expected
+
+
+@pytest.mark.parametrize("case", ["nodal_q4", "quadric_q3"])
+def test_sampled_histogram_matches_oracle(schemes_dir, case):
+    if case == "nodal_q4":
+        prob = load_problem(schemes_dir / "nodal_cubic.scm", q_override=4)
+        d, n, seed = 3, 40, 11
+    else:
+        prob = parse_problem(QUADRIC)
+        d, n, seed = 2, 300, 12
+    space = sieve.candidate_space(prob, d)
+    points = variety.enumerate_closed_points(prob.X, 2)
+    expected = ell_histogram_oracle(prob.X, drawn_forms(space, n, seed),
+                                    points)
+    assert engine_histogram(prob, d, ("sample", n), 2, seed) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("bound", [1, 2])
+def test_plane_conic_counts_closed_form(schemes_dir, q, bound):
+    # a singular conic is singular at a rational point: a line pair has
+    # one, a double line a whole line, so B = 1 already sees every one
+    prob = load_problem(schemes_dir / "p2.scm", q_override=q)
+    hist = engine_histogram(prob, 2, ("exhaustive",), bound)
+    assert hist[0] == (q - 1) * (q ** 5 - q ** 2)
+    assert hist[1] == (q * q + q + 1) * (q ** 3 - q * q)
+    assert sum(hist.values()) == q ** 6
+
+
+def test_exhaustive_cap_refuses_before_enumerating(schemes_dir, monkeypatch):
+    # |I_9| = 2^55 is over the cap: refused before any closed point of
+    # degree <= 8 is enumerated
+    calls = []
+    real = sieve.enumerate_closed_points
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sieve, "enumerate_closed_points", counting)
+    with pytest.raises(variety.EnumerationCapExceeded) as info:
+        sieve.estimate_density(load_problem(schemes_dir / "p2.scm"), [9],
+                               ("exhaustive",), sing_bound=8, exact=False)
+    assert str(info.value) == "|I_d| = 36028797018963968 exceeds cap 16777216"
+    assert calls == []
+
+
+def test_poly_of_replays_the_drawn_forms(schemes_dir):
+    # the index of a draw names the same form the coordinates do
+    prob = load_problem(schemes_dir / "nodal_cubic.scm", q_override=4)
+    space = sieve.candidate_space(prob, 3)
+    rng = random.Random(5)
+    indices = [sieve._draw(rng, 4, space.rank) for _ in range(30)]
+    assert [space.poly_of(i) for i in indices] == drawn_forms(space, 30, 5)

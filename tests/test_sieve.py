@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import dense_rank_mod_p, ell_oracle
 from smoothsieve import gf, sieve, variety, zeta
 from smoothsieve.graded import GradedIdeal
 from smoothsieve.mpoly import parse_homogeneous
@@ -261,17 +262,12 @@ def test_estimate_sing_dist_known_curves(p2):
                              ell_max=3, exact=True)
     rows = dict((label, cnt) for label, cnt, _ in rep.per_degree[0][1])
     # the cuspidal/nodal cubic has exactly one singular rational point
+    points = variety.enumerate_closed_points(p2.X, 6)
     cubic = parse_homogeneous("y^2*z - x^3 + x^2*z", F2, 3, ("x", "y", "z"))
-    ell = sieve._ell_found_generic(
-        p2.X, cubic,
-        variety.enumerate_closed_points(p2.X, 6))
-    assert ell == 1
+    assert ell_oracle(p2.X, cubic, points) == 1
     # a double line is singular everywhere: lands in the overflow bin
-    dbl = parse_homogeneous("x^2*z + x*z^2", F2, 3, ("x", "y", "z"))  # x z (x+z)
     sq = parse_homogeneous("x^2*y", F2, 3, ("x", "y", "z"))
-    ell_sq = sieve._ell_found_generic(
-        p2.X, sq, variety.enumerate_closed_points(p2.X, 6))
-    assert ell_sq > 3
+    assert ell_oracle(p2.X, sq, points) > 3
 
 
 def test_estimate_sing_dist_ell0_matches_density(p2):
@@ -316,16 +312,19 @@ def test_jet_condition_ranks_match_zeta_exponents(nodal):
                            nodal.X.equations + nodal.Z.equations)
     space = sieve.candidate_space(nodal, 11)
     m = 3
-    for P in variety.enumerate_closed_points(V, 2):
+
+    def ranks(points):
+        funcs = [f for _, group in sieve._conditions(nodal.X, space, points)
+                 for f in group]
+        return [(P, dense_rank_mod_p(f.tolist(), 2))
+                for P, f in zip(points, funcs)]
+
+    for P, rank in ranks(variety.enumerate_closed_points(V, 2)):
         e = variety.embedding_dimension(V, P)
-        masks = sieve._masks_for_point(nodal.X, P, space.monomials,
-                                       space.basis_rows)
-        assert len(masks) == (m - e) * P.degree
+        assert rank == (m - e) * P.degree
     xmv = sieve.complement_presentation(nodal)
-    for P in variety.enumerate_closed_points(xmv, 1):
-        masks = sieve._masks_for_point(nodal.X, P, space.monomials,
-                                       space.basis_rows)
-        assert len(masks) == (m + 1) * P.degree
+    for P, rank in ranks(variety.enumerate_closed_points(xmv, 1)):
+        assert rank == (m + 1) * P.degree
 
 
 def test_estimate_through_z_converges_to_predictor(nodal):
@@ -353,15 +352,17 @@ def test_estimate_generic_field_q3():
     assert dict((l, v.count_smooth) for l, v in dist.entries)["0"] == 18
 
 
-def test_scan_seed_determinism(p2):
-    a = estimate_density(p2, [3], ("sample", 500), sing_bound=3, exact=False,
-                         seed=42)
+@pytest.mark.parametrize("q", [2, 3])
+def test_scan_seed_determinism(schemes_dir, q):
+    prob = load_problem(schemes_dir / "p2.scm", q_override=q)
+    a = estimate_density(prob, [3], ("sample", 500), sing_bound=3,
+                         exact=False, seed=42)
     sieve._scan_cached.cache_clear()  # rerun the scan, not the cache
-    b = estimate_density(p2, [3], ("sample", 500), sing_bound=3, exact=False,
-                         seed=42)
+    b = estimate_density(prob, [3], ("sample", 500), sing_bound=3,
+                         exact=False, seed=42)
     assert a == b
-    c = estimate_density(p2, [3], ("sample", 500), sing_bound=3, exact=False,
-                         seed=43)
+    c = estimate_density(prob, [3], ("sample", 500), sing_bound=3,
+                         exact=False, seed=43)
     assert c != a
 
 

@@ -150,7 +150,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_mod_int", "_exp", "_log",
-                 "_frob_p", "_gen_order_checked")
+                 "_frob_p", "_gen_order_checked", "_primitive")
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -162,6 +162,7 @@ class FieldSpec:
         self._exp = None
         self._log = None
         self._frob_p = None
+        self._primitive = None
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -212,6 +213,14 @@ class FieldSpec:
     def gen(self):
         """The class of x (equals 0 in a prime field, where k = 1)."""
         return FieldElement(self, self.p if self.k > 1 else 0)
+
+    @property
+    def primitive(self):
+        """The least code that generates the multiplicative group F_q^*;
+        the log/exp tables are built from it."""
+        if self._primitive is None:
+            self._primitive = self._find_generator()
+        return self._primitive
 
     # -- code arithmetic ---------------------------------------------------
 
@@ -316,7 +325,7 @@ class FieldSpec:
 
     def _build_tables(self):
         q = self.q
-        g = self._find_generator()
+        g = self.primitive
         exp = [0] * (q - 1)
         log = [0] * q
         acc = 1

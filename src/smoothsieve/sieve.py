@@ -631,6 +631,117 @@ def _empty_on_open(J: GradedIdeal, removed, e_max) -> EmptinessCertificate:
 
 
 # ---------------------------------------------------------------------------
+# Orbits of GL_{n+1}(F_q) on S_d.  A linear change of coordinates f -> f(Ax)
+# maps closed points to closed points of the same degree and the ideal
+# (f, grad f) to its image, so it preserves ell(f), the fast certificate
+# and the slow certificate's point search and graded pieces.  The slow
+# certificate's degree cap counts the nonzero partials, which a
+# substitution can change; an exhaustive exact scan of P^n with Z empty
+# therefore certifies one candidate per (orbit, number of nonzero partials).
+
+def _gl_generators(spec, nvars):
+    """Matrices A (x_i -> sum_j A[i][j] x_j, rows of codes) generating
+    GL_nvars(F_q): the swap x_0 <-> x_1, the cycle x_i -> x_{i+1}, the
+    transvection x_0 -> x_0 + x_1 and, for q > 2, the scaling x_0 -> w x_0
+    by a generator w of F_q^*."""
+    eye = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    gens = []
+    if nvars > 1:
+        gens.append([eye[1], eye[0]] + eye[2:])
+        gens.append([eye[(i + 1) % nvars] for i in range(nvars)])
+        gens.append([eye[0][:1] + (1,) + eye[0][2:]] + eye[1:])
+    if spec.q > 2:
+        gens.append([(spec.primitive,) + eye[0][1:]] + eye[1:])
+    return tuple(tuple(g) for g in gens)
+
+
+_ORBIT_ENTRIES = 1 << 14  # image digits per chunk in `_orbit_labels`
+
+
+@lru_cache(maxsize=16)
+def _gl_action(spec: gf.FieldSpec, nvars: int, d: int):
+    """The F_p-linear maps f -> f(Ax) on the base-p digits of the indices
+    of S_d, one block of columns per generator A: the digits of an index
+    times this matrix are the digits of its images, generator by
+    generator."""
+    monos = monomials_of_degree(nvars, d)
+    index = monomial_index(nvars, d)
+    k = spec.k
+    scalars = [spec.from_digits([0] * j + [1]) for j in range(k)]
+    blocks = [np.zeros((len(monos) * k, 0), dtype=np.int64)]  # F_2, P^0: none
+    for A in _gl_generators(spec, nvars):
+        forms = [MPoly(spec, nvars, {
+            tuple(int(t == j) for t in range(nvars)): c
+            for j, c in enumerate(row)}) for row in A]
+        rows = []  # the image of each candidate digit, as digits
+        for m in monos:
+            image = MPoly.constant(spec, nvars, 1)
+            for form, e in zip(forms, m):
+                for _ in range(e):
+                    image = image * form
+            for s in scalars:
+                row = [0] * (len(monos) * k)
+                for expo, c in (image * s).terms.items():
+                    row[index[expo] * k:(index[expo] + 1) * k] = spec.digits(c)
+                rows.append(row)
+        blocks.append(np.array(rows, dtype=np.int64))
+    return np.concatenate(blocks, axis=1)
+
+
+def _orbit_labels(space, clean):
+    """For each position in `clean` (the sorted scan-clean indices of an
+    exhaustive scan of P^n, a GL-stable set), the least position of its
+    GL_{n+1}(F_q)-orbit: label = min(label, label[image]) over the
+    generators' images, with pointer jumping, until nothing changes."""
+    spec = space.problem.field
+    action = _gl_action(spec, space.problem.nvars, space.d)
+    width = len(action)  # digits per index
+    weights = spec.p ** np.arange(width, dtype=np.int64)
+    images = np.empty((action.shape[1] // width, len(clean)), dtype=np.intp)
+    step = max(1, _ORBIT_ENTRIES // max(action.shape[1], 1))
+    for lo in range(0, len(clean), step):
+        chunk = clean[lo:lo + step]
+        digits = chunk[:, None] // weights % spec.p @ action % spec.p
+        moved = (digits.reshape(len(chunk), -1, width) @ weights).T
+        images[:, lo:lo + step] = np.searchsorted(clean, moved)
+        if not np.array_equal(clean.take(images[:, lo:lo + step],
+                                         mode="clip"), moved):
+            raise AssertionError("the scan-clean set is not GL-stable")
+    label = np.arange(len(clean))
+    while True:
+        new = label
+        for image in images:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _nonzero_partials(space, clean):
+    """The number of nonzero partials of each candidate index: d f / d x_j
+    is nonzero exactly when some monomial m with p not dividing m_j has a
+    nonzero coefficient."""
+    spec = space.problem.field
+    nonzero = np.zeros((space.problem.nvars, len(clean)), dtype=bool)
+    for t, m in enumerate(space.monomials):
+        coeff = clean // spec.q ** t % spec.q != 0
+        for j, e in enumerate(m):
+            if e % spec.p:
+                nonzero[j] |= coeff
+    return nonzero.sum(axis=0)
+
+
+def _orbit_groups(space, clean):
+    """(representatives, sizes): the scan-clean indices grouped by (orbit,
+    number of nonzero partials); each group's least index and its size."""
+    key = (_orbit_labels(space, clean) * (space.problem.nvars + 1)
+           + _nonzero_partials(space, clean))
+    _, first, sizes = np.unique(key, return_index=True, return_counts=True)
+    return clean[first], sizes
+
+
+# ---------------------------------------------------------------------------
 # The shared scan: per candidate f, the total degree of singular points of
 # X cap H_f found at degree <= B, plus (exact mode) smoothness certificates
 # for scan-clean candidates.
@@ -684,27 +795,33 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
         ell[[i for i, index in enumerate(indices) if not index]] = _INFINITE
     counts = np.bincount(ell + 1).tolist()  # ell >= _INFINITE = -1
     counter = {v - 1: c for v, c in enumerate(counts) if c and v != 1}
-    clean = np.nonzero(ell == 0)[0].tolist()  # positions in indices
-    # resolve scan-clean candidates
+    # resolve scan-clean candidates, one certificate per group
     smooth = 0
     unresolved = 0
     if exact:
-        fast = (spec.q == 2 and not X.equations and not X.removed)
-        for i in clean:
+        clean = np.flatnonzero(ell == 0)  # positions in indices
+        del ell  # freed before the orbit step's temporaries
+        if (budget[0] == "exhaustive" and problem.Z is None
+                and X.is_free_ambient()):
+            clean, sizes = _orbit_groups(space, clean)  # positions = indices
+        else:
+            sizes = np.ones(len(clean), dtype=np.int64)
+        fast = spec.q == 2 and X.is_free_ambient()
+        for i, size in zip(clean.tolist(), sizes.tolist()):
             if fast and _fast_cert_smooth(spec, problem.nvars, d,
                                           space.row_of(indices[i])):
-                smooth += 1
+                smooth += size
                 continue
             cert = _slow_is_smooth(problem, space.poly_of(indices[i]))
             if cert.status == "empty":
-                smooth += 1
+                smooth += size
             else:
-                unresolved += 1
+                unresolved += size
                 if cert.status == "inconclusive":
                     flags.append("certificate-inconclusive")
         flags.append("exact-certificates")
     else:
-        smooth = len(clean)
+        smooth = int(np.count_nonzero(ell == 0))
         flags.append(f"bounded-smoothness:B={sing_bound}")
     return ScanResult(d, total, tuple(sorted(counter.items())), smooth,
                       unresolved, tuple(dict.fromkeys(flags)))

@@ -103,16 +103,25 @@ class StratumTable:
 # ---------------------------------------------------------------------------
 # Point enumeration.
 
+def check_enumeration_cap(scheme: SchemePresentation, degrees,
+                          cap: int = DEFAULT_CAP) -> None:
+    """Refuse, before any point is enumerated, if P^n(F_{q^e}) is over the
+    cap for some e in `degrees`; the message names the first such e."""
+    for e in degrees:
+        q_e = scheme.spec.q ** e
+        total = projective_point_count(q_e, scheme.ambient_dim)
+        if total > cap or q_e > cap:
+            raise EnumerationCapExceeded(
+                f"P^{scheme.ambient_dim}(F_{q_e}) has {total} points (cap {cap})")
+
+
 def raw_point_count(scheme: SchemePresentation, e: int, cap: int = DEFAULT_CAP) -> int:
     """|scheme(F_{q^e})| by direct normalized scan (closed form when free)."""
     base = scheme.spec
     q_e = base.q ** e
     if scheme.is_free_ambient():
         return projective_point_count(q_e, scheme.ambient_dim)
-    total = projective_point_count(q_e, scheme.ambient_dim)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"P^{scheme.ambient_dim}(F_{q_e}) has {total} points (cap {cap})")
+    check_enumeration_cap(scheme, [e], cap)
     ext = gf.make_field(base.p, base.k * e)
     return sum(1 for pt in normalized_projective_points(ext, scheme.nvars)
                if scheme.contains_code_point(pt, ext))
@@ -123,12 +132,7 @@ def enumerate_closed_points(scheme: SchemePresentation, max_degree: int,
     """Every closed point of degree <= max_degree, exactly once, grouped
     into Frobenius orbits, ordered by (degree, representative)."""
     base = scheme.spec
-    for e in range(1, max_degree + 1):  # refuse before enumerating anything
-        q_e = base.q ** e
-        total = projective_point_count(q_e, scheme.ambient_dim)
-        if total > cap or q_e > cap:
-            raise EnumerationCapExceeded(
-                f"P^{scheme.ambient_dim}(F_{q_e}) has {total} points (cap {cap})")
+    check_enumeration_cap(scheme, range(1, max_degree + 1), cap)
     out = []
     for e in range(1, max_degree + 1):
         ext = gf.make_field(base.p, base.k * e)
@@ -176,8 +180,11 @@ def mobius(n: int) -> int:
 def closed_point_count(scheme: SchemePresentation, d: int,
                        cap: int = DEFAULT_CAP) -> int:
     """a_d via Moebius inversion of the raw counts N_e."""
+    divisors = [e for e in range(1, d + 1) if d % e == 0]
+    if not scheme.is_free_ambient():
+        check_enumeration_cap(scheme, divisors, cap)
     total = sum(mobius(d // e) * raw_point_count(scheme, e, cap)
-                for e in range(1, d + 1) if d % e == 0)
+                for e in divisors)
     assert total % d == 0
     return total // d
 
@@ -226,7 +233,7 @@ def is_smooth_at(X: SchemePresentation, f: MPoly | None, point: ClosedPoint,
     return rank == X.ambient_dim - expected_dim
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def effective_generators(V: SchemePresentation):
     """Generators augmented by low-degree saturation, with an honesty flag.
 

@@ -167,6 +167,7 @@ def profile_from_scheme(X: SchemePresentation, b: int,
         poly = tuple((1, j) for j in range(n, -1, -1))
         a = tuple(_poly_a_d(poly, q, d) for d in range(1, b + 1))
         return CountProfile(q, n, a, poly)
+    variety.check_enumeration_cap(X, range(1, b + 1), cap)
     n_values = [variety.raw_point_count(X, e, cap) for e in range(1, b + 1)]
     a = []
     for d in range(1, b + 1):

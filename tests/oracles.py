@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's linear-algebra and orbit-grouping
-paths: dense per-entry elimination, raw per-extension point scans, and
-explicit zero-cycle enumeration.  Slow and simple on purpose.
+paths: dense per-entry elimination, raw per-extension point scans,
+explicit zero-cycle enumeration and brute-force matrix groups.  Slow and
+simple on purpose.
 """
 
 from itertools import product
@@ -244,3 +245,80 @@ def _rank_over(ext, rows):
                            for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Matrix groups by brute force: the closure of a set of matrices under
+# multiplication, and orbit minima of F_2 candidate indices over every
+# invertible matrix, with a substitution of their own.
+
+def matrix_closure_size(spec, gens):
+    """The order of the group the n x n code matrices generate: breadth-first
+    closure under right multiplication, with numpy product and sum tables;
+    a matrix is recorded by its base-q code."""
+    q = spec.q
+    mul = np.array([[spec.mul(a, b) for b in range(q)] for a in range(q)])
+    add = np.array([[spec.add(a, b) for b in range(q)] for a in range(q)])
+    n = len(gens[0])
+    weights = q ** np.arange(n * n, dtype=np.int64)
+    seen = np.zeros(q ** (n * n), dtype=bool)
+    frontier = np.eye(n, dtype=np.int64)[None]
+    seen[frontier.reshape(1, -1) @ weights] = True
+    while len(frontier):
+        found = []
+        for g in gens:
+            g = np.array(g, dtype=np.int64)
+            prod = np.zeros_like(frontier)
+            for col in range(n):
+                prod = add[prod, mul[frontier[:, :, col, None], g[col]]]
+            codes, first = np.unique(prod.reshape(len(prod), -1) @ weights,
+                                     return_index=True)
+            fresh = ~seen[codes]
+            seen[codes[fresh]] = True
+            found.append(prod[first[fresh]])
+        frontier = np.concatenate(found)
+    return int(seen.sum())
+
+
+def invertible_matrices_f2(n):
+    """Every n x n matrix over F_2 of full rank, as a tuple of rows."""
+    out = []
+    for entries in product((0, 1), repeat=n * n):
+        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+        if dense_rank_mod_p(rows, 2) == n:
+            out.append(tuple(rows))
+    return out
+
+
+def substitute_monomial(expo, matrix, p):
+    """{exponent: coefficient mod p} of the monomial x^expo after the
+    substitution x_i -> sum_j matrix[i][j] x_j, expanded factor by factor."""
+    n = len(expo)
+    terms = {(0,) * n: 1}
+    for i, e in enumerate(expo):
+        for _ in range(e):
+            out = {}
+            for t, c in terms.items():
+                for j, a in enumerate(matrix[i]):
+                    if a:
+                        key = t[:j] + (t[j] + 1,) + t[j + 1:]
+                        out[key] = (out.get(key, 0) + c * a) % p
+            terms = {t: c for t, c in out.items() if c}
+    return terms
+
+
+def orbit_minima_f2(nvars, d, indices):
+    """For each F_2 candidate index of S_d (bit t = coefficient of the t-th
+    degree-d monomial), the least index of f(Ax) over every invertible A."""
+    monos = monomials_of_degree(nvars, d)
+    position = {m: t for t, m in enumerate(monos)}
+    indices = np.asarray(indices, dtype=np.int64)
+    best = indices.copy()
+    for matrix in invertible_matrices_f2(nvars):
+        image = np.zeros_like(indices)
+        for t, m in enumerate(monos):
+            col = sum(1 << position[e]
+                      for e in substitute_monomial(m, matrix, 2))
+            image ^= ((indices >> t) & 1) * col
+        best = np.minimum(best, image)
+    return best

@@ -1,10 +1,12 @@
-"""Golden reports: the `result` member of seven CLI runs, byte for byte.
+"""Golden reports: the `result` member of nine CLI runs, byte for byte.
 
 Sampled scans through Z and embedding chains map a candidate index to a
 form through the canonical basis rows of the candidate space, and
 `points` reports ranks over the residue fields, so these files pin the
 row-reduction core's canonical echelon form.  The runs over F_3 and F_5
-pin the seeded draw and the scan counts over odd characteristic.
+pin the seeded draw and the scan counts over odd characteristic.  The
+two exhaustive exact scans of P^2 pin the certified counts, including a
+`certificate-inconclusive` flag over F_2.
 Regenerate a file only for a deliberate change of report content.
 """
 
@@ -38,6 +40,15 @@ CASES = {
     "estimate_p2_q5_sample": ["estimate", "--scheme", "p2.scm", "--q", "5",
                               "-d", "2", "--budget", "sample:100",
                               "--seed", "2"],
+    "singdist_p2_q2_d4_exact_b1": ["singdist", "estimate", "--scheme",
+                                   "p2.scm", "--q", "2", "-d", "4",
+                                   "--budget", "exhaustive",
+                                   "--sing-bound", "1", "--exact",
+                                   "--ell-max", "3"],
+    "estimate_p2_q3_d2_exact_b2": ["estimate", "--scheme", "p2.scm",
+                                   "--q", "3", "-d", "2",
+                                   "--budget", "exhaustive",
+                                   "--sing-bound", "2", "--exact"],
 }
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from smoothsieve import gf, variety
+from smoothsieve import gf, variety, zeta
 from smoothsieve.mpoly import parse_homogeneous
 from smoothsieve.variety import (ClosedPoint, EnumerationCapExceeded,
                                  PointNotOnScheme, SchemePresentation,
@@ -64,9 +64,9 @@ def test_orbit_structure_and_moebius(schemes_dir):
                           if e % P.degree == 0)
 
 
-def test_enumeration_cap(monkeypatch):
-    # the cap is checked for every degree before any point is enumerated;
-    # the message names the first degree over it, F_{2^8}
+@pytest.fixture
+def enumeration_calls(monkeypatch):
+    """The calls made to the point enumerator while the test runs."""
     calls = []
     real = variety.normalized_projective_points
 
@@ -75,12 +75,34 @@ def test_enumeration_cap(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(variety, "normalized_projective_points", counting)
+    return calls
+
+
+def test_enumeration_cap(enumeration_calls):
+    # the cap is checked for every degree before any point is enumerated;
+    # the message names the first degree over it, F_{2^8}
     P3 = SchemePresentation(F2, 4)
     with pytest.raises(EnumerationCapExceeded) as info:
         enumerate_closed_points(P3, 9)
     assert str(info.value) == ("P^3(F_256) has 16843009 points "
                                "(cap 16777216)")
-    assert calls == []
+    assert enumeration_calls == []
+
+
+@pytest.mark.parametrize("count", ["profile", "closed_points"])
+def test_point_counts_refuse_before_enumerating(enumeration_calls, count):
+    # degree 12 is over the cap and is checked first: no lower degree is
+    # enumerated (P^2(F_2048) alone has 4.2 million points)
+    conic = SchemePresentation(F2, 3, (poly("x*y + z^2", nvars=3,
+                                            aliases=XYZW[:3]),))
+    with pytest.raises(EnumerationCapExceeded) as info:
+        if count == "profile":
+            zeta.profile_from_scheme(conic, 12)
+        else:
+            variety.closed_point_count(conic, 12)
+    assert str(info.value) == ("P^2(F_4096) has 16781313 points "
+                               "(cap 16777216)")
+    assert enumeration_calls == []
 
 
 def test_hyperplane_sections_smooth():

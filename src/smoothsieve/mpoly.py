@@ -45,10 +45,6 @@ def monomial_index(nvars: int, d: int) -> dict:
     return {m: i for i, m in enumerate(monomials_of_degree(nvars, d))}
 
 
-def monomial_degree(expo) -> int:
-    return sum(expo)
-
-
 class MPoly:
     """Immutable sparse polynomial; do not mutate `terms` after creation."""
 

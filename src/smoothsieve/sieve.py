@@ -35,8 +35,8 @@ class MissingProfile(ValueError):
 
 
 class UnsupportedPresentation(ValueError):
-    """exact mode needs X = P^n, P^n minus a closed set, or a complete
-    intersection presentation."""
+    """exact mode needs X = P^n or a complete intersection presentation,
+    with nothing removed."""
 
 
 class NoSmoothHypersurfaceFound(RuntimeError):
@@ -432,6 +432,22 @@ def _fp_table(base: gf.FieldSpec, ext: gf.FieldSpec):
                      for a in range(ext.q)], dtype=np.min_scalar_type(ext.p))
 
 
+def _lift(space: CandidateSpace):
+    """The F_p-linear map from candidate digits to monomial-coefficient
+    digits, as an int matrix (None for all of S_d)."""
+    if space.basis_rows is None:
+        return None
+    spec = space.problem.field
+    monos = space.monomials
+    codes = np.zeros((space.rank, len(monos)), dtype=np.int64)
+    for i, r in enumerate(space.basis_rows):
+        for t, c in linalg.entries(spec, r):
+            codes[i, t] = c
+    return (_fp_table(spec, spec)[codes].transpose(1, 3, 0, 2)
+            .reshape(len(monos) * spec.k, spec.k * space.rank)
+            .astype(np.int64))
+
+
 def _conditions(X: SchemePresentation, space: CandidateSpace, points):
     """(e, functionals) per degree e of the given closed points: the jet
     conditions as an int array over F_p of shape (points of degree e, rows,
@@ -440,14 +456,7 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, points):
     spec = X.spec
     monos = space.monomials
     width = len(monos) * spec.k
-    lift = None  # candidate digits -> monomial-coefficient digits
-    if space.basis_rows is not None:
-        codes = np.zeros((space.rank, len(monos)), dtype=np.int64)
-        for i, r in enumerate(space.basis_rows):
-            for t, c in linalg.entries(spec, r):
-                codes[i, t] = c
-        lift = (_fp_table(spec, spec)[codes].transpose(1, 3, 0, 2)
-                .reshape(width, spec.k * space.rank).astype(np.int64))
+    lift = _lift(space)
     out = []
     for degree, group in groupby(points, key=lambda P: P.degree):
         group = list(group)
@@ -470,105 +479,21 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, points):
 
 
 # ---------------------------------------------------------------------------
-# Fast projective-emptiness check for hypersurface Jacobian ideals over F_2.
-
-@lru_cache(maxsize=None)
-def _fast_cert_context(spec: gf.FieldSpec, nvars: int, d: int):
-    assert spec.q == 2
-    n = nvars - 1
-    if d % spec.p != 0:
-        khat = nvars * (d - 2) + 1      # partials are a regular sequence
-    else:
-        khat = d + n * (d - 2)          # Macaulay-style bound including f
-    khat = max(khat, 1)
-    monos_d = monomials_of_degree(nvars, d)
-    monos_d1 = monomials_of_degree(nvars, d - 1)
-    idx_d1 = monomial_index(nvars, d - 1)
-    pmap = []
-    for j in range(nvars):
-        col = []
-        for m in monos_d:
-            if m[j] % 2 == 1:
-                sh = list(m)
-                sh[j] -= 1
-                col.append(idx_d1[tuple(sh)])
-            else:
-                col.append(-1)
-        pmap.append(tuple(col))
-    idx_k = monomial_index(nvars, khat)
-    target = len(idx_k)
-
-    def posmap(src_monos, mult_deg):
-        out = []
-        for mu in monomials_of_degree(nvars, mult_deg):
-            out.append(tuple(idx_k[tuple(a + b for a, b in zip(mu, m))]
-                             for m in src_monos))
-        return tuple(out)
-
-    pm_partial = posmap(monos_d1, khat - (d - 1)) if khat >= d - 1 else ()
-    pm_f = posmap(monos_d, khat - d) if khat >= d else ()
-    return (khat, target, tuple(pmap), pm_partial, pm_f)
-
-
-def _fast_cert_smooth(spec, nvars, d, fbits) -> bool:
-    """True when the Jacobian ideal of the hypersurface f provably fills
-    S_khat (hence is projectively empty); False means undecided here."""
-    khat, target, pmap, pm_partial, pm_f = _fast_cert_context(spec, nvars, d)
-    partials = []
-    for j in range(nvars):
-        col = pmap[j]
-        pb = 0
-        m = fbits
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            t = col[i]
-            if t >= 0:
-                pb ^= 1 << t
-        if pb:
-            partials.append(pb)
-    def rows():
-        for pb in partials:
-            for mult in pm_partial:
-                row = 0
-                m = pb
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    row |= 1 << mult[i]
-                yield row
-        for mult in pm_f:
-            row = 0
-            m = fbits
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                row |= 1 << mult[i]
-            yield row
-
-    return linalg.fills(spec, rows(), target)
-
-
-# Extension degrees the slow certificate searches for a singular point, and
-# the largest power w^n tried when proving V(J) lies in the removed locus.
-_SLOW_CERT_E_MAX = 3
-_RADICAL_POWER_CAP = 6
-
-
-def _slow_is_smooth(problem, f: MPoly):
-    """Full certificate for X cap H_f smooth of dimension dim X - 1."""
-    X = problem.X
-    if not _exactable(X):
-        raise UnsupportedPresentation(
-            "exact mode supports X = P^n (minus a closed set) or a "
-            "complete intersection presentation")
-    gens = _jacobian_ideal_polys(list(X.equations) + [f], problem.field,
-                                 problem.nvars)
-    J = GradedIdeal(problem.field, problem.nvars, gens)
-    return _empty_on_open(J, X.removed, _SLOW_CERT_E_MAX)
+# Smoothness certificates.  X cap H_f is smooth of dimension dim X - 1
+# exactly when V(J) is empty, where J is generated by X's equations, f and
+# the maximal minors of the Jacobian of (equations, f).  If J is generated
+# by forms of degrees d_1 >= ... >= d_r in n + 1 variables, V(J) is empty
+# over the algebraic closure exactly when J_t = S_t at
+# t = sum_{i <= n+1} (d_i - 1) + 1, and never when r <= n (Macaulay 1902;
+# Lazard, EUROCAL 1983).  A rank does not change under field extension, so
+# one rank over F_q decides.
 
 
 def _exactable(X: SchemePresentation) -> bool:
+    """Whether exact mode applies: X = P^n or a complete intersection, with
+    nothing removed."""
+    if X.removed:
+        return False
     if not X.equations:
         return True
     m = X.dim()
@@ -590,6 +515,8 @@ def _jacobian_ideal_polys(equations, spec, nvars):
 
 def _det(mat, spec, nvars):
     n = len(mat)
+    if n == 0:
+        return MPoly.constant(spec, nvars, 1)
     if n == 1:
         return mat[0][0]
     acc = MPoly.zero(spec, nvars)
@@ -602,8 +529,140 @@ def _det(mat, spec, nvars):
     return acc
 
 
+@lru_cache(maxsize=16)
+def _certificate_context(problem, d):
+    """The degree-t rows of J for the forms of I_d as an F_p-linear image of
+    the candidate's digits, or None when V(J) is never empty:
+    (width, lift, ncols, nrows, source, position, value).
+
+    The multiples of X's equations are a fixed block, so the other rows are
+    taken modulo it: J_t = S_t exactly when they span the ncols-dimensional
+    quotient, read on the non-pivot columns of the block's echelon form.
+    Each other generator, f or a minor by cofactor expansion along f's row,
+    is F_q-linear in f, so their nrows multiples are linear in the
+    F_p-digits of f's coefficients (digit m * k + j is the coefficient of
+    x^j m, for x^j in F_q's power basis).  That map is kept sparse: entry i
+    adds value[i] times digit source[i] to the flat F_p-digit position[i]
+    of those rows.  `lift` takes the `width` candidate digits to coefficient
+    digits (None for all of S_d).
+
+    t is computed from every generator slot, zero or not: a zero generator
+    can only lower the degree a given f needs, and J_t = S_t carries over
+    to every larger t.  Over p not dividing d with X = P^n, Euler's
+    d f = sum x_j df/dx_j puts f in the ideal of its partials, and f is
+    left out.
+    """
+    spec, nvars = problem.field, problem.nvars
+    eqs = [g for g in problem.X.equations if g]
+    r = len(eqs)
+    jac = [[g.partial(j) for j in range(nvars)] for g in eqs]
+    # a slot is a generator sum(cofactor * (f if j is None else df/dx_j))
+    slots = []
+    if eqs or d % spec.p == 0:
+        slots.append((d, [(MPoly.constant(spec, nvars, 1), None)]))
+    minor_degree = sum(g.homogeneous_degree() - 1 for g in eqs) + d - 1
+    for cols in combinations(range(nvars), r + 1):
+        cofactors = []
+        for i, c in enumerate(cols):
+            cof = _det([[row[b] for b in cols if b != c] for row in jac],
+                       spec, nvars)
+            cofactors.append((-cof if (r + i) % 2 else cof, c))
+        slots.append((minor_degree, cofactors))
+    degrees = sorted([g.homogeneous_degree() for g in eqs]
+                     + [deg for deg, _ in slots], reverse=True)
+    if len(degrees) < nvars:
+        return None
+    t = max(0, sum(e - 1 for e in degrees[:nvars]) + 1)
+    index = monomial_index(nvars, t)
+
+    def multiples(g, deg):
+        """The multiples mu * g in S_t, as linalg rows."""
+        return [linalg.row(spec, len(index), (
+            (index[tuple(a + b for a, b in zip(e, mu))], c)
+            for e, c in g.terms.items()))
+            for mu in monomials_of_degree(nvars, t - deg)]
+
+    fixed = linalg.echelon(spec, [row for g in eqs
+                                  if g.homogeneous_degree() <= t
+                                  for row in multiples(
+                                      g, g.homogeneous_degree())])
+    pivots = {linalg.entries(spec, row)[0][0] for row in fixed}
+    free = {c: i for i, c in enumerate(c for c in range(len(index))
+                                       if c not in pivots)}
+    k = spec.k
+    source, position, value = [], [], []
+    nrows = 0
+    for deg, cofactors in slots:
+        if deg > t:
+            continue
+        for m_i, m in enumerate(monomials_of_degree(nvars, d)):
+            for j in range(k):
+                f = MPoly(spec, nvars, {m: spec.from_digits([0] * j + [1])})
+                g = MPoly.zero(spec, nvars)
+                for cof, c in cofactors:
+                    g = g + cof * (f if c is None else f.partial(c))
+                for i, row in enumerate(multiples(g, deg)):
+                    row = linalg.reduce(spec, row, fixed)
+                    for col, code in linalg.entries(spec, row):
+                        for u, digit in enumerate(spec.digits(code)):
+                            if digit:
+                                source.append(m_i * k + j)
+                                position.append(
+                                    ((nrows + i) * len(free) + free[col]) * k
+                                    + u)
+                                value.append(digit)
+        nrows += len(monomials_of_degree(nvars, t - deg))
+    space = candidate_space(problem, d)
+    return (k * space.rank, _lift(space), len(free), nrows,
+            np.array(source, np.intp), np.array(position, np.intp),
+            np.array(value, np.float64))
+
+
+def _certify_smooth(problem, d, indices):
+    """For each candidate index of I_d, whether X cap H_f is smooth of
+    dimension dim X - 1: J_t = S_t, one rank over F_q per candidate."""
+    spec = problem.field
+    p = spec.p
+    out = np.zeros(len(indices), dtype=bool)
+    context = _certificate_context(problem, d)
+    if context is None:
+        return out
+    width, lift, ncols, nrows, source, position, value = context
+    step = max(1, _DIGIT_ENTRIES // max(width, 1))
+    for lo in range(0, len(indices), step):
+        digits = _digits(indices[lo:lo + step], p, width)
+        if lift is not None:
+            digits = digits @ lift.T % p
+        for i, row in enumerate(digits):
+            image = np.bincount(position, row[source] * value,
+                                minlength=nrows * ncols * spec.k)
+            image -= p * np.floor(image / p)  # float % is slow
+            rows = _code_rows(spec, image.reshape(nrows, ncols, spec.k))
+            out[lo + i] = linalg.fills(spec, rows, ncols)
+    return out
+
+
+def _code_rows(spec, digits):
+    """The linalg rows whose F_p-digits are `digits`, an array of shape
+    (rows, columns, k)."""
+    if spec.q == 2:
+        packed = np.packbits(digits[:, :, 0].astype(np.uint8), axis=1,
+                             bitorder="little")
+        w = packed.shape[1]
+        buf = packed.tobytes()
+        return [int.from_bytes(buf[i * w:(i + 1) * w], "little")
+                for i in range(len(packed))]
+    codes = (digits @ spec.p ** np.arange(spec.k)).astype(np.int64)
+    return list(map(tuple, codes.tolist()))
+
+
+# the largest power w^n tried when proving V(J) lies in the removed locus
+_RADICAL_POWER_CAP = 6
+
+
 def _empty_on_open(J: GradedIdeal, removed, e_max) -> EmptinessCertificate:
-    """Emptiness of V(J) outside the removed locus."""
+    """Emptiness of V(J) outside the removed locus: the embedder's
+    certificate, a point search over F_{q^e}, e <= e_max, then degrees."""
     base = J.spec
     for e in range(1, e_max + 1):
         ext = gf.make_field(base.p, base.k * e)
@@ -632,12 +691,10 @@ def _empty_on_open(J: GradedIdeal, removed, e_max) -> EmptinessCertificate:
 
 # ---------------------------------------------------------------------------
 # Orbits of GL_{n+1}(F_q) on S_d.  A linear change of coordinates f -> f(Ax)
-# maps closed points to closed points of the same degree and the ideal
-# (f, grad f) to its image, so it preserves ell(f), the fast certificate
-# and the slow certificate's point search and graded pieces.  The slow
-# certificate's degree cap counts the nonzero partials, which a
-# substitution can change; an exhaustive exact scan of P^n with Z empty
-# therefore certifies one candidate per (orbit, number of nonzero partials).
+# maps closed points to closed points of the same degree and V(f, grad f)
+# to its image, so it preserves ell(f) and the certificate's answer; an
+# exhaustive exact scan of P^n with Z empty certifies one candidate per
+# orbit.
 
 def _gl_generators(spec, nvars):
     """Matrices A (x_i -> sum_j A[i][j] x_j, rows of codes) generating
@@ -718,33 +775,17 @@ def _orbit_labels(space, clean):
         label = new
 
 
-def _nonzero_partials(space, clean):
-    """The number of nonzero partials of each candidate index: d f / d x_j
-    is nonzero exactly when some monomial m with p not dividing m_j has a
-    nonzero coefficient."""
-    spec = space.problem.field
-    nonzero = np.zeros((space.problem.nvars, len(clean)), dtype=bool)
-    for t, m in enumerate(space.monomials):
-        coeff = clean // spec.q ** t % spec.q != 0
-        for j, e in enumerate(m):
-            if e % spec.p:
-                nonzero[j] |= coeff
-    return nonzero.sum(axis=0)
-
-
 def _orbit_groups(space, clean):
-    """(representatives, sizes): the scan-clean indices grouped by (orbit,
-    number of nonzero partials); each group's least index and its size."""
-    key = (_orbit_labels(space, clean) * (space.problem.nvars + 1)
-           + _nonzero_partials(space, clean))
-    _, first, sizes = np.unique(key, return_index=True, return_counts=True)
-    return clean[first], sizes
+    """(representatives, sizes): the GL_{n+1}(F_q)-orbits of the scan-clean
+    indices, each as its least index and its size."""
+    roots, sizes = np.unique(_orbit_labels(space, clean), return_counts=True)
+    return clean[roots], sizes
 
 
 # ---------------------------------------------------------------------------
 # The shared scan: per candidate f, the total degree of singular points of
-# X cap H_f found at degree <= B, plus (exact mode) smoothness certificates
-# for scan-clean candidates.
+# X cap H_f found at degree <= B, plus (exact mode) the smoothness
+# certificate for scan-clean candidates.
 
 _INFINITE = -1  # sentinel ell value for f = 0
 
@@ -755,11 +796,8 @@ class ScanResult:
     count_total: int
     ell_counts: tuple        # ((ell, count), ...), ell >= 1 or _INFINITE
     smooth_count: int
-    unresolved: int          # scan-clean but certificate refused to certify
+    unresolved: int          # scan-clean, yet certifiably singular
     flags: tuple
-
-    def fraction_smooth(self) -> Fraction:
-        return Fraction(self.smooth_count, self.count_total)
 
 
 @lru_cache(maxsize=8)
@@ -770,6 +808,10 @@ def _scan_cached(problem, d, budget, sing_bound, exact, seed, cap):
 def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     spec = problem.field
     X = problem.X
+    if exact and not _exactable(X):
+        raise UnsupportedPresentation(
+            "exact mode supports X = P^n or a complete intersection "
+            "presentation, with no removed locus")
     space = candidate_space(problem, d, cap)
     if budget[0] == "exhaustive":
         total = spec.q ** space.rank
@@ -778,10 +820,6 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
                 f"|I_d| = {total} exceeds cap {cap}")
     else:
         total = budget[1]
-    if exact and not _exactable(X):
-        raise UnsupportedPresentation(
-            "exact mode supports X = P^n (minus a closed set) or a "
-            "complete intersection presentation")
     flags = list(space.flags)
     conds = _conditions(X, space, enumerate_closed_points(X, sing_bound, cap))
     if budget[0] == "exhaustive":
@@ -796,7 +834,6 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     counts = np.bincount(ell + 1).tolist()  # ell >= _INFINITE = -1
     counter = {v - 1: c for v, c in enumerate(counts) if c and v != 1}
     # resolve scan-clean candidates, one certificate per group
-    smooth = 0
     unresolved = 0
     if exact:
         clean = np.flatnonzero(ell == 0)  # positions in indices
@@ -806,19 +843,10 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
             clean, sizes = _orbit_groups(space, clean)  # positions = indices
         else:
             sizes = np.ones(len(clean), dtype=np.int64)
-        fast = spec.q == 2 and X.is_free_ambient()
-        for i, size in zip(clean.tolist(), sizes.tolist()):
-            if fast and _fast_cert_smooth(spec, problem.nvars, d,
-                                          space.row_of(indices[i])):
-                smooth += size
-                continue
-            cert = _slow_is_smooth(problem, space.poly_of(indices[i]))
-            if cert.status == "empty":
-                smooth += size
-            else:
-                unresolved += size
-                if cert.status == "inconclusive":
-                    flags.append("certificate-inconclusive")
+        certified = _certify_smooth(problem, d,
+                                    [indices[i] for i in clean.tolist()])
+        smooth = int(sizes[certified].sum())
+        unresolved = int(sizes.sum()) - smooth
         flags.append("exact-certificates")
     else:
         smooth = int(np.count_nonzero(ell == 0))
@@ -910,8 +938,15 @@ def _digit_table(p):
 
 
 def _digits(indices, p, width):
-    """The first `width` base-p digits of each index, least significant
-    first, as a float64 matrix with one row per index."""
+    """The `width` base-p digits of each index (below p^width), least
+    significant first, as a float64 matrix with one row per index."""
+    if p == 2:  # the digits are the bits
+        nbytes = -(-width // 8)
+        buf = b"".join(index.to_bytes(nbytes, "little") for index in indices)
+        bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8)
+                             .reshape(len(indices), nbytes),
+                             axis=1, bitorder="little")
+        return bits[:, :width].astype(np.float64)
     c, table = _digit_table(p)
     per_word = 1
     while p ** (c * (per_word + 1)) <= 1 << 62:
@@ -977,8 +1012,8 @@ def estimate_sing_dist(problem: SchemeProblem, degrees, budget=("exhaustive",),
                        cap: int = DEFAULT_CAP) -> SingDistReport:
     """Histogram of ell(f) = total degree of singular points found at
     degree <= B; candidates whose singularities exceed the classification
-    capacity (ell > ell_max, f = 0, or uncertified scan-clean candidates in
-    exact mode) land in the overflow bin."""
+    capacity (ell > ell_max, f = 0, or scan-clean candidates the exact-mode
+    certificate shows singular) land in the overflow bin."""
     degrees = list(degrees)
     if sing_bound is None:
         sing_bound = default_sing_bound(problem)
@@ -1050,9 +1085,6 @@ class EmbedResult:
     witness_e: int | None = None
     tries_per_degree: tuple = ()
     flags: tuple = ()
-
-    def chain_polys(self):
-        return [s.poly for s in self.steps]
 
 
 def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,

@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from smoothsieve import variety
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMES = ROOT / "schemes"
 
@@ -12,3 +14,17 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 @pytest.fixture(scope="session")
 def schemes_dir():
     return SCHEMES
+
+
+@pytest.fixture
+def enumeration_calls(monkeypatch):
+    """The calls made to the point enumerator while the test runs."""
+    calls = []
+    real = variety.normalized_projective_points
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(variety, "normalized_projective_points", counting)
+    return calls

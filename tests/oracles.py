@@ -2,16 +2,18 @@
 
 These deliberately avoid the library's linear-algebra and orbit-grouping
 paths: dense per-entry elimination, raw per-extension point scans,
-explicit zero-cycle enumeration and brute-force matrix groups.  Slow and
-simple on purpose.
+explicit zero-cycle enumeration, brute-force matrix groups, the former
+point-search smoothness certificate and closed-form point counts.  Slow
+and simple on purpose.
 """
 
 from itertools import product
 
 import numpy as np
 
-from smoothsieve import gf
-from smoothsieve.mpoly import monomials_of_degree
+from smoothsieve import gf, sieve
+from smoothsieve.graded import GradedIdeal
+from smoothsieve.mpoly import monomials_of_degree, normalized_projective_points
 
 
 def dense_rank_mod_p(rows, p):
@@ -322,3 +324,50 @@ def orbit_minima_f2(nvars, d, indices):
             image ^= ((indices >> t) & 1) * col
         best = np.minimum(best, image)
     return best
+
+
+# ---------------------------------------------------------------------------
+# The former library smoothness certificate: search P^n(F_{q^e}), e <= e_max,
+# for a common zero of J = (X's equations, f, the maximal minors of their
+# Jacobian), then look for a degree k with J_k = S_k up to the graded
+# ideal's default cap.  Its two answers are independent of each other:
+# a witness point, or a filled graded piece.
+
+def point_search_certificate(problem, f, e_max=3):
+    """'nonempty' (X cap H_f has a singular point over some F_{q^e}),
+    'empty' (J_k = S_k for some k up to the cap) or 'inconclusive'."""
+    spec, nvars = problem.field, problem.nvars
+    gens = sieve._jacobian_ideal_polys(list(problem.X.equations) + [f], spec,
+                                       nvars)
+    for e in range(1, e_max + 1):
+        ext = gf.make_field(spec.p, spec.k * e)
+        for pt in normalized_projective_points(ext, nvars):
+            if all(g.evaluate_codes(pt, ext) == 0 for g in gens):
+                return "nonempty"
+    ideal = GradedIdeal(spec, nvars, gens)
+    return ideal.is_projectively_empty(point_search=False).status
+
+
+# ---------------------------------------------------------------------------
+# Closed-form counts of smooth cubic forms, published point counts of moduli
+# stacks times |GL_{n+1}(F_q)|.  Since |GL_{n+1}(F_q)| =
+# q^{(n+1)^2} prod_{i <= n+1} (1 - q^-i), both make the exact density at
+# d = 3 equal Poonen's limit 1 / zeta_{P^n}(n + 1).
+
+def gl_order(n, q):
+    """|GL_n(F_q)| = prod_{i < n} (q^n - q^i)."""
+    out = 1
+    for i in range(n):
+        out *= q ** n - q ** i
+    return out
+
+
+def smooth_plane_cubics(q):
+    """Smooth ternary cubic forms over F_q: q |GL_3(F_q)|."""
+    return q * gl_order(3, q)
+
+
+def smooth_cubic_surfaces(q):
+    """Smooth quaternary cubic forms over F_q: q^4 |GL_4(F_q)| (Das,
+    "Arithmetic statistics on cubic surfaces", 2020)."""
+    return q ** 4 * gl_order(4, q)

@@ -87,15 +87,13 @@ def test_criterion_4_empirical_convergence(plane_runs):
     fractions = {d: v.fraction for d, v in density.per_degree}
     close = abs(fractions[5] - TARGET) <= TOLERANCE
     agree = True
-    f2 = gf.make_field(2)
     for d in (3, 4):
         smooth = oracles.f2_plane_curve_oracle(d, e_max=6)
         agree = agree and int(smooth.sum()) == dict(density.per_degree)[d].count_smooth
         # every oracle-smooth candidate is certified by the main path, so
         # equal counts force equal sets
-        agree = agree and all(
-            sieve._fast_cert_smooth(f2, 3, d, int(bits))
-            for bits in smooth.nonzero()[0])
+        agree = agree and bool(sieve._certify_smooth(
+            prob, d, smooth.nonzero()[0].tolist()).all())
     ok = close and agree
     _report(4, ok, f"smooth fractions {{d: f}} = "
                    f"{{3: {float(fractions[3]):.4f}, 4: {float(fractions[4]):.4f}, "

@@ -5,8 +5,7 @@ form through the canonical basis rows of the candidate space, and
 `points` reports ranks over the residue fields, so these files pin the
 row-reduction core's canonical echelon form.  The runs over F_3 and F_5
 pin the seeded draw and the scan counts over odd characteristic.  The
-two exhaustive exact scans of P^2 pin the certified counts, including a
-`certificate-inconclusive` flag over F_2.
+two exhaustive exact scans of P^2 pin the certified counts.
 Regenerate a file only for a deliberate change of report content.
 """
 

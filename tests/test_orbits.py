@@ -1,15 +1,22 @@
-"""Orbit grouping of exact certificates on P^n: the generators against a
-brute-force closure, the labels against every element of GL_3(F_2), and
-grouped scans against one certificate per scan-clean candidate."""
+"""The smoothness certificate and its orbit grouping on P^n: the
+certificate against the former point-search certificate, the generators
+against a brute-force closure, the labels against every element of
+GL_3(F_2), and grouped scans against one certificate per scan-clean
+candidate."""
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from oracles import invertible_matrices_f2, matrix_closure_size, orbit_minima_f2
+from oracles import (invertible_matrices_f2, matrix_closure_size,
+                     orbit_minima_f2, point_search_certificate)
 from smoothsieve import gf, sieve, variety
 from smoothsieve.variety import load_problem, parse_problem
+
+QUADRIC = "q = 2\nP 3 : x y z w\nX:\n  x*y + z*w\ndim X = 2\n"
+CONIC = "q = 3\nP 2 : x y z\nX:\n  x*z - y^2\ndim X = 1\n"
 
 
 @lru_cache(maxsize=None)
@@ -33,14 +40,8 @@ def clean_indices(problem, d, bound):
 
 @lru_cache(maxsize=None)
 def certify(problem, d, index):
-    """The certificate outcome of one candidate on its own: 'empty',
-    'nonempty' or 'inconclusive'."""
-    space = sieve.candidate_space(problem, d)
-    spec = problem.field
-    if spec.q == 2 and sieve._fast_cert_smooth(spec, problem.nvars, d,
-                                               space.row_of(index)):
-        return "empty"
-    return sieve._slow_is_smooth(problem, space.poly_of(index)).status
+    """The certificate's answer for one candidate on its own."""
+    return bool(sieve._certify_smooth(problem, d, [index])[0])
 
 
 def per_candidate_result(problem, d, bound):
@@ -48,13 +49,40 @@ def per_candidate_result(problem, d, bound):
     bounded = sieve._run_scan(problem, d, ("exhaustive",), bound, False, 0,
                               sieve.DEFAULT_CAP)
     _, clean = clean_indices(problem, d, bound)
-    outcomes = [certify(problem, d, i) for i in clean.tolist()]
-    flags = (["certificate-inconclusive"] if "inconclusive" in outcomes
-             else []) + ["exact-certificates"]
+    smooth = sum(certify(problem, d, i) for i in clean.tolist())
     return sieve.ScanResult(d, bounded.count_total, bounded.ell_counts,
-                            outcomes.count("empty"),
-                            len(outcomes) - outcomes.count("empty"),
-                            tuple(flags))
+                            smooth, len(clean) - smooth,
+                            ("exact-certificates",))
+
+
+@pytest.mark.parametrize("case", ["p2_q2_d4", "p2_q3_d3", "p2_q4_d3",
+                                  "p3_q2_d3", "quadric_d2", "conic_q3_d2",
+                                  "nodal_d3"])
+def test_certificate_agrees_with_point_search(schemes_dir, case):
+    # P^n: every orbit representative at B = 1; X = a quadric surface over
+    # F_2: every form clean at B = 1 (a superset of those clean at B = 2);
+    # X = a conic over F_3, where the signs of the cofactors matter: every
+    # form clean at B = 1; through the nodal cubic: every form clean at B = 2
+    problem, d, bound = {
+        "p2_q2_d4": (plane(schemes_dir, 2), 4, 1),
+        "p2_q3_d3": (plane(schemes_dir, 3), 3, 1),
+        "p2_q4_d3": (plane(schemes_dir, 4), 3, 1),
+        "p3_q2_d3": (projective(3, 2), 3, 1),
+        "quadric_d2": (parse_problem(QUADRIC), 2, 1),
+        "conic_q3_d2": (parse_problem(CONIC), 2, 1),
+        "nodal_d3": (load_problem(schemes_dir / "nodal_cubic.scm"), 3, 2),
+    }[case]
+    space, clean = clean_indices(problem, d, bound)
+    if problem.Z is None and problem.X.is_free_ambient():
+        clean, _ = sieve._orbit_groups(space, clean)
+    certified = sieve._certify_smooth(problem, d, clean.tolist()).tolist()
+    seen = Counter()
+    for index, smooth in zip(clean.tolist(), certified):
+        status = point_search_certificate(problem, space.poly_of(index))
+        seen[status] += 1
+        if status != "inconclusive":
+            assert smooth == (status == "empty"), (case, index, status)
+    assert seen["empty"] and seen["nonempty"]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
@@ -74,17 +102,12 @@ def test_labels_are_orbit_minima_over_gl3_f2(schemes_dir, d):
 
 
 @pytest.mark.parametrize("q,d", [(2, 4), (3, 2)])
-def test_groups_are_orbits_split_by_nonzero_partials(schemes_dir, q, d):
+def test_groups_are_orbits(schemes_dir, q, d):
     space, clean = clean_indices(plane(schemes_dir, q), d, 1)
-    counts = [sum(1 for j in range(3) if space.poly_of(i).partial(j))
-              for i in clean.tolist()]
-    assert sieve._nonzero_partials(space, clean).tolist() == counts
-    labels = sieve._orbit_labels(space, clean).tolist()
+    orbits = Counter(sieve._orbit_labels(space, clean).tolist())
     reps, sizes = sieve._orbit_groups(space, clean)
-    pairs = set(zip(labels, counts))
-    assert len(reps) == len(pairs) and sizes.sum() == len(clean)
-    if q == 2:  # at d = 4 some orbits hold forms with different counts
-        assert len(pairs) > len(set(labels))
+    assert reps.tolist() == clean[sorted(orbits)].tolist()
+    assert sizes.tolist() == [orbits[label] for label in sorted(orbits)]
 
 
 @pytest.mark.parametrize("q,d,bound", [

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import dense_rank_mod_p, ell_oracle
 from smoothsieve import gf, sieve, variety, zeta
 from smoothsieve.graded import GradedIdeal
@@ -12,7 +13,8 @@ from smoothsieve.sieve import (NoSmoothHypersurfaceFound,
                                estimate_sing_dist, low_degree_predictor,
                                predict_density, predict_sing_dist,
                                verify_chain)
-from smoothsieve.variety import SchemePresentation, load_problem
+from smoothsieve.variety import (SchemePresentation, load_problem,
+                                parse_problem)
 
 F2 = gf.make_field(2)
 
@@ -289,6 +291,33 @@ def test_estimate_exact_mode_unsupported():
     prob = variety.SchemeProblem(F2, 3, ("x", "y", "z"), X, None, ())
     with pytest.raises(UnsupportedPresentation):
         estimate_density(prob, [2], ("exhaustive",), sing_bound=2, exact=True)
+
+
+def test_exact_mode_refuses_a_removed_locus(enumeration_calls):
+    # the certificate covers no removed locus; the refusal comes before any
+    # point is enumerated
+    prob = parse_problem("q = 2\nP 2 : x y z\nX:\nX.remove:\n  x\n")
+    with pytest.raises(UnsupportedPresentation) as info:
+        estimate_density(prob, [2], ("exhaustive",), sing_bound=2, exact=True)
+    assert str(info.value) == ("exact mode supports X = P^n or a complete "
+                               "intersection presentation, with no removed "
+                               "locus")
+    assert enumeration_calls == []
+
+
+@pytest.mark.parametrize("n,q,smooth", [(2, 2, 336), (2, 3, 33696),
+                                         (2, 4, 725760), (3, 2, 322560)])
+def test_predictor_equals_exact_estimate_at_d3(n, q, smooth):
+    # smooth cubics number a multiple of |GL_{n+1}(F_q)|, which makes the
+    # exact density at d = 3 equal 1 / zeta_{P^n}(n + 1); exact mode does
+    # not depend on B, so B = 1 keeps the scan small
+    assert smooth == (oracles.smooth_plane_cubics(q) if n == 2
+                      else oracles.smooth_cubic_surfaces(q))
+    prob = parse_problem(f"q = {q}\nP {n} : {' '.join('xyzw'[:n + 1])}\n")
+    rep = estimate_density(prob, [3], ("exhaustive",), sing_bound=1,
+                           exact=True)
+    assert rep.value.count_smooth == smooth
+    assert rep.value.fraction == predict_density(prob).value
 
 
 def test_estimate_ci_presentation_exact_mode():

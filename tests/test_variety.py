@@ -64,20 +64,6 @@ def test_orbit_structure_and_moebius(schemes_dir):
                           if e % P.degree == 0)
 
 
-@pytest.fixture
-def enumeration_calls(monkeypatch):
-    """The calls made to the point enumerator while the test runs."""
-    calls = []
-    real = variety.normalized_projective_points
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(variety, "normalized_projective_points", counting)
-    return calls
-
-
 def test_enumeration_cap(enumeration_calls):
     # the cap is checked for every degree before any point is enumerated;
     # the message names the first degree over it, F_{2^8}

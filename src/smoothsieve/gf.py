@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from . import linalg
 
 ENUMERATION_CAP = 1 << 24
@@ -362,6 +364,69 @@ class FieldSpec:
         if self.k == 1:
             return str(code)
         return poly_string(self.digits(code), sym)
+
+
+class CodeArrays:
+    """Elementwise arithmetic on numpy int64 arrays of element codes.
+
+    Fields with q <= _TABLE_CAP multiply through numpy copies of the
+    log/exp tables; larger fields apply the scalar `FieldSpec.mul` and
+    `FieldSpec.pow` element by element, the same split as `FieldSpec.mul`.
+    Sums add base-p digits, which over p = 2 is XOR.  Build one per field
+    with `code_arrays`.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self._log = self._exp = None
+        if spec.q <= _TABLE_CAP:
+            if spec._exp is None:
+                spec._build_tables()
+            self._log = np.array(spec._log, dtype=np.int64)
+            self._exp = np.array(spec._exp, dtype=np.int64)
+        self._place = spec.p ** np.arange(spec.k, dtype=np.int64)
+
+    def term(self, coeff, factors, shape):
+        """coeff * prod(x ** n for x, n in factors) as an array of `shape`:
+        coeff a nonzero code, each x a code array of that shape, n >= 1."""
+        if self._log is not None:
+            s = np.full(shape, self._log[coeff])
+            zero = np.zeros(shape, dtype=bool)
+            for x, n in factors:
+                s += n * self._log[x]
+                zero |= x == 0
+            out = self._exp[s % (self.spec.q - 1)]
+            out[zero] = 0
+            return out
+        spec = self.spec
+        out = np.full(shape, coeff, dtype=np.int64)
+        for x, n in factors:
+            flat = [spec.mul(a, spec.pow(b, n))
+                    for a, b in zip(out.ravel().tolist(), x.ravel().tolist())]
+            out = np.array(flat, dtype=np.int64).reshape(shape)
+        return out
+
+    def pow(self, x, n):
+        """x ** n elementwise, n >= 1."""
+        return self.term(1, [(x, n)], x.shape)
+
+    def total(self, values, size):
+        """The sum of an iterable of code arrays of length `size`."""
+        if self.spec.p == 2:
+            acc = np.zeros(size, dtype=np.int64)
+            for v in values:
+                acc ^= v
+            return acc
+        p, place = self.spec.p, self._place
+        acc = np.zeros((size, len(place)), dtype=np.int64)
+        for v in values:
+            acc += v[:, None] // place % p
+        return acc % p @ place
+
+
+@lru_cache(maxsize=None)
+def code_arrays(spec: FieldSpec) -> CodeArrays:
+    return CodeArrays(spec)
 
 
 def poly_string(coeffs, sym):

@@ -230,12 +230,15 @@ class GradedIdeal:
                 return EmptinessCertificate("empty", k=k)
         return EmptinessCertificate("inconclusive")
 
-    def find_point(self, e_max: int):
-        """Scan P^n(F_{q^e}), e <= e_max, for a common zero of the generators."""
+    def find_point(self, e_max: int, removed=()):
+        """The first normalized point of P^n(F_{q^e}), e <= e_max, at which
+        every generator vanishes and, when `removed` is nonempty, some poly
+        of it does not; None when there is none."""
         base = self.spec
         for e in range(1, e_max + 1):
             ext = gf.make_field(base.p, base.k * e)
-            for pt in mpoly.normalized_projective_points(ext, self.nvars):
-                if all(g.evaluate_codes(pt, ext) == 0 for g in self.generators):
-                    return pt, ext
+            rows = next(mpoly.zero_locus_points(self.generators, removed, ext,
+                                                self.nvars), None)
+            if rows is not None:
+                return tuple(rows[0].tolist()), ext
         return None

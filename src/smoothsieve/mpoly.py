@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import product
+
+import numpy as np
 
 from . import gf
 from .gf import FieldMismatchError, FieldSpec
@@ -217,6 +218,17 @@ class MPoly:
             if term:
                 acc = target.add(acc, term)
         return acc
+
+    def evaluate_rows(self, rows, target: FieldSpec):
+        """Values at the points given as the rows of an int64 array of
+        coordinate codes in the extension `target`, term by term."""
+        arith = gf.code_arrays(target)
+        emap = gf.embed_map(self.spec, target)
+        cols, size = rows.T, len(rows)
+        terms = (arith.term(emap[c], [(cols[i], n) for i, n in enumerate(e)
+                                      if n], size)
+                 for e, c in self.terms.items())
+        return arith.total(terms, size)
 
     def evaluate(self, point) -> gf.FieldElement:
         """Evaluate at a tuple of FieldElements of a common extension field."""
@@ -447,10 +459,17 @@ def parse_homogeneous(text, spec, nvars, aliases=None) -> MPoly:
 
 # ---------------------------------------------------------------------------
 
-def normalized_projective_points(spec: FieldSpec, nvars: int):
-    """Points of P^{nvars-1}(F) as code tuples, first nonzero coordinate 1.
+# Rows per chunk of the point stream.  It bounds the engine's working
+# memory: every array it builds has at most this many rows.
+_CHUNK_ROWS = 4096
 
-    Deterministic order: leading index ascending, then tail codes ascending.
+
+def normalized_projective_points(spec: FieldSpec, nvars: int):
+    """Points of P^{nvars-1}(F), first nonzero coordinate 1, as int64 code
+    arrays of at most _CHUNK_ROWS rows.
+
+    Deterministic order: leading index ascending, then tail codes ascending
+    (the tail read as a base-q numeral, first coordinate most significant).
     """
     q = spec.q
     for lead in range(nvars):
@@ -458,8 +477,31 @@ def normalized_projective_points(spec: FieldSpec, nvars: int):
         if q ** tail > gf.ENUMERATION_CAP:
             raise gf.EnumerationCapError(
                 f"P^{nvars-1}(F_{q}) exceeds the enumeration cap")
-        for rest in product(range(q), repeat=tail):
-            yield (0,) * lead + (1,) + rest
+        place = q ** np.arange(tail - 1, -1, -1, dtype=np.int64)
+        for lo in range(0, q ** tail, _CHUNK_ROWS):
+            index = np.arange(lo, min(lo + _CHUNK_ROWS, q ** tail),
+                              dtype=np.int64)
+            rows = np.zeros((len(index), nvars), dtype=np.int64)
+            rows[:, lead] = 1
+            rows[:, lead + 1:] = index[:, None] // place % q
+            yield rows
+
+
+def zero_locus_points(equations, removed, spec: FieldSpec, nvars: int):
+    """The normalized points of P^{nvars-1}(F) at which every equation
+    vanishes and, when `removed` is nonempty, some poly of it does not:
+    nonempty int64 code arrays in the order of
+    `normalized_projective_points`."""
+    for rows in normalized_projective_points(spec, nvars):
+        for f in equations:
+            rows = rows[f.evaluate_rows(rows, spec) == 0]
+        if removed:
+            outside = np.zeros(len(rows), dtype=bool)
+            for w in removed:
+                outside |= w.evaluate_rows(rows, spec) != 0
+            rows = rows[outside]
+        if len(rows):
+            yield rows
 
 
 def projective_point_count(q: int, n: int) -> int:

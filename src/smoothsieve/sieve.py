@@ -22,8 +22,7 @@ import numpy as np
 
 from . import gf, linalg, variety, zeta
 from .graded import EmptinessCertificate, GradedIdeal
-from .mpoly import (MPoly, monomial_index, monomials_of_degree,
-                    normalized_projective_points)
+from .mpoly import MPoly, monomial_index, monomials_of_degree
 from .variety import (ClosedPoint, SchemePresentation, SchemeProblem,
                       enumerate_closed_points, stratify)
 
@@ -663,15 +662,10 @@ _RADICAL_POWER_CAP = 6
 def _empty_on_open(J: GradedIdeal, removed, e_max) -> EmptinessCertificate:
     """Emptiness of V(J) outside the removed locus: the embedder's
     certificate, a point search over F_{q^e}, e <= e_max, then degrees."""
-    base = J.spec
-    for e in range(1, e_max + 1):
-        ext = gf.make_field(base.p, base.k * e)
-        for pt in normalized_projective_points(ext, J.nvars):
-            if all(g.evaluate_codes(pt, ext) == 0 for g in J.generators):
-                if removed and all(w.evaluate_codes(pt, ext) == 0 for w in removed):
-                    continue
-                return EmptinessCertificate("nonempty", witness=pt,
-                                            witness_field=ext)
+    wit = J.find_point(e_max, removed)
+    if wit is not None:
+        return EmptinessCertificate("nonempty", witness=wit[0],
+                                    witness_field=wit[1])
     direct = J.is_projectively_empty(point_search=False)
     if direct.status == "empty" or not removed:
         return direct

@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+import numpy as np
+
 from . import gf, linalg, mpoly
 from .gf import FieldSpec
 from .graded import GradedIdeal, poly_to_vector
-from .mpoly import MPoly, normalized_projective_points, projective_point_count
+from .mpoly import MPoly, projective_point_count
 
 
 class EnumerationCapExceeded(ValueError):
@@ -53,14 +55,6 @@ class SchemePresentation:
         if not self.equations:
             return self.ambient_dim
         return None
-
-    def contains_code_point(self, coords, ext: FieldSpec) -> bool:
-        if any(e.evaluate_codes(coords, ext) != 0 for e in self.equations):
-            return False
-        if self.removed and all(r.evaluate_codes(coords, ext) == 0
-                                for r in self.removed):
-            return False
-        return True
 
     def is_free_ambient(self):
         return not self.equations and not self.removed
@@ -123,8 +117,8 @@ def raw_point_count(scheme: SchemePresentation, e: int, cap: int = DEFAULT_CAP) 
         return projective_point_count(q_e, scheme.ambient_dim)
     check_enumeration_cap(scheme, [e], cap)
     ext = gf.make_field(base.p, base.k * e)
-    return sum(1 for pt in normalized_projective_points(ext, scheme.nvars)
-               if scheme.contains_code_point(pt, ext))
+    return sum(len(rows) for rows in mpoly.zero_locus_points(
+        scheme.equations, scheme.removed, ext, scheme.nvars))
 
 
 def enumerate_closed_points(scheme: SchemePresentation, max_degree: int,
@@ -135,31 +129,41 @@ def enumerate_closed_points(scheme: SchemePresentation, max_degree: int,
     check_enumeration_cap(scheme, range(1, max_degree + 1), cap)
     out = []
     for e in range(1, max_degree + 1):
-        ext = gf.make_field(base.p, base.k * e)
-        k_base = base.k
-        seen = set()
-        bucket = []
-        for pt in normalized_projective_points(ext, scheme.nvars):
-            if pt in seen:
-                continue
-            if not scheme.contains_code_point(pt, ext):
-                continue
-            # q-power Frobenius orbit (normalization is preserved)
-            orbit = [pt]
-            cur = pt
-            while True:
-                cur = tuple(ext.frobenius(c, k_base) for c in cur)
-                if cur == pt:
-                    break
-                orbit.append(cur)
-            if len(orbit) != e:
-                continue  # proper subfield point, already listed at its degree
-            seen.update(orbit)
-            rep = min(orbit)
-            bucket.append(ClosedPoint(e, ext, tuple(sorted(orbit)), rep))
-        bucket.sort(key=lambda P: P.representative)
-        out.extend(bucket)
+        out.extend(_closed_points_of_degree(
+            scheme, gf.make_field(base.p, base.k * e), e))
     return out
+
+
+def _closed_points_of_degree(scheme, ext, e):
+    """The closed points of degree e, sorted by representative.
+
+    A point's key sum_i c_i Q^(n-i) orders code rows as tuples.  A row is
+    kept when each of its e - 1 images under the q-power Frobenius has a
+    larger key: then its orbit has exactly e members and it is the least
+    one, so every closed point of degree e is listed once.
+    """
+    arith = gf.code_arrays(ext)
+    q = scheme.spec.q
+    place = ext.q ** np.arange(scheme.nvars - 1, -1, -1, dtype=np.int64)
+    orbits, keys = [], []
+    for rows in mpoly.zero_locus_points(scheme.equations, scheme.removed,
+                                        ext, scheme.nvars):
+        key = rows @ place
+        orbit = [rows]
+        for _ in range(e - 1):
+            image = arith.pow(orbit[-1], q)
+            keep = image @ place > key
+            key = key[keep]
+            orbit = [member[keep] for member in orbit] + [image[keep]]
+        orbits.append(np.stack(orbit, axis=1))
+        keys.append(key)
+    if not orbits:
+        return []
+    orbits = np.concatenate(orbits)[np.argsort(np.concatenate(keys))]
+    orbits = np.take_along_axis(
+        orbits, np.argsort(orbits @ place, axis=1)[:, :, None], axis=1)
+    return [ClosedPoint(e, ext, tuple(map(tuple, orbit)), tuple(orbit[0]))
+            for orbit in orbits.tolist()]
 
 
 def mobius(n: int) -> int:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from smoothsieve import variety
+from smoothsieve import mpoly
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMES = ROOT / "schemes"
@@ -18,13 +18,14 @@ def schemes_dir():
 
 @pytest.fixture
 def enumeration_calls(monkeypatch):
-    """The calls made to the point enumerator while the test runs."""
+    """The calls made to the point engine's chunk generator,
+    `mpoly.normalized_projective_points`, while the test runs."""
     calls = []
-    real = variety.normalized_projective_points
+    real = mpoly.normalized_projective_points
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(variety, "normalized_projective_points", counting)
+    monkeypatch.setattr(mpoly, "normalized_projective_points", counting)
     return calls

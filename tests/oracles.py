@@ -1,19 +1,19 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's linear-algebra and orbit-grouping
-paths: dense per-entry elimination, raw per-extension point scans,
-explicit zero-cycle enumeration, brute-force matrix groups, the former
-point-search smoothness certificate and closed-form point counts.  Slow
-and simple on purpose.
+paths: dense per-entry elimination, per-point scans of P^n(F_{q^e}) with
+scalar `MPoly.evaluate_codes`, explicit zero-cycle enumeration,
+brute-force matrix groups, the former point-search smoothness
+certificate and closed-form point counts.  Slow and simple on purpose.
 """
 
 from itertools import product
 
 import numpy as np
 
-from smoothsieve import gf, sieve
+from smoothsieve import gf, sieve, variety
 from smoothsieve.graded import GradedIdeal
-from smoothsieve.mpoly import monomials_of_degree, normalized_projective_points
+from smoothsieve.mpoly import monomials_of_degree
 
 
 def dense_rank_mod_p(rows, p):
@@ -62,6 +62,77 @@ def multiples_matrix(gens, d, nvars, p):
                 row[index[tuple(a + b for a, b in zip(e, m))]] = c
             rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The former library point scans: one code tuple of P^n(F_{q^e}) at a time,
+# tested with scalar MPoly.evaluate_codes, Frobenius orbits followed with
+# FieldSpec.frobenius.
+
+def projective_points(spec, nvars):
+    """Points of P^{nvars-1}(F) as code tuples, first nonzero coordinate 1:
+    leading index ascending, then tail codes ascending."""
+    for lead in range(nvars):
+        for rest in product(range(spec.q), repeat=nvars - lead - 1):
+            yield (0,) * lead + (1,) + rest
+
+
+def contains_code_point(scheme, coords, ext):
+    if any(e.evaluate_codes(coords, ext) != 0 for e in scheme.equations):
+        return False
+    if scheme.removed and all(r.evaluate_codes(coords, ext) == 0
+                              for r in scheme.removed):
+        return False
+    return True
+
+
+def raw_point_count(scheme, e):
+    """|scheme(F_{q^e})|, one point at a time."""
+    base = scheme.spec
+    ext = gf.make_field(base.p, base.k * e)
+    return sum(1 for pt in projective_points(ext, scheme.nvars)
+               if contains_code_point(scheme, pt, ext))
+
+
+def enumerate_closed_points(scheme, max_degree):
+    """Closed points of degree <= max_degree by following the q-power
+    Frobenius orbit of each point, ordered by (degree, representative)."""
+    base = scheme.spec
+    out = []
+    for e in range(1, max_degree + 1):
+        ext = gf.make_field(base.p, base.k * e)
+        seen = set()
+        bucket = []
+        for pt in projective_points(ext, scheme.nvars):
+            if pt in seen or not contains_code_point(scheme, pt, ext):
+                continue
+            orbit = [pt]
+            cur = pt
+            while True:
+                cur = tuple(ext.frobenius(c, base.k) for c in cur)
+                if cur == pt:
+                    break
+                orbit.append(cur)
+            if len(orbit) != e:
+                continue  # proper subfield point, listed at its own degree
+            seen.update(orbit)
+            bucket.append(variety.ClosedPoint(e, ext, tuple(sorted(orbit)),
+                                              min(orbit)))
+        bucket.sort(key=lambda P: P.representative)
+        out.extend(bucket)
+    return out
+
+
+def find_point(scheme, e_max):
+    """The first point of the scheme over F_{q^e}, e <= e_max, in
+    `projective_points` order: (coords, field), or None."""
+    base = scheme.spec
+    for e in range(1, e_max + 1):
+        ext = gf.make_field(base.p, base.k * e)
+        for pt in projective_points(ext, scheme.nvars):
+            if contains_code_point(scheme, pt, ext):
+                return pt, ext
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +410,9 @@ def point_search_certificate(problem, f, e_max=3):
     spec, nvars = problem.field, problem.nvars
     gens = sieve._jacobian_ideal_polys(list(problem.X.equations) + [f], spec,
                                        nvars)
-    for e in range(1, e_max + 1):
-        ext = gf.make_field(spec.p, spec.k * e)
-        for pt in normalized_projective_points(ext, nvars):
-            if all(g.evaluate_codes(pt, ext) == 0 for g in gens):
-                return "nonempty"
+    if find_point(variety.SchemePresentation(spec, nvars, tuple(gens)),
+                  e_max) is not None:
+        return "nonempty"
     ideal = GradedIdeal(spec, nvars, gens)
     return ideal.is_projectively_empty(point_search=False).status
 

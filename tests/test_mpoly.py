@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
+import oracles
 from smoothsieve import gf
 from smoothsieve.mpoly import (HomogeneityError, MPoly, ParseError,
-                               monomials_of_degree, parse_homogeneous,
+                               monomials_of_degree,
+                               normalized_projective_points, parse_homogeneous,
                                parse_poly)
 
 F2 = gf.make_field(2)
@@ -97,6 +100,30 @@ def test_eval_arith_compatibility_exhaustive():
                 gv = g.evaluate_codes(pt, spec)
                 assert (f + g).evaluate_codes(pt, spec) == spec.add(fv, gv)
                 assert (f * g).evaluate_codes(pt, spec) == spec.mul(fv, gv)
+
+
+def test_point_chunks_follow_the_tuple_order():
+    # P^2(F_128) spans several chunks; P^0 is the single point (1)
+    for spec, nvars in ((gf.make_field(2, 7), 3), (F3, 1), (F4, 4)):
+        rows = np.concatenate(list(normalized_projective_points(spec, nvars)))
+        assert (list(map(tuple, rows.tolist()))
+                == list(oracles.projective_points(spec, nvars)))
+
+
+@pytest.mark.parametrize("base,e", [(F2, 3), (F4, 2), (F3, 2),
+                                    (gf.make_field(5), 1)])
+def test_evaluate_rows_equals_evaluate_codes(base, e):
+    rng = random.Random(base.q * 10 + e)
+    ext = gf.make_field(base.p, base.k * e)
+    rows = np.concatenate(list(normalized_projective_points(ext, 3)))
+    pts = list(map(tuple, rows.tolist()))
+    forms = [MPoly.zero(base, 3), MPoly.constant(base, 3, 1)]
+    for d in (1, 2, 3):
+        monos = monomials_of_degree(3, d)
+        forms.append(MPoly(base, 3, {m: rng.randrange(base.q) for m in monos}))
+    for f in forms:
+        assert (f.evaluate_rows(rows, ext).tolist()
+                == [f.evaluate_codes(pt, ext) for pt in pts])
 
 
 @pytest.mark.parametrize("spec", [F2, F3])

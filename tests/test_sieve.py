@@ -465,3 +465,44 @@ def test_embed_seed_determinism(nodal):
     r1 = embed_curve(nodal, 2, 8, seed=5, d_min=3)
     r2 = embed_curve(nodal, 2, 8, seed=5, d_min=3)
     assert r1 == r2
+
+
+# -- emptiness outside a removed locus -----------------------------------------
+
+def _plane_ideal(texts):
+    return GradedIdeal(F2, 3, [parse_homogeneous(t, F2, 3, ("x", "y", "z"))
+                               for t in texts])
+
+
+def test_empty_on_open_radical_step():
+    # V(x^2, y) = {(0:0:1)} lies in V(x): no point outside it, J is not
+    # empty on P^2, and x is not in J but x^2 is
+    J = _plane_ideal(["x^2", "y"])
+    x = parse_homogeneous("x", F2, 3, ("x", "y", "z"))
+    assert J.is_projectively_empty(point_search=False).status != "empty"
+    assert not J.contains(x) and J.contains(x * x)
+    cert = sieve._empty_on_open(J, (x,), e_max=2)
+    assert cert.status == "empty"
+
+
+def test_empty_on_open_outcomes_off_the_removed_locus():
+    # V(x^2 + xy + y^2, z) is a conjugate pair of points over F_4, outside
+    # V(x): inconclusive when the search stops at F_2 (no power of x up to
+    # the cap lies in J), the witness (1 : g : 0) when it reaches F_4
+    J = _plane_ideal(["x^2 + x*y + y^2", "z"])
+    x = parse_homogeneous("x", F2, 3, ("x", "y", "z"))
+    cert = sieve._empty_on_open(J, (x,), e_max=1)
+    assert cert.status == "inconclusive"
+    power = x
+    for _ in range(sieve._RADICAL_POWER_CAP - 1):
+        power = power * x
+    assert not J.contains(power)
+    cert = sieve._empty_on_open(J, (x,), e_max=2)
+    assert cert.status == "nonempty"
+    assert cert.witness == (1, 2, 0) and cert.witness_field.q == 4
+    # (0 : 0 : 1) is off V(z), so V(x, y) is found over F_2
+    cert = sieve._empty_on_open(_plane_ideal(["x", "y"]),
+                                (parse_homogeneous("z", F2, 3,
+                                                   ("x", "y", "z")),), 1)
+    assert cert.status == "nonempty"
+    assert cert.witness == (0, 0, 1) and cert.witness_field.q == 2

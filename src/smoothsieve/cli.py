@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import gf, sieve, variety, zeta
 from .sieve import (EmbedResult, MissingProfile,
@@ -113,7 +114,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built on first use and then shared by every
+    `parse_args` call: parsing leaves it unchanged."""
     top = _Parser(prog="smoothsieve", add_help=True)
     sub = top.add_subparsers(dest="subcommand", required=True)
 

@@ -410,6 +410,23 @@ class CodeArrays:
         """x ** n elementwise, n >= 1."""
         return self.term(1, [(x, n)], x.shape)
 
+    def monomials(self, points, exponents, coeffs):
+        """coeffs[t] * prod_i x_i ** exponents[t, i] at each row x of the
+        code array `points`, as an array of shape (rows, len(exponents)):
+        with the tables one log-sum per monomial, all of them as a single
+        matmul of the coordinates' logs, else one `term` per monomial."""
+        if self._log is not None:
+            s = self._log[points] @ exponents.T + self._log[coeffs]
+            out = self._exp[s % (self.spec.q - 1)]
+            out[((points == 0) @ (exponents.T > 0)) | (coeffs == 0)] = 0
+            return out
+        cols, size = points.T, len(points)
+        return np.stack([self.term(c, [(cols[i], n) for i, n in enumerate(e)
+                                       if n], size)
+                         if c else np.zeros(size, dtype=np.int64)
+                         for e, c in zip(exponents.tolist(), coeffs.tolist())],
+                        axis=1)
+
     def total(self, values, size):
         """The sum of an iterable of code arrays of length `size`."""
         if self.spec.p == 2:

@@ -12,9 +12,14 @@ with `row`, read them with `entries`, and pass the field to every call.
   derived from them, such as candidate indices) are canonical.  `rank` and
   `fills` need no particular rows; over F_2 they pivot on the highest set
   bit, because int.bit_length finds it fastest.
+
+`echelon_stack` applies `echelon`'s pivot rule to a numpy stack of many
+small matrices over F_p at once.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def row(spec, ncols, terms):
@@ -192,3 +197,72 @@ def transpose(spec, rows, ncols) -> list:
         for j, c in entries(spec, r):
             cols[j].append((i, c))
     return [row(spec, len(rows), col) for col in cols if col]
+
+
+def echelon_stack(mats, p):
+    """The reduced row-echelon forms of a stack of matrices over F_p (an
+    array of entries in [0, p), shape (n, rows, columns)), all eliminated
+    at once, column by column, with `echelon`'s pivot rule: (the rank of
+    each, the pivot column of each of its rows, -1 past the rank, and the
+    reduced stack).
+
+    A matrix with no pivot in a column gets an all-zero lead row, which
+    leaves it as it is.  Entries are reduced mod p only where a pivot is
+    sought and at the end, so the dtype holds columns * p^2.  Over F_2 each
+    row is packed into an int64 bitset instead and eliminated by XOR."""
+    if p == 2:
+        return _echelon_stack_f2(mats)
+    n, rows, width = mats.shape
+    mats = mats.astype(np.min_scalar_type(-width * p * p))
+    rank = np.zeros(n, dtype=np.intp)
+    pivots = np.full((n, rows), -1, dtype=np.intp)
+    below = np.arange(rows)
+    at = np.arange(n)
+    for c in range(width):
+        col = mats[:, :, c] % p
+        live = (col != 0) & (below >= rank[:, None])
+        hit = live.any(axis=1)
+        src, dst = live.argmax(axis=1), np.minimum(rank, rows - 1)
+        first = mats[at, src] % p
+        lead = first * (_inverse_mod_p(first[:, c], p) * hit)[:, None] % p
+        mats[at, src] = np.where(hit[:, None], mats[at, dst], mats[at, src])
+        col[at, src] = np.where(hit, col[at, dst], col[at, src])
+        mats -= col[:, :, None] * lead[:, None, :]
+        mats[at, dst] = np.where(hit[:, None], lead, mats[at, dst])
+        pivots[at[hit], dst[hit]] = c
+        rank += hit
+    mats %= p
+    return rank, pivots, mats
+
+
+def _echelon_stack_f2(mats):
+    n, rows, width = mats.shape
+    bits = 1 << np.arange(width, dtype=np.int64)
+    packed = mats @ bits
+    rank = np.zeros(n, dtype=np.intp)
+    pivots = np.full((n, rows), -1, dtype=np.intp)
+    below = np.arange(rows)
+    at = np.arange(n)
+    for c in range(width):
+        live = (((packed >> c) & 1) != 0) & (below >= rank[:, None])
+        hit = live.any(axis=1)
+        src, dst = live.argmax(axis=1), np.minimum(rank, rows - 1)
+        lead = packed[at, src] * hit
+        packed[at, src] = np.where(hit, packed[at, dst], packed[at, src])
+        packed ^= ((packed >> c) & 1) * lead[:, None]
+        packed[at, dst] = np.where(hit, lead, packed[at, dst])
+        pivots[at[hit], dst[hit]] = c
+        rank += hit
+    return rank, pivots, ((packed[:, :, None] & bits) != 0).astype(np.uint8)
+
+
+def _inverse_mod_p(a, p):
+    """a^(p-2) mod p elementwise: the inverses of the nonzero entries."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a = a * a % p
+        e >>= 1
+    return out

@@ -5,9 +5,11 @@ constructive curve embedder.
 
 The estimators share one scan engine for every q = p^k: the conditions for
 a section to be singular at a closed point P are F_p-linear in the
-candidate's F_p-coordinates, so exhaustive scans enumerate each point's
-F_p-kernel as an index array and sampled scans evaluate the functionals in
-numpy batches.
+candidate's F_p-coordinates.  They are built for all closed points of one
+degree at once, from the representatives' code array.  Exhaustive scans
+bring the functionals of every point of a degree to echelon form in one
+batched elimination mod p and enumerate the F_p-kernels together as index
+arrays; sampled scans evaluate the functionals in numpy batches.
 """
 
 from __future__ import annotations
@@ -359,18 +361,13 @@ def _draw(rng, q, rank):
     return sum(rng.randrange(q) * q ** i for i in range(rank))
 
 
-def _x_jacobian_pivots(X: SchemePresentation, point: ClosedPoint):
-    """RREF rows of X's homogeneous Jacobian at the representative, or ()
-    for a free ambient; raises if X is not smooth of its declared
-    dimension at the point."""
-    if not X.equations:
-        return ()
+def _x_jacobian_pivots(X: SchemePresentation, point: ClosedPoint, jac):
+    """RREF rows of X's homogeneous Jacobian at the representative, given
+    as one row of codes per equation; raises if X is not smooth of its
+    declared dimension at the point."""
     ext = point.residue
-    rep = point.representative
-    pivots = linalg.echelon(ext, [
-        linalg.row(ext, X.nvars, ((j, g.partial(j).evaluate_codes(rep, ext))
-                                  for j in range(X.nvars)))
-        for g in X.equations])
+    pivots = linalg.echelon(ext, [linalg.row(ext, X.nvars, enumerate(r))
+                                  for r in jac])
     m = X.dim()
     if m is not None and len(pivots) != X.ambient_dim - m:
         raise UnsupportedPresentation(
@@ -378,46 +375,43 @@ def _x_jacobian_pivots(X: SchemePresentation, point: ClosedPoint):
     return pivots
 
 
-@lru_cache(maxsize=None)
-def _lowering(nvars: int, d: int):
-    """Per variable j: (position of m, position of m / x_j in degree d - 1,
-    m_j) for each degree-d monomial m with m_j > 0."""
-    below = monomial_index(nvars, d - 1) if d else {}
-    return tuple(tuple((t, below[m[:j] + (m[j] - 1,) + m[j + 1:]], m[j])
-                       for t, m in enumerate(monomials_of_degree(nvars, d))
-                       if m[j])
-                 for j in range(nvars))
-
-
-def _point_condition_vectors(X: SchemePresentation, point: ClosedPoint, d):
-    """Per-condition vectors over kappa(P), indexed by the degree-d
-    monomial basis, 1 + nvars of them (some may be zero).
+def _jet_vectors(X: SchemePresentation, points, d):
+    """Per-condition vectors over kappa(P) for closed points of one degree,
+    indexed by the degree-d monomial basis: codes of shape (points,
+    1 + nvars, monomials).
 
     Conditions: f(P) = 0 together with the components of grad f(P) reduced
     modulo the row space of X's Jacobian at P; their simultaneous vanishing
-    says the section X cap H_f is singular at P.
+    says the section X cap H_f is singular at P.  Row 0 holds the monomials'
+    values at the representatives and row 1 + j their x_j-partials
+    m_j * (m / x_j)(P), all from one `monomials` call.
     """
-    ext = point.residue
-    rep = point.representative
-    below = values = [1]  # monomial values at P, one degree at a time
-    for e in range(1, d + 1):
-        below, values = values, [0] * len(monomials_of_degree(X.nvars, e))
-        for j, lowered in enumerate(_lowering(X.nvars, e)):
-            for t, i, _ in lowered:
-                values[t] = ext.mul(below[i], rep[j])
-    grads = []
-    for lowered in _lowering(X.nvars, d):
-        col = [0] * len(values)
-        for t, i, n in lowered:
-            col[t] = ext.mul(below[i], n % ext.p)
-        grads.append(col)
-    for prow in _x_jacobian_pivots(X, point):
-        (pc, _), *rest = linalg.entries(ext, prow)
-        lead = grads[pc]
-        for j, c in rest:
-            grads[j] = [ext.sub(a, ext.mul(c, b)) for a, b in zip(grads[j], lead)]
-        grads[pc] = [0] * len(values)
-    return [values] + grads
+    ext = points[0].residue
+    arith = gf.code_arrays(ext)
+    reps = np.array([P.representative for P in points], dtype=np.int64)
+    expo = np.array(monomials_of_degree(X.nvars, d), dtype=np.int64)
+    lowered = [np.maximum(expo - np.eye(X.nvars, dtype=np.int64)[j], 0)
+               for j in range(X.nvars)]
+    coeffs = [np.ones(len(expo), dtype=np.int64)] + [
+        expo[:, j] % ext.p for j in range(X.nvars)]  # codes of F_p in ext
+    vecs = arith.monomials(reps, np.concatenate([expo] + lowered),
+                           np.concatenate(coeffs))
+    vecs = vecs.reshape(len(points), 1 + X.nvars, len(expo))
+    if not X.equations:
+        return vecs
+    jac = np.stack([[g.partial(j).evaluate_rows(reps, ext)
+                     for j in range(X.nvars)] for g in X.equations])
+    size = len(expo)
+    for P, grads, rows in zip(points, vecs[:, 1:],
+                              jac.transpose(2, 0, 1).tolist()):
+        for prow in _x_jacobian_pivots(X, P, rows):
+            (pc, _), *rest = linalg.entries(ext, prow)
+            for j, c in rest:
+                grads[j] = arith.total(
+                    [grads[j], arith.term(ext.neg(c), [(grads[pc], 1)], size)],
+                    size)
+            grads[pc] = 0
+    return vecs
 
 
 @lru_cache(maxsize=None)
@@ -451,26 +445,26 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, points):
     """(e, functionals) per degree e of the given closed points: the jet
     conditions as an int array over F_p of shape (points of degree e, rows,
     candidate digits), one row per digit of each kappa(P)-valued condition;
-    a candidate is singular at P exactly when all of P's rows vanish on it."""
+    a candidate is singular at P exactly when all of P's rows vanish on it.
+    The points of one degree are handled in blocks of at most
+    `_BLOCK_ENTRIES` jet-vector or functional entries, or one point."""
     spec = X.spec
-    monos = space.monomials
-    width = len(monos) * spec.k
+    size = len(space.monomials)
+    width = size * spec.k
     lift = _lift(space)
+    # Euler: f(P) = 0 follows from the gradient conditions unless p | d
+    skip = int(space.d % spec.p != 0)
     out = []
     for degree, group in groupby(points, key=lambda P: P.degree):
         group = list(group)
         table = _fp_table(spec, group[0].residue)
-        # Euler: f(P) = 0 follows from the gradient conditions unless p | d
-        skip = int(space.d % spec.p != 0)
-        vecs = np.empty((len(group), 1 + X.nvars - skip, len(monos)),
-                        dtype=np.min_scalar_type(len(table) - 1))
-        for i, P in enumerate(group):
-            vecs[i] = _point_condition_vectors(X, P, space.d)[skip:]
-        rows = vecs.shape[1] * table.shape[2]
+        rows = (1 + X.nvars - skip) * table.shape[2]
         funcs = np.empty((len(group), rows, spec.k * space.rank), table.dtype)
-        chunk = max(1, _BLOCK_ENTRIES // (rows * width))
+        chunk = max(1, _BLOCK_ENTRIES // max(rows * width,
+                                             (1 + X.nvars) * size))
         for i in range(0, len(group), chunk):
-            f = (table[vecs[i:i + chunk]].transpose(0, 1, 4, 2, 3)
+            vecs = _jet_vectors(X, group[i:i + chunk], space.d)[:, skip:]
+            f = (table[vecs].transpose(0, 1, 4, 2, 3)
                  .reshape(-1, rows, width))
             funcs[i:i + chunk] = f if lift is None else f @ lift % spec.p
         out.append((degree, funcs))
@@ -850,49 +844,80 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
 
 
 def _scan_all(space, conds):
-    """ell for every candidate index, in index order: per point, the
-    F_p-kernel of its functionals is enumerated as an index array."""
+    """ell for every candidate index, in index order: per degree, one
+    elimination brings a block of points' functionals to reduced echelon
+    form, and the F_p-kernels of the block's points of each rank are
+    enumerated together as index arrays."""
     spec = space.problem.field
-    fp = gf.make_field(spec.p)
-    width = spec.k * space.rank
+    p = spec.p
     ell = np.zeros(spec.q ** space.rank, dtype=np.int64)
     for degree, group in conds:
-        for funcs in group:
-            basis = linalg.kernel(fp, [linalg.row(fp, width, enumerate(r))
-                                       for r in funcs.tolist()], width)
-            if len(basis) == width:
-                ell += degree    # vacuous conditions: singular everywhere
-            elif basis:          # an empty basis leaves only f = 0
-                ell[_span_indices(fp, basis)] += degree  # distinct indices
+        _, rows, width = group.shape
+        step = max(1, _DIGIT_ENTRIES // max(rows * width, 1))
+        for lo in range(0, len(group), step):
+            rank, pivots, mats = linalg.echelon_stack(group[lo:lo + step], p)
+            for r in np.flatnonzero(np.bincount(rank)).tolist():
+                sel = np.flatnonzero(rank == r)
+                if r == 0:
+                    ell += degree * len(sel)  # vacuous: singular everywhere
+                elif r < width:               # a full rank leaves only f = 0
+                    for members in _kernel_indices(p, mats[sel], pivots[sel],
+                                                   r):
+                        np.add.at(ell, members.ravel(), degree)
     return ell
 
 
-def _span_indices(fp, basis):
-    """The index of every F_p-combination of the basis vectors (linalg rows
-    over F_p), by iterated p-fold extension."""
-    if fp.p == 2:  # the rows are bitsets and digit addition is XOR
-        members = np.zeros(1, dtype=np.int64)
-        for b in basis:
-            members = np.concatenate([members, members ^ np.int64(b)])
-        return members
-    # Over odd p the digit sum carries.  A column where exactly one vector
-    # has a 1 holds that vector's coefficient, so its part of the index
-    # adds; the other (pivot) columns are summed as digits and reduced.
-    p = fp.p
-    vecs = np.array(basis, dtype=np.int64)
-    weights = p ** np.arange(vecs.shape[1], dtype=np.int64)
-    lone = ((vecs != 0).sum(axis=0) == 1) & (vecs.max(axis=0) == 1)
-    members = np.zeros(1, dtype=np.int64)
-    digits = np.zeros((1, int((~lone).sum())), dtype=np.int64)
-    for v in vecs:
-        step = int(v[lone] @ weights[lone])
-        members = np.concatenate([members + a * step for a in range(p)])
-        digits = np.concatenate([digits + a * v[~lone] for a in range(p)])
-    return members + digits % p @ weights[~lone]
+def _kernel_indices(p, mats, pivots, rank):
+    """The candidate index of every element of each point's F_p-kernel, from
+    reduced echelon forms of one rank below their width, as blocks of
+    shape (points, p^dim) of at most `_DIGIT_ENTRIES` entries or one point.
+
+    The kernel vector of free column f has a 1 there and -R[t, f] at the
+    pivot column of row t.  Free columns are lone, so a combination's index
+    adds a * p^f over them, and its digits at the pivot columns are summed
+    and reduced mod p; over F_2 digit addition is XOR of whole indices."""
+    n, _, width = mats.shape
+    dim = width - rank
+    pivots = pivots[:, :rank]
+    free = np.ones((n, width), dtype=bool)
+    free[np.arange(n)[:, None], pivots] = False
+    free = np.nonzero(free)[1].reshape(n, dim)
+    coef = -np.take_along_axis(mats[:, :rank].astype(np.int64),
+                               free[:, None, :], axis=2) % p
+    weights = np.int64(p) ** pivots                         # (n, rank)
+    steps = np.int64(p) ** free                             # (n, dim)
+    if p == 2:
+        steps += np.einsum("itj,it->ij", coef, weights)
+    size = p ** dim
+    block = max(1, _DIGIT_ENTRIES // (size * (1 if p == 2 else rank + 1)))
+    for lo in range(0, n, block):
+        part = slice(lo, lo + block)
+        members = np.zeros((len(steps[part]), size), dtype=np.int64)
+        if p == 2:
+            for j, s in enumerate(steps[part].T):
+                np.bitwise_xor(members[:, :1 << j], s[:, None],
+                               out=members[:, 1 << j:2 << j])
+            yield members
+            continue
+        digits = np.zeros((len(members), size, rank), dtype=np.int64)
+        vecs = coef[part].transpose(2, 0, 1)   # (dim, points, rank)
+        for j, (s, v) in enumerate(zip(steps[part].T, vecs)):
+            span = p ** j
+            for a in range(1, p):
+                members[:, a * span:(a + 1) * span] = (members[:, :span]
+                                                       + a * s[:, None])
+                digits[:, a * span:(a + 1) * span] = (digits[:, :span]
+                                                      + a * v[:, None, :])
+        yield members + np.einsum("ist,it->is", digits % p, weights[part])
 
 
-# float64 entries per batch of candidate digits (512 KB) and per block of
-# functionals or of their values (128 KB) in the sampled classifier
+# Entries per block of numpy work, bounding the temporaries.
+# _DIGIT_ENTRIES (512 KB as float64): candidate digits per batch in the
+# sampled classifier and the certificate; matrix entries per block of points
+# eliminated, and kernel indices per block, in `_scan_all`.
+# _BLOCK_ENTRIES (128 KB as float64): functionals or their values per block
+# in the sampled classifier; jet vectors or functionals per block of points
+# in `_conditions`.
 _DIGIT_ENTRIES = 1 << 16
 _BLOCK_ENTRIES = 1 << 14
 

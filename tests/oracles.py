@@ -4,16 +4,19 @@ These deliberately avoid the library's linear-algebra and orbit-grouping
 paths: dense per-entry elimination, per-point scans of P^n(F_{q^e}) with
 scalar `MPoly.evaluate_codes`, explicit zero-cycle enumeration,
 brute-force matrix groups, the former point-search smoothness
-certificate and closed-form point counts.  Slow and simple on purpose.
+certificate and closed-form point counts.  The former per-point jet
+conditions and per-point kernel scan are kept too; those use `linalg`'s
+row reduction, one closed point at a time.  Slow and simple on purpose.
 """
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from smoothsieve import gf, sieve, variety
+from smoothsieve import gf, linalg, sieve, variety
 from smoothsieve.graded import GradedIdeal
-from smoothsieve.mpoly import monomials_of_degree
+from smoothsieve.mpoly import monomial_index, monomials_of_degree
 
 
 def dense_rank_mod_p(rows, p):
@@ -204,6 +207,124 @@ def _mono_value(expo, pt, ext):
                 return 0
             v = ext.mul(v, ext.pow(x, nexp))
     return v
+
+
+# ---------------------------------------------------------------------------
+# The former per-point jet conditions and kernel scan: scalar FieldSpec
+# arithmetic for each closed point's monomial values and gradients, and one
+# linalg.kernel per point, enumerated as an index array.
+
+def _x_jacobian_pivots(X, point):
+    """RREF rows of X's homogeneous Jacobian at the representative, or ()
+    for a free ambient; raises if X is not smooth of its declared
+    dimension at the point."""
+    if not X.equations:
+        return ()
+    ext = point.residue
+    rep = point.representative
+    pivots = linalg.echelon(ext, [
+        linalg.row(ext, X.nvars, ((j, g.partial(j).evaluate_codes(rep, ext))
+                                  for j in range(X.nvars)))
+        for g in X.equations])
+    m = X.dim()
+    if m is not None and len(pivots) != X.ambient_dim - m:
+        raise sieve.UnsupportedPresentation(
+            f"X is not smooth of dimension {m} at {point.rep_strings()}")
+    return pivots
+
+
+@lru_cache(maxsize=None)
+def _lowering(nvars, d):
+    """Per variable j: (position of m, position of m / x_j in degree d - 1,
+    m_j) for each degree-d monomial m with m_j > 0."""
+    below = monomial_index(nvars, d - 1) if d else {}
+    return tuple(tuple((t, below[m[:j] + (m[j] - 1,) + m[j + 1:]], m[j])
+                       for t, m in enumerate(monomials_of_degree(nvars, d))
+                       if m[j])
+                 for j in range(nvars))
+
+
+def point_condition_vectors(X, point, d):
+    """Per-condition vectors over kappa(P), indexed by the degree-d
+    monomial basis, 1 + nvars of them (some may be zero): f(P) = 0 and the
+    components of grad f(P) reduced modulo the row space of X's Jacobian
+    at P."""
+    ext = point.residue
+    rep = point.representative
+    below = values = [1]  # monomial values at P, one degree at a time
+    for e in range(1, d + 1):
+        below, values = values, [0] * len(monomials_of_degree(X.nvars, e))
+        for j, lowered in enumerate(_lowering(X.nvars, e)):
+            for t, i, _ in lowered:
+                values[t] = ext.mul(below[i], rep[j])
+    grads = []
+    for lowered in _lowering(X.nvars, d):
+        col = [0] * len(values)
+        for t, i, n in lowered:
+            col[t] = ext.mul(below[i], n % ext.p)
+        grads.append(col)
+    for prow in _x_jacobian_pivots(X, point):
+        (pc, _), *rest = linalg.entries(ext, prow)
+        lead = grads[pc]
+        for j, c in rest:
+            grads[j] = [ext.sub(a, ext.mul(c, b)) for a, b in zip(grads[j], lead)]
+        grads[pc] = [0] * len(values)
+    return [values] + grads
+
+
+def point_functionals(X, space, point):
+    """The jet conditions at one closed point as an int array over F_p of
+    shape (rows, candidate digits), from `point_condition_vectors`."""
+    spec = X.spec
+    skip = int(space.d % spec.p != 0)  # Euler, as in the scan
+    vecs = np.array(point_condition_vectors(X, point, space.d)[skip:])
+    table = sieve._fp_table(spec, point.residue)
+    funcs = (table[vecs].transpose(0, 3, 1, 2)
+             .reshape(-1, len(space.monomials) * spec.k).astype(np.int64))
+    lift = sieve._lift(space)
+    return funcs if lift is None else funcs @ lift % spec.p
+
+
+def scan_all_per_point(space, conds):
+    """ell for every candidate index: per closed point, the F_p-kernel of
+    its functionals by linalg.kernel, enumerated as an index array."""
+    spec = space.problem.field
+    fp = gf.make_field(spec.p)
+    width = spec.k * space.rank
+    ell = np.zeros(spec.q ** space.rank, dtype=np.int64)
+    for degree, group in conds:
+        for funcs in group:
+            basis = linalg.kernel(fp, [linalg.row(fp, width, enumerate(r))
+                                       for r in funcs.tolist()], width)
+            if len(basis) == width:
+                ell += degree    # vacuous conditions: singular everywhere
+            elif basis:          # an empty basis leaves only f = 0
+                ell[_span_indices(fp, basis)] += degree  # distinct indices
+    return ell
+
+
+def _span_indices(fp, basis):
+    """The index of every F_p-combination of the basis vectors (linalg rows
+    over F_p), by iterated p-fold extension."""
+    if fp.p == 2:  # the rows are bitsets and digit addition is XOR
+        members = np.zeros(1, dtype=np.int64)
+        for b in basis:
+            members = np.concatenate([members, members ^ np.int64(b)])
+        return members
+    # Over odd p the digit sum carries.  A column where exactly one vector
+    # has a 1 holds that vector's coefficient, so its part of the index
+    # adds; the other (pivot) columns are summed as digits and reduced.
+    p = fp.p
+    vecs = np.array(basis, dtype=np.int64)
+    weights = p ** np.arange(vecs.shape[1], dtype=np.int64)
+    lone = ((vecs != 0).sum(axis=0) == 1) & (vecs.max(axis=0) == 1)
+    members = np.zeros(1, dtype=np.int64)
+    digits = np.zeros((1, int((~lone).sum())), dtype=np.int64)
+    for v in vecs:
+        step = int(v[lone] @ weights[lone])
+        members = np.concatenate([members + a * step for a in range(p)])
+        digits = np.concatenate([digits + a * v[~lone] for a in range(p)])
+    return members + digits % p @ weights[~lone]
 
 
 # ---------------------------------------------------------------------------

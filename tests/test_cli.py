@@ -38,6 +38,17 @@ def test_parse_args_bad_degree(schemes_dir):
                     "-d", "5..3"])
 
 
+def test_parse_args_leaves_nothing_for_the_next_parse(schemes_dir):
+    # one parser serves every call, so no flag of a parse may reach the next
+    scheme = s(schemes_dir, "p2.scm")
+    first = parse_args(["singdist", "estimate", "--scheme", scheme, "-d", "2",
+                        "--exact", "--q", "3"])
+    assert (first.exact, first.q, first.mode) == (True, 3, "estimate")
+    second = parse_args(["estimate", "--scheme", scheme, "-d", "2"])
+    assert second == cli.RunConfig("estimate", scheme, degrees=(2,))
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_parse_args_missing_required():
     with pytest.raises(UsageError):
         parse_args(["predict"])

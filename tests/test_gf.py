@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from smoothsieve import gf
@@ -166,3 +169,22 @@ def test_element_strings():
     assert f4.element_string(0) == "0"
     f2 = make_field(2)
     assert f2.element_string(1) == "1"
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 17)])
+def test_code_arrays_monomials_match_scalar_products(p, k):
+    # F_9 goes through the log/exp tables, F_{2^17} (above the table cap)
+    # through one scalar term per monomial
+    spec = make_field(p, k)
+    rng = random.Random(p * k)
+    points = np.array([[rng.choice([0, 1, rng.randrange(spec.q)])
+                        for _ in range(3)] for _ in range(12)],
+                      dtype=np.int64)
+    exponents = np.array([(2, 0, 1), (0, 0, 0), (1, 1, 1), (0, 3, 0)])
+    coeffs = np.array([1, p - 1, 0, rng.randrange(1, spec.q)])
+    expected = [[spec.mul(c, spec.mul(spec.pow(x, a), spec.mul(
+        spec.pow(y, b), spec.pow(z, e)))) for (a, b, e), c in
+                 zip(exponents.tolist(), coeffs.tolist())]
+                for x, y, z in points.tolist()]
+    got = gf.code_arrays(spec).monomials(points, exponents, coeffs)
+    assert got.tolist() == expected

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -131,3 +132,20 @@ def test_row_and_entries_round_trip():
         assert linalg.entries(spec, linalg.row(spec, 7, terms)) == terms
         assert linalg.transpose(spec, [linalg.row(spec, 7, terms)], 7) == [
             linalg.row(spec, 1, [(0, c)]) for _, c in terms]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_echelon_stack_matches_dense_oracle(p):
+    # a stack mixing dense, sparse, rank-deficient and zero matrices
+    rng = np.random.default_rng(p)
+    dense_part = rng.integers(0, p, size=(20, 6, 9))
+    sparse = rng.integers(0, p, size=(20, 6, 9)) * (rng.random((20, 6, 9))
+                                                    < 0.2)
+    low = rng.integers(0, p, size=(20, 6, 2)) @ rng.integers(0, p, (2, 9)) % p
+    mats = np.concatenate([dense_part, sparse, low, np.zeros((3, 6, 9), int)])
+    rank, pivots, reduced = linalg.echelon_stack(mats.astype(np.uint8), p)
+    for m, r, piv, red in zip(mats.tolist(), rank, pivots, reduced.tolist()):
+        expected = oracles.dense_rref_mod_p(m, p)
+        assert red[:r] == expected and not any(map(any, red[r:]))
+        assert piv.tolist() == ([next(j for j, x in enumerate(row) if x)
+                                 for row in expected] + [-1] * (6 - r))

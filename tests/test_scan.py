@@ -1,17 +1,24 @@
-"""The scan engine against independent per-candidate classification, closed
-forms for plane conics, and caps that refuse before any work."""
+"""The scan engine against independent per-candidate classification and
+against the per-point paths it batches, closed forms for plane conics, and
+caps that refuse before any work."""
 
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
-from oracles import ell_histogram_oracle
+from oracles import (dense_rref_mod_p, ell_histogram_oracle,
+                     point_functionals, scan_all_per_point)
 from smoothsieve import sieve, variety
 from smoothsieve.mpoly import MPoly, monomials_of_degree
 from smoothsieve.variety import load_problem, parse_problem
 
 QUADRIC = "q = 3\nP 3 : x y z w\nX:\n  x*y + z*w\ndim X = 2\n"
+CONIC = "q = 3\nP 2 : x y z\nX:\n  x*z - y^2\ndim X = 1\n"
+# every form through the fat point vanishes to order 2 at (0:0:1), so its
+# jet conditions there are all zero
+FAT_POINT = "q = 3\nP 2 : x y z\nX:\nZ:\n  x^2\n  y^2\ndim X = 2\n"
 
 
 def engine_histogram(problem, d, budget, sing_bound, seed=0):
@@ -74,8 +81,9 @@ def test_sampled_histogram_matches_oracle(schemes_dir, case):
     assert engine_histogram(prob, d, ("sample", n), 2, seed) == expected
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
-@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("bound,q", [(b, q) for b in (1, 2)
+                                     for q in (2, 3, 4, 5, 7, 8)]
+                         + [(3, 5), (3, 7)])
 def test_plane_conic_counts_closed_form(schemes_dir, q, bound):
     # a singular conic is singular at a rational point: a line pair has
     # one, a double line a whole line, so B = 1 already sees every one
@@ -84,6 +92,68 @@ def test_plane_conic_counts_closed_form(schemes_dir, q, bound):
     assert hist[0] == (q - 1) * (q ** 5 - q ** 2)
     assert hist[1] == (q * q + q + 1) * (q ** 3 - q * q)
     assert sum(hist.values()) == q ** 6
+
+
+# (scheme file or text, q override, d, B): P^2 at d = 1 has kernel {0} at
+# every point, and the fat point's all-zero conditions are vacuous
+BATCH_CASES = {
+    "p2_q2_d1": ("p2", 2, 1, 2),
+    "p2_q2_d4": ("p2", 2, 4, 6),
+    "p2_q2_d5": ("p2", 2, 5, 6),
+    "p2_q3_d2": ("p2", 3, 2, 3),
+    "p2_q3_d3": ("p2", 3, 3, 2),
+    "p2_q4_d2": ("p2", 4, 2, 2),
+    "p2_q5_d2": ("p2", 5, 2, 2),
+    "nodal_d3": ("nodal_cubic", None, 3, 4),
+    "quadric_q2": (QUADRIC.replace("q = 3", "q = 2"), None, 2, 3),
+    "quadric_q3": (QUADRIC, None, 2, 2),
+    "conic_q3": (CONIC, None, 2, 3),
+    "fat_point_q3": (FAT_POINT, None, 3, 2),
+}
+
+
+def batch_case(schemes_dir, case):
+    """(candidate space, closed points, batched conditions) of a case."""
+    scheme, q, d, bound = BATCH_CASES[case]
+    if "\n" in scheme:
+        prob = parse_problem(scheme)
+    else:
+        prob = load_problem(schemes_dir / f"{scheme}.scm", q_override=q)
+    space = sieve.candidate_space(prob, d)
+    points = variety.enumerate_closed_points(prob.X, bound)
+    return space, points, sieve._conditions(prob.X, space, points)
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_functionals_span_the_per_point_rows(schemes_dir, case):
+    space, points, conds = batch_case(schemes_dir, case)
+    X, p = space.problem.X, space.problem.field.p
+    batched = [funcs for _, group in conds for funcs in group]
+    assert [e for e, group in conds for _ in group] == [P.degree
+                                                        for P in points]
+    for P, funcs in zip(points, batched):
+        expected = point_functionals(X, space, P).tolist()
+        assert (dense_rref_mod_p(funcs.tolist(), p)
+                == dense_rref_mod_p(expected, p))
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_scan_all_equals_per_point_kernels(schemes_dir, case):
+    space, _, conds = batch_case(schemes_dir, case)
+    assert np.array_equal(sieve._scan_all(space, conds),
+                          scan_all_per_point(space, conds))
+
+
+def test_scan_refuses_an_x_singular_at_a_point():
+    # X's Jacobian vanishes at the node (0:0:1), so no jet condition there
+    # can say whether a section is singular
+    prob = parse_problem("q = 2\nP 2 : x y z\nX:\n  y^2*z + x*y*z + x^3\n"
+                         "dim X = 1\n")
+    with pytest.raises(sieve.UnsupportedPresentation) as info:
+        sieve._run_scan(prob, 1, ("exhaustive",), 1, False, 0,
+                        sieve.DEFAULT_CAP)
+    assert str(info.value) == ("X is not smooth of dimension 1 at "
+                               "('0', '0', '1')")
 
 
 def test_exhaustive_cap_refuses_before_enumerating(schemes_dir, monkeypatch):

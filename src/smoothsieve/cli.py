@@ -203,8 +203,15 @@ def parse_args(argv) -> RunConfig:
     if ns.subcommand == "lowdeg":
         cfg.r = ns.r
         cfg.samples = ns.samples
-        if ns.samples is not None and not cfg.degrees:
-            raise UsageError("lowdeg --samples needs --degree")
+        if ns.samples is not None:
+            if ns.samples < 1:
+                raise UsageError(f"--samples {ns.samples}: sample size must "
+                                 f"be a positive integer")
+            if not cfg.degrees:
+                raise UsageError("lowdeg --samples needs --degree")
+            if len(cfg.degrees) > 1:
+                raise UsageError(f"--degree {ns.degree!r}: lowdeg --samples "
+                                 f"needs a single degree D")
     if ns.subcommand == "zeta":
         cfg.s_values = tuple(ns.s)
         cfg.ell = ns.ell

@@ -850,7 +850,11 @@ def _scan_all(space, conds):
     enumerated together as index arrays."""
     spec = space.problem.field
     p = spec.p
-    ell = np.zeros(spec.q ** space.rank, dtype=np.int64)
+    # the narrowest signed dtype holding every ell + 1 (see `_run_scan`)
+    total = sum(degree * len(group) for degree, group in conds)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max > total)
+    ell = np.zeros(spec.q ** space.rank, dtype=dtype)
     for degree, group in conds:
         _, rows, width = group.shape
         step = max(1, _DIGIT_ENTRIES // max(rows * width, 1))
@@ -858,12 +862,13 @@ def _scan_all(space, conds):
             rank, pivots, mats = linalg.echelon_stack(group[lo:lo + step], p)
             for r in np.flatnonzero(np.bincount(rank)).tolist():
                 sel = np.flatnonzero(rank == r)
-                if r == 0:
-                    ell += degree * len(sel)  # vacuous: singular everywhere
+                if r == 0:  # vacuous: singular everywhere
+                    ell += dtype(degree * len(sel))
                 elif r < width:               # a full rank leaves only f = 0
                     for members in _kernel_indices(p, mats[sel], pivots[sel],
                                                    r):
-                        np.add.at(ell, members.ravel(), degree)
+                        # a scalar of ell's dtype keeps np.add.at's fast loop
+                        np.add.at(ell, members.ravel(), dtype(degree))
     return ell
 
 
@@ -912,37 +917,103 @@ def _kernel_indices(p, mats, pivots, rank):
 
 
 # Entries per block of numpy work, bounding the temporaries.
-# _DIGIT_ENTRIES (512 KB as float64): candidate digits per batch in the
-# sampled classifier and the certificate; matrix entries per block of points
-# eliminated, and kernel indices per block, in `_scan_all`.
-# _BLOCK_ENTRIES (128 KB as float64): functionals or their values per block
-# in the sampled classifier; jet vectors or functionals per block of points
-# in `_conditions`.
+# _DIGIT_ENTRIES (512 KB as float64): entries of the candidates' digit
+# matrix per batch in the sampled classifier (bytes of 8 digits over F_2)
+# and candidate digits per batch in the certificate; matrix entries per
+# block of points eliminated, and kernel indices per block, in `_scan_all`.
+# _BLOCK_ENTRIES (128 KB as float64): per block of points in the sampled
+# classifier, functionals or their values over odd p, and 64-bit words of
+# the XOR tables or of the candidates' images over F_2; jet vectors or
+# functionals per block of points in `_conditions`.
 _DIGIT_ENTRIES = 1 << 16
 _BLOCK_ENTRIES = 1 << 14
 
 
 def _ells(space, conds, indices):
-    """ell for each candidate index: per batch of digit vectors and block
-    of points, the functionals' values and an all-zero test mod p per
-    point; sums stay far below 2^53, so float64 tells multiples of p."""
+    """ell for each candidate index: per batch of indices and per degree,
+    the number of points whose jet conditions all vanish on the candidate,
+    by XOR tables over F_2 and by products mod p otherwise."""
     spec = space.problem.field
     width = spec.k * space.rank
+    f2 = spec.p == 2
     out = np.zeros(len(indices), dtype=np.int64)
-    step = max(1, _DIGIT_ENTRIES // max(width, 1))
+    step = max(1, _DIGIT_ENTRIES // max(-(-width // 8) if f2 else width, 1))
     for lo in range(0, len(indices), step):
-        digits = _digits(indices[lo:lo + step], spec.p, width)
+        batch = indices[lo:lo + step]
+        if f2:  # byte j of every index in row j, as table offsets
+            digits = _index_bytes(batch, width).T.astype(np.intp)
+        else:
+            digits = _digits(batch, spec.p, width)
         for degree, group in conds:
-            rows = group.shape[1]
-            per_block = max(1, _BLOCK_ENTRIES // rows
-                            // max(width, len(digits)))
-            for i in range(0, len(group), per_block):
-                block = group[i:i + per_block]
-                prod = digits @ np.concatenate(block, dtype=np.float64).T
-                prod /= spec.p
-                hit = (prod != np.floor(prod)).reshape(len(prod), -1, rows)
-                out[lo:lo + step] += degree * (~hit.any(axis=2)).sum(axis=1)
+            hits = (_hits_f2(digits, group) if f2
+                    else _hits_mod_p(digits, group, spec.p))
+            out[lo:lo + step] += degree * hits
     return out
+
+
+def _hits_mod_p(digits, group, p):
+    """Per row of float64 digits, the points of the group whose functionals
+    all vanish mod p on it; sums stay far below 2^53, so float64 tells
+    multiples of p."""
+    n, width = digits.shape
+    rows = group.shape[1]
+    hits = np.zeros(n, dtype=np.int64)
+    per_block = max(1, _BLOCK_ENTRIES // rows // max(width, n))
+    for i in range(0, len(group), per_block):
+        block = group[i:i + per_block]
+        prod = digits @ np.concatenate(block, dtype=np.float64).T
+        prod /= p
+        hit = (prod != np.floor(prod)).reshape(n, -1, rows)
+        hits += (~hit.any(axis=2)).sum(axis=1)
+    return hits
+
+
+def _hits_f2(octets, group):
+    """Per column of candidate bytes (byte j of every candidate in row j),
+    the points of the group whose functionals all vanish on the candidate,
+    by the method of Four Russians.
+
+    Each point's rows are packed into one lane, the narrowest of uint8 to
+    uint64 that holds them, or into several 64-bit words.  Row c of a
+    packed block is the image of candidate bit c; T_j[v], the XOR of the
+    images of the set bits of v at byte position j, is built by doubling,
+    and a candidate's image is the XOR of T_j[byte j] over j.  A block is
+    padded with empty lanes to whole 64-bit words, the unit of all XORs."""
+    nbytes, n = octets.shape
+    points, rows, width = group.shape
+    lane = np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                         if np.iinfo(t).bits >= min(rows, 64)))
+    words = -(-rows // 64)
+    size = lane.itemsize * words                    # bytes per point
+    per_block = max(1, 8 * _BLOCK_ENTRIES // max(256 * nbytes, n) // size)
+    hits = np.zeros(n, dtype=np.int64)
+    for i in range(0, points, per_block):
+        block = group[i:i + per_block]
+        slots = -(-len(block) * size // 8) * 8 // size
+        packed = np.zeros((8 * nbytes, slots, size), dtype=np.uint8)
+        packed[:width, :len(block), :-(-rows // 8)] = np.packbits(
+            block, axis=1, bitorder="little").transpose(2, 0, 1)
+        cols = packed.reshape(nbytes, 8, slots * size).view(np.uint64)
+        table = np.zeros((nbytes, 256, cols.shape[2]), dtype=np.uint64)
+        for b in range(8):
+            np.bitwise_xor(table[:, :1 << b], cols[:, b, None],
+                           out=table[:, 1 << b:2 << b])
+        image = np.zeros((n, cols.shape[2]), dtype=np.uint64)
+        for j in range(nbytes):
+            image ^= np.take(table[j], octets[j], axis=0)
+        lanes = image.view(lane).reshape(n, slots, words)[:, :len(block)]
+        zero = ~lanes.any(axis=2)
+        # row sums; einsum beats sum(axis=1) on short rows
+        hits += np.einsum("ij->i", zero.view(np.uint8), dtype=np.int64)
+    return hits
+
+
+def _index_bytes(indices, width):
+    """The little-endian bytes of each index (below 2^width), one uint8 row
+    per index."""
+    nbytes = -(-width // 8)
+    buf = b"".join(index.to_bytes(nbytes, "little") for index in indices)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(indices), nbytes)
 
 
 @lru_cache(maxsize=None)
@@ -960,11 +1031,8 @@ def _digits(indices, p, width):
     """The `width` base-p digits of each index (below p^width), least
     significant first, as a float64 matrix with one row per index."""
     if p == 2:  # the digits are the bits
-        nbytes = -(-width // 8)
-        buf = b"".join(index.to_bytes(nbytes, "little") for index in indices)
-        bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8)
-                             .reshape(len(indices), nbytes),
-                             axis=1, bitorder="little")
+        bits = np.unpackbits(_index_bytes(indices, width), axis=1,
+                             bitorder="little")
         return bits[:, :width].astype(np.float64)
     c, table = _digit_table(p)
     per_word = 1

@@ -6,7 +6,9 @@ scalar `MPoly.evaluate_codes`, explicit zero-cycle enumeration,
 brute-force matrix groups, the former point-search smoothness
 certificate and closed-form point counts.  The former per-point jet
 conditions and per-point kernel scan are kept too; those use `linalg`'s
-row reduction, one closed point at a time.  Slow and simple on purpose.
+row reduction, one closed point at a time.  So is the sampled classifier's
+product of functionals and digits, one closed point at a time.  Slow and
+simple on purpose.
 """
 
 from functools import lru_cache
@@ -300,6 +302,23 @@ def scan_all_per_point(space, conds):
                 ell += degree    # vacuous conditions: singular everywhere
             elif basis:          # an empty basis leaves only f = 0
                 ell[_span_indices(fp, basis)] += degree  # distinct indices
+    return ell
+
+
+def ells_by_products(space, conds, indices):
+    """ell for each candidate index: per closed point, its functionals'
+    values on the index's base-p digits, as one float64 product mod p (the
+    sums stay far below 2^53), and an all-zero test."""
+    p = space.problem.field.p
+    width = space.problem.field.k * space.rank
+    digits = np.array([[index // p ** t % p for t in range(width)]
+                       for index in indices], dtype=np.float64)
+    digits = digits.reshape(len(indices), width)
+    ell = np.zeros(len(indices), dtype=np.int64)
+    for degree, group in conds:
+        for funcs in group:
+            values = digits @ funcs.T.astype(np.float64) % p
+            ell += degree * ~values.any(axis=1)
     return ell
 
 

@@ -49,6 +49,26 @@ def test_parse_args_leaves_nothing_for_the_next_parse(schemes_dir):
     assert cli.build_parser() is cli.build_parser()
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["-d", "3", "--samples", "-3"],
+     "--samples -3: sample size must be a positive integer"),
+    (["-d", "3", "--samples", "0"],
+     "--samples 0: sample size must be a positive integer"),
+    (["-d", "3..5", "--samples", "10"],
+     "--degree '3..5': lowdeg --samples needs a single degree D"),
+    (["--samples", "10"], "lowdeg --samples needs --degree")])
+def test_lowdeg_bad_samples_refused_before_loading(schemes_dir, capsys,
+                                                   monkeypatch, extra,
+                                                   message):
+    loaded = []
+    monkeypatch.setattr(cli.variety, "load_problem",
+                        lambda *args: loaded.append(args))
+    argv = ["lowdeg", "--scheme", s(schemes_dir, "p2.scm"), "--r", "2"]
+    assert cli.main(argv + extra) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert loaded == []
+
+
 def test_parse_args_missing_required():
     with pytest.raises(UsageError):
         parse_args(["predict"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import (dense_rref_mod_p, ell_histogram_oracle,
-                     point_functionals, scan_all_per_point)
+                     ells_by_products, point_functionals, scan_all_per_point)
 from smoothsieve import sieve, variety
 from smoothsieve.mpoly import MPoly, monomials_of_degree
 from smoothsieve.variety import load_problem, parse_problem
@@ -112,13 +112,16 @@ BATCH_CASES = {
 }
 
 
+def load_case(schemes_dir, scheme, q):
+    if "\n" in scheme:
+        return parse_problem(scheme)
+    return load_problem(schemes_dir / f"{scheme}.scm", q_override=q)
+
+
 def batch_case(schemes_dir, case):
     """(candidate space, closed points, batched conditions) of a case."""
     scheme, q, d, bound = BATCH_CASES[case]
-    if "\n" in scheme:
-        prob = parse_problem(scheme)
-    else:
-        prob = load_problem(schemes_dir / f"{scheme}.scm", q_override=q)
+    prob = load_case(schemes_dir, scheme, q)
     space = sieve.candidate_space(prob, d)
     points = variety.enumerate_closed_points(prob.X, bound)
     return space, points, sieve._conditions(prob.X, space, points)
@@ -142,6 +145,80 @@ def test_scan_all_equals_per_point_kernels(schemes_dir, case):
     space, _, conds = batch_case(schemes_dir, case)
     assert np.array_equal(sieve._scan_all(space, conds),
                           scan_all_per_point(space, conds))
+
+
+# (scheme, q override, d, B, draws, rows per point of each degree) for the
+# sampled classifier: index bytes, lanes (uint8 up to 8 rows, ..., uint64
+# from 33), degree groups and the lift through Z vary with these
+ELL_CASES = {
+    "p2_q2_d9_b6": ("p2", 2, 9, 6, 2000, [3, 6, 9, 12, 15, 18]),
+    "lowdeg_p2_d25_r3": ("p2", 2, 25, 2, 1600, [3, 6]),  # 44-byte indices
+    "nodal_q2": ("nodal_cubic", 2, 4, 3, 500, [5, 10, 15]),
+    "nodal_q4": ("nodal_cubic", 4, 3, 2, 300, [8, 16]),
+    "p2_q8": ("p2", 8, 3, 2, 300, [9, 18]),
+    "p1_q4_d2_b6": ("p1", 4, 2, 6, 300, [6, 12, 18, 24, 30, 36]),
+    "p2_q3_d3": ("p2", 3, 3, 2, 200, [4, 8]),           # products mod 3
+}
+
+
+def drawn_indices(space, n, seed=0):
+    rng = random.Random(seed)
+    q = space.problem.field.q
+    return [sieve._draw(rng, q, space.rank) for _ in range(n)]
+
+
+@pytest.mark.parametrize("case", sorted(ELL_CASES))
+def test_ells_equal_per_point_products(schemes_dir, case):
+    scheme, q, d, bound, n, rows = ELL_CASES[case]
+    prob = load_case(schemes_dir, scheme, q)
+    space = sieve.candidate_space(prob, d)
+    conds = sieve._conditions(prob.X, space,
+                              variety.enumerate_closed_points(prob.X, bound))
+    assert [group.shape[1] for _, group in conds] == rows
+    indices = drawn_indices(space, n)
+    assert np.array_equal(sieve._ells(space, conds, indices),
+                          ells_by_products(space, conds, indices))
+
+
+def test_ells_more_than_64_rows_and_a_vacuous_point(schemes_dir):
+    # 70 rows take two words per point: the first 64 rows span a plane and
+    # the last 6 another, so a candidate can clear the first word and not
+    # the second; the all-zero point holds every candidate
+    space = sieve.candidate_space(load_problem(schemes_dir / "p2.scm"), 5)
+    rng = np.random.default_rng(3)
+    width = space.rank
+    funcs = []
+    for _ in range(9):
+        first = rng.integers(0, 2, (64, 2)) @ rng.integers(0, 2, (2, width))
+        last = rng.integers(0, 2, (6, 2)) @ rng.integers(0, 2, (2, width))
+        funcs.append(np.concatenate([first, last]) % 2)
+    conds = [(3, np.array(funcs, dtype=np.uint8)),
+             (2, np.zeros((1, 70, width), dtype=np.uint8))]
+    indices = drawn_indices(space, 700)
+    ell = sieve._ells(space, conds, indices)
+    assert np.array_equal(ell, ells_by_products(space, conds, indices))
+    assert {int(v) % 3 for v in ell} == {2} and len(set(ell.tolist())) > 2
+
+
+def test_ells_on_a_rank_0_candidate_space(schemes_dir):
+    space = sieve.CandidateSpace(load_problem(schemes_dir / "p2.scm"), 3, 0,
+                                 ())
+    conds = [(1, np.ones((4, 3, 0), dtype=np.uint8)),
+             (2, np.ones((2, 6, 0), dtype=np.uint8))]
+    assert sieve._ells(space, conds, [0] * 5).tolist() == [8] * 5
+
+
+def test_ells_across_batches_and_blocks(schemes_dir, monkeypatch):
+    # 101 indices in batches of 13 (3 bytes each), one point per block
+    monkeypatch.setattr(sieve, "_DIGIT_ENTRIES", 40)
+    monkeypatch.setattr(sieve, "_BLOCK_ENTRIES", 64)
+    prob = load_problem(schemes_dir / "p2.scm")
+    space = sieve.candidate_space(prob, 5)
+    conds = sieve._conditions(prob.X, space,
+                              variety.enumerate_closed_points(prob.X, 4))
+    indices = drawn_indices(space, 101, seed=4)
+    assert np.array_equal(sieve._ells(space, conds, indices),
+                          ells_by_products(space, conds, indices))
 
 
 def test_scan_refuses_an_x_singular_at_a_point():

@@ -773,7 +773,8 @@ def _orbit_groups(space, clean):
 # ---------------------------------------------------------------------------
 # The shared scan: per candidate f, the total degree of singular points of
 # X cap H_f found at degree <= B, plus (exact mode) the smoothness
-# certificate for scan-clean candidates.
+# certificate for scan-clean candidates, or on P^2 the scan on to the
+# degree bound of `_degree_route`.
 
 _INFINITE = -1  # sentinel ell value for f = 0
 
@@ -801,7 +802,8 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
             "exact mode supports X = P^n or a complete intersection "
             "presentation, with no removed locus")
     space = candidate_space(problem, d, cap)
-    if budget[0] == "exhaustive":
+    exhaustive = budget[0] == "exhaustive"
+    if exhaustive:
         total = spec.q ** space.rank
         if total > cap:
             raise variety.EnumerationCapExceeded(
@@ -809,25 +811,32 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     else:
         total = budget[1]
     flags = list(space.flags)
-    conds = _conditions(X, space, enumerate_closed_points(X, sing_bound, cap))
-    if budget[0] == "exhaustive":
+    top = (_degree_route(problem, d, sing_bound, total)
+           if exact and exhaustive else None)
+    conds = _conditions(X, space, enumerate_closed_points(
+        X, sing_bound if top is None else top, cap))
+    low = [(e, group) for e, group in conds if e <= sing_bound]
+    if exhaustive:
         indices = range(total)
-        ell = _scan_all(space, conds)
+        ell = _scan_all(space, low, _ell_array(space, conds))
         ell[0] = _INFINITE   # f = 0
     else:
         rng = random.Random(seed)
         indices = [_draw(rng, spec.q, space.rank) for _ in range(total)]
         ell = _ells(space, conds, indices)
         ell[[i for i, index in enumerate(indices) if not index]] = _INFINITE
-    counts = np.bincount(ell + 1).tolist()  # ell >= _INFINITE = -1
-    counter = {v - 1: c for v, c in enumerate(counts) if c and v != 1}
-    # resolve scan-clean candidates, one certificate per group
+    counter = _tally(ell)
+    clean = counter.pop(0, 0)
     unresolved = 0
-    if exact:
+    if top is not None:  # the degree route: scan on to B*
+        _scan_all(space, conds[len(low):], ell)
+        smooth = _tally(ell[1:]).get(0, 0)
+        unresolved = clean - smooth
+        flags.append("exact-certificates")
+    elif exact:  # resolve scan-clean candidates, one certificate per group
         clean = np.flatnonzero(ell == 0)  # positions in indices
         del ell  # freed before the orbit step's temporaries
-        if (budget[0] == "exhaustive" and problem.Z is None
-                and X.is_free_ambient()):
+        if exhaustive and problem.Z is None and X.is_free_ambient():
             clean, sizes = _orbit_groups(space, clean)  # positions = indices
         else:
             sizes = np.ones(len(clean), dtype=np.int64)
@@ -837,24 +846,66 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
         unresolved = int(sizes.sum()) - smooth
         flags.append("exact-certificates")
     else:
-        smooth = int(np.count_nonzero(ell == 0))
+        smooth = clean
         flags.append(f"bounded-smoothness:B={sing_bound}")
     return ScanResult(d, total, tuple(sorted(counter.items())), smooth,
                       unresolved, tuple(dict.fromkeys(flags)))
 
 
-def _scan_all(space, conds):
-    """ell for every candidate index, in index order: per degree, one
-    elimination brings a block of points' functionals to reduced echelon
-    form, and the F_p-kernels of the block's points of each rank are
-    enumerated together as index arrays."""
-    spec = space.problem.field
-    p = spec.p
-    # the narrowest signed dtype holding every ell + 1 (see `_run_scan`)
+def _degree_route(problem, d, sing_bound, total):
+    """B* = max(B, d(d-1)/2) when an exhaustive exact scan of X = P^2
+    decides smoothness by scanning on to B*, None when it certifies.
+
+    A reduced plane curve of degree d has at most d(d-1)/2 singular
+    geometric points (Fulton, Algebraic Curves), so every singular closed
+    point has degree <= d(d-1)/2; a non-reduced g^2 h is singular along
+    V(g), which meets a rational line in degree deg g or contains it, so it
+    has a singular closed point of degree <= d/2.  A nonzero f is thus
+    clean at B* exactly when V(f) is smooth.  The scan goes on when the
+    jet-condition rows of the closed points of degree B+1..B*, counted from
+    |P^2(F_{q^e})| before anything is enumerated, are fewer than the |I_d|
+    forms; past the point cap they never are."""
+    if problem.nvars != 3 or not problem.X.is_free_ambient():
+        return None
+    spec = problem.field
+    top = max(sing_bound, d * (d - 1) // 2)
+    per_digit = 3 + int(d % spec.p == 0)  # the partials, f(P) when p | d
+    rows = sum(per_digit * spec.k * e * variety.closed_point_count(problem.X, e)
+               for e in range(max(sing_bound, 0) + 1, top + 1))
+    return top if rows < total else None
+
+
+def _tally(ell):
+    """{value: count} of an ell array (entries >= _INFINITE), counted in
+    chunks of `_DIGIT_ENTRIES`: one np.bincount would copy a narrow ell
+    whole to intp."""
+    counts = np.zeros(0, dtype=np.int64)
+    for lo in range(0, len(ell), _DIGIT_ENTRIES):
+        part = np.bincount(ell[lo:lo + _DIGIT_ENTRIES] + 1)
+        if len(part) > len(counts):
+            counts = np.pad(counts, (0, len(part) - len(counts)))
+        counts[:len(part)] += part
+    return {v - 1: c for v, c in enumerate(counts.tolist()) if c}
+
+
+def _ell_array(space, conds):
+    """Zeros, one per candidate index, in the narrowest signed dtype holding
+    every ell + 1 over the points of `conds` (see `_run_scan`)."""
     total = sum(degree * len(group) for degree, group in conds)
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).max > total)
-    ell = np.zeros(spec.q ** space.rank, dtype=dtype)
+    return np.zeros(space.problem.field.q ** space.rank, dtype=dtype)
+
+
+def _scan_all(space, conds, ell=None):
+    """ell for every candidate index, in index order, added into `ell` when
+    given: per degree, one elimination brings a block of points'
+    functionals to reduced echelon form, and the F_p-kernels of the
+    block's points of each rank are enumerated together as index arrays."""
+    p = space.problem.field.p
+    if ell is None:
+        ell = _ell_array(space, conds)
+    dtype = ell.dtype.type
     for degree, group in conds:
         _, rows, width = group.shape
         step = max(1, _DIGIT_ENTRIES // max(rows * width, 1))
@@ -920,7 +971,8 @@ def _kernel_indices(p, mats, pivots, rank):
 # _DIGIT_ENTRIES (512 KB as float64): entries of the candidates' digit
 # matrix per batch in the sampled classifier (bytes of 8 digits over F_2)
 # and candidate digits per batch in the certificate; matrix entries per
-# block of points eliminated, and kernel indices per block, in `_scan_all`.
+# block of points eliminated, and kernel indices per block, in `_scan_all`;
+# ell entries per count in `_tally`.
 # _BLOCK_ENTRIES (128 KB as float64): per block of points in the sampled
 # classifier, functionals or their values over odd p, and 64-bit words of
 # the XOR tables or of the candidates' images over F_2; jet vectors or

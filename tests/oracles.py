@@ -13,6 +13,7 @@ simple on purpose.
 
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -580,3 +581,27 @@ def smooth_cubic_surfaces(q):
     """Smooth quaternary cubic forms over F_q: q^4 |GL_4(F_q)| (Das,
     "Arithmetic statistics on cubic surfaces", 2020)."""
     return q ** 4 * gl_order(4, q)
+
+
+def smooth_plane_quartics(q):
+    """Smooth ternary quartic forms over F_q: (q^6 + 1) |GL_3(F_q)|
+    (Bergström, "Cohomology of moduli spaces of curves of genus three via
+    point counts", 2008)."""
+    return (q ** 6 + 1) * gl_order(3, q)
+
+
+# ---------------------------------------------------------------------------
+# Non-reduced plane curves.  Plane curves of all degrees form the free
+# commutative monoid on the irreducible ones, so with
+# C(t) = sum_d (q^{C(d+2,2)} - 1)/(q - 1) t^d counting curves, the squarefree
+# curves have generating function C(t) / C(t^2).
+
+def nonreduced_plane_forms(q, d):
+    """Nonzero ternary forms of degree d over F_q with a repeated factor."""
+    forms = [q ** comb(e + 2, 2) - 1 for e in range(d + 1)]
+    curves = [n // (q - 1) for n in forms]
+    squarefree = []  # S(t) C(t^2) = C(t), and C(t^2) has constant term 1
+    for e in range(d + 1):
+        squarefree.append(curves[e] - sum(curves[j] * squarefree[e - 2 * j]
+                                          for j in range(1, e // 2 + 1)))
+    return forms[d] - (q - 1) * squarefree[d]

@@ -193,6 +193,9 @@ def parse_args(argv) -> RunConfig:
         cfg.budget = _parse_budget(ns.budget)
         cfg.sing_bound = ns.sing_bound
         cfg.exact = ns.exact
+        if ns.sing_bound is not None and ns.sing_bound < 1:
+            raise UsageError(f"--sing-bound {ns.sing_bound}: the bound must "
+                             f"be a positive integer")
     if ns.subcommand == "singdist":
         cfg.ell_max = ns.ell_max
         cfg.mode = ns.mode

@@ -9,12 +9,16 @@ with `row`, read them with `entries`, and pass the field to every call.
 - Pivot rule: `echelon` returns the reduced row-echelon form whose pivot
   is the lowest nonzero column of each row, scaled to 1, with the rows
   sorted by pivot.  That form is unique, so stored bases (and everything
-  derived from them, such as candidate indices) are canonical.  `rank` and
-  `fills` need no particular rows; over F_2 they pivot on the highest set
-  bit, because int.bit_length finds it fastest.
+  derived from them, such as candidate indices) are canonical.  `rank`
+  needs no particular rows; over F_2 it pivots on the highest set bit,
+  because int.bit_length finds it fastest.
 
-`echelon_stack` applies `echelon`'s pivot rule to a numpy stack of many
-small matrices over F_p at once.
+Two kernels work on numpy stacks of many small matrices over F_p at once.
+`echelon_stack` applies `echelon`'s pivot rule to all of them.
+`rank_stack_f2` only counts ranks over F_2, on rows packed into uint64
+words of any number: for each column, the first row holding the bit is
+XORed into every row holding it, itself included.  That needs no row
+swaps, no mask of used rows and no unpacking.
 """
 
 from __future__ import annotations
@@ -75,10 +79,10 @@ def combine(spec, coeffs, rows, ncols):
     return tuple(out)
 
 
-def _pivots(spec, rows, stop=None):
-    """Pivot column -> basis row, one row of `rows` at a time; returns early
-    once the rank reaches `stop`.  Over F_2 the pivot is the highest set
-    bit; otherwise it is the lowest nonzero column, scaled to 1."""
+def _pivots(spec, rows):
+    """Pivot column -> basis row, one row of `rows` at a time.  Over F_2
+    the pivot is the highest set bit; otherwise it is the lowest nonzero
+    column, scaled to 1."""
     pivots = {}
     if spec.q == 2:
         for r in rows:
@@ -87,8 +91,6 @@ def _pivots(spec, rows, stop=None):
                 p = pivots.get(c)
                 if p is None:
                     pivots[c] = r
-                    if len(pivots) == stop:
-                        return pivots
                     break
                 r ^= p
         return pivots
@@ -101,8 +103,6 @@ def _pivots(spec, rows, stop=None):
             if p is None:
                 inv = spec.inv(r[c])
                 pivots[c] = tuple(spec.mul(inv, x) for x in r)
-                if len(pivots) == stop:
-                    return pivots
                 break
             f = spec.neg(r[c])
             r = [spec.add(x, spec.mul(f, y)) for x, y in zip(r, p)]
@@ -111,12 +111,6 @@ def _pivots(spec, rows, stop=None):
 
 def rank(spec, rows) -> int:
     return len(_pivots(spec, rows))
-
-
-def fills(spec, rows, ncols) -> bool:
-    """Whether the rows span all ncols columns; reads no more of the rows
-    (any iterable) than it needs."""
-    return len(_pivots(spec, rows, ncols)) == ncols
 
 
 def echelon(spec, rows) -> tuple:
@@ -254,6 +248,30 @@ def _echelon_stack_f2(mats):
         pivots[at[hit], dst[hit]] = c
         rank += hit
     return rank, pivots, ((packed[:, :, None] & bits) != 0).astype(np.uint8)
+
+
+def rank_stack_f2(rows):
+    """The rank over F_2 of each matrix of a stack of bit-packed rows: a
+    uint64 array of shape (n, rows, words), column c at bit c % 64 of word
+    c // 64.  Column by column, the first row holding the bit is XORed into
+    every row holding it, itself included, so each pivot row leaves the
+    matrix as it is used and the rank is the number of columns that found
+    one.  The words before the column's word are zero by then, so only the
+    words from it onward are XORed; they are eliminated as one contiguous
+    block of shape (words, n, rows)."""
+    n, _, words = rows.shape
+    rows = rows.transpose(2, 0, 1).copy()
+    rank = np.zeros(n, dtype=np.intp)
+    at = np.arange(n)
+    last = int(np.bitwise_or.reduce(rows[-1], axis=None)) if words else 0
+    for w in range(words):
+        tail = rows[w:]
+        for b in range(64 if w < words - 1 else last.bit_length()):
+            has = tail[0] >> np.uint64(b) & np.uint64(1)
+            first = has.argmax(axis=1)
+            tail ^= has * tail[:, at, first][:, :, None]
+            rank += has[at, first].astype(bool)
+    return rank
 
 
 def _inverse_mod_p(a, p):

@@ -479,7 +479,7 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, points):
 # over the algebraic closure exactly when J_t = S_t at
 # t = sum_{i <= n+1} (d_i - 1) + 1, and never when r <= n (Macaulay 1902;
 # Lazard, EUROCAL 1983).  A rank does not change under field extension, so
-# one rank over F_q decides.
+# one rank over F_p decides, of the rows' multiples by F_q's power basis.
 
 
 def _exactable(X: SchemePresentation) -> bool:
@@ -522,29 +522,19 @@ def _det(mat, spec, nvars):
     return acc
 
 
-@lru_cache(maxsize=16)
-def _certificate_context(problem, d):
-    """The degree-t rows of J for the forms of I_d as an F_p-linear image of
-    the candidate's digits, or None when V(J) is never empty:
-    (width, lift, ncols, nrows, source, position, value).
+def _certificate_rows(problem, d):
+    """The degree-t rows of J for the forms of I_d as an F_q-linear image
+    of f, or None when V(J) is never empty: codes[m * k + j, row, column]
+    for f = x^j m, with x^j in F_q's power basis.
 
     The multiples of X's equations are a fixed block, so the other rows are
     taken modulo it: J_t = S_t exactly when they span the ncols-dimensional
     quotient, read on the non-pivot columns of the block's echelon form.
     Each other generator, f or a minor by cofactor expansion along f's row,
-    is F_q-linear in f, so their nrows multiples are linear in the
-    F_p-digits of f's coefficients (digit m * k + j is the coefficient of
-    x^j m, for x^j in F_q's power basis).  That map is kept sparse: entry i
-    adds value[i] times digit source[i] to the flat F_p-digit position[i]
-    of those rows.  `lift` takes the `width` candidate digits to coefficient
-    digits (None for all of S_d).
-
-    t is computed from every generator slot, zero or not: a zero generator
-    can only lower the degree a given f needs, and J_t = S_t carries over
+    is F_q-linear in f.  t counts every generator slot, zero or not: a zero
+    generator can only lower the degree f needs, and J_t = S_t carries over
     to every larger t.  Over p not dividing d with X = P^n, Euler's
-    d f = sum x_j df/dx_j puts f in the ideal of its partials, and f is
-    left out.
-    """
+    d f = sum x_j df/dx_j puts f in the ideal of its partials: left out."""
     spec, nvars = problem.field, problem.nvars
     eqs = [g for g in problem.X.equations if g]
     r = len(eqs)
@@ -580,73 +570,75 @@ def _certificate_context(problem, d):
                                   for row in multiples(
                                       g, g.homogeneous_degree())])
     pivots = {linalg.entries(spec, row)[0][0] for row in fixed}
-    free = {c: i for i, c in enumerate(c for c in range(len(index))
-                                       if c not in pivots)}
-    k = spec.k
-    source, position, value = [], [], []
-    nrows = 0
-    for deg, cofactors in slots:
-        if deg > t:
-            continue
-        for m_i, m in enumerate(monomials_of_degree(nvars, d)):
-            for j in range(k):
-                f = MPoly(spec, nvars, {m: spec.from_digits([0] * j + [1])})
-                g = MPoly.zero(spec, nvars)
-                for cof, c in cofactors:
-                    g = g + cof * (f if c is None else f.partial(c))
-                for i, row in enumerate(multiples(g, deg)):
-                    row = linalg.reduce(spec, row, fixed)
-                    for col, code in linalg.entries(spec, row):
-                        for u, digit in enumerate(spec.digits(code)):
-                            if digit:
-                                source.append(m_i * k + j)
-                                position.append(
-                                    ((nrows + i) * len(free) + free[col]) * k
-                                    + u)
-                                value.append(digit)
-        nrows += len(monomials_of_degree(nvars, t - deg))
-    space = candidate_space(problem, d)
-    return (k * space.rank, _lift(space), len(free), nrows,
-            np.array(source, np.intp), np.array(position, np.intp),
-            np.array(value, np.float64))
+    free = [c for c in range(len(index)) if c not in pivots]
+    codes = []
+    for m in monomials_of_degree(nvars, d):
+        for j in range(spec.k):
+            f = MPoly(spec, nvars, {m: spec.from_digits([0] * j + [1])})
+            rows = [linalg.reduce(spec, row, fixed)
+                    for deg, cofactors in slots if deg <= t
+                    for row in multiples(sum(
+                        (cof * (f if c is None else f.partial(c))
+                         for cof, c in cofactors), MPoly.zero(spec, nvars)),
+                        deg)]
+            codes.append(np.array([[dict(linalg.entries(spec, row)).get(c, 0)
+                                    for c in free] for row in rows],
+                                  dtype=np.min_scalar_type(spec.q)))
+    return np.array(codes)
+
+
+@lru_cache(maxsize=16)
+def _certificate_context(problem, d):
+    """`_certificate_rows` as a dense F_p-linear map with `_lift` folded in,
+    or None: (columns, images), images[s] the rows that candidate digit s
+    adds, each F_q row r as its k multiples x^j r.  Over F_2 the rows are
+    packed, column c at bit c % 64 of uint64 word c // 64, and the digits
+    padded to whole bytes; otherwise they are float64."""
+    codes = _certificate_rows(problem, d)
+    if codes is None:
+        return None
+    spec = problem.field
+    rows, ncols = codes.shape[1] * spec.k, codes.shape[2] * spec.k
+    images = (_fp_table(spec, spec)[codes].transpose(0, 1, 3, 2, 4)
+              .reshape(len(codes), -1))
+    lift = _lift(candidate_space(problem, d))
+    if lift is not None:
+        images = lift.T @ images % spec.p
+    images = images.reshape(len(images), rows, ncols)
+    if spec.p != 2:
+        return ncols, images.astype(np.float64)
+    packed = np.packbits(images, axis=2, bitorder="little")
+    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0),
+                             (0, -packed.shape[2] % 8)))
+    return ncols, packed.view(np.uint64)
 
 
 def _certify_smooth(problem, d, indices):
     """For each candidate index of I_d, whether X cap H_f is smooth of
-    dimension dim X - 1: J_t = S_t, one rank over F_q per candidate."""
-    spec = problem.field
-    p = spec.p
+    dimension dim X - 1: J_t = S_t, by one stacked F_p-rank per batch, its
+    rows from byte tables over F_2 (a batch fills a table: building costs
+    no more than reading) and from one float64 product mod p otherwise."""
+    p = problem.field.p
     out = np.zeros(len(indices), dtype=bool)
     context = _certificate_context(problem, d)
     if context is None:
         return out
-    width, lift, ncols, nrows, source, position, value = context
-    step = max(1, _DIGIT_ENTRIES // max(width, 1))
+    ncols, images = context
+    width, rows, cols = images.shape
+    flat = images.reshape(width, rows * cols)
+    step = (max(256, _BLOCK_ENTRIES // max(rows * cols, 1)) if p == 2
+            else max(1, _DIGIT_ENTRIES // max(rows * cols, 1)))
     for lo in range(0, len(indices), step):
-        digits = _digits(indices[lo:lo + step], p, width)
-        if lift is not None:
-            digits = digits @ lift.T % p
-        for i, row in enumerate(digits):
-            image = np.bincount(position, row[source] * value,
-                                minlength=nrows * ncols * spec.k)
+        batch = indices[lo:lo + step]
+        if p == 2:
+            rank = linalg.rank_stack_f2(_xor_images(
+                _index_bytes(batch, width), flat).reshape(-1, rows, cols))
+        else:
+            image = _digits(batch, p, width) @ flat
             image -= p * np.floor(image / p)  # float % is slow
-            rows = _code_rows(spec, image.reshape(nrows, ncols, spec.k))
-            out[lo + i] = linalg.fills(spec, rows, ncols)
+            rank = linalg.echelon_stack(image.reshape(-1, rows, cols), p)[0]
+        out[lo:lo + step] = rank == ncols
     return out
-
-
-def _code_rows(spec, digits):
-    """The linalg rows whose F_p-digits are `digits`, an array of shape
-    (rows, columns, k)."""
-    if spec.q == 2:
-        packed = np.packbits(digits[:, :, 0].astype(np.uint8), axis=1,
-                             bitorder="little")
-        w = packed.shape[1]
-        buf = packed.tobytes()
-        return [int.from_bytes(buf[i * w:(i + 1) * w], "little")
-                for i in range(len(packed))]
-    codes = (digits @ spec.p ** np.arange(spec.k)).astype(np.int64)
-    return list(map(tuple, codes.tolist()))
 
 
 # the largest power w^n tried when proving V(J) lies in the removed locus
@@ -818,7 +810,7 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     low = [(e, group) for e, group in conds if e <= sing_bound]
     if exhaustive:
         indices = range(total)
-        ell = _scan_all(space, low, _ell_array(space, conds))
+        ell = _scan_all(space, low)
         ell[0] = _INFINITE   # f = 0
     else:
         rng = random.Random(seed)
@@ -832,7 +824,6 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
         _scan_all(space, conds[len(low):], ell)
         smooth = _tally(ell[1:]).get(0, 0)
         unresolved = clean - smooth
-        flags.append("exact-certificates")
     elif exact:  # resolve scan-clean candidates, one certificate per group
         clean = np.flatnonzero(ell == 0)  # positions in indices
         del ell  # freed before the orbit step's temporaries
@@ -844,10 +835,10 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
                                     [indices[i] for i in clean.tolist()])
         smooth = int(sizes[certified].sum())
         unresolved = int(sizes.sum()) - smooth
-        flags.append("exact-certificates")
     else:
         smooth = clean
-        flags.append(f"bounded-smoothness:B={sing_bound}")
+    flags.append("exact-certificates" if exact
+                 else f"bounded-smoothness:B={sing_bound}")
     return ScanResult(d, total, tuple(sorted(counter.items())), smooth,
                       unresolved, tuple(dict.fromkeys(flags)))
 
@@ -888,23 +879,19 @@ def _tally(ell):
     return {v - 1: c for v, c in enumerate(counts.tolist()) if c}
 
 
-def _ell_array(space, conds):
-    """Zeros, one per candidate index, in the narrowest signed dtype holding
-    every ell + 1 over the points of `conds` (see `_run_scan`)."""
-    total = sum(degree * len(group) for degree, group in conds)
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).max > total)
-    return np.zeros(space.problem.field.q ** space.rank, dtype=dtype)
-
-
 def _scan_all(space, conds, ell=None):
-    """ell for every candidate index, in index order, added into `ell` when
-    given: per degree, one elimination brings a block of points'
-    functionals to reduced echelon form, and the F_p-kernels of the
-    block's points of each rank are enumerated together as index arrays."""
+    """ell for every candidate index, in the narrowest signed dtype holding
+    every ell + 1; given `ell`, the candidates singular at a point of
+    `conds` are marked 1 there instead.  Per degree, one elimination brings
+    a block of points' functionals to reduced echelon form, and the
+    F_p-kernels of its points of each rank are enumerated as index arrays."""
     p = space.problem.field.p
-    if ell is None:
-        ell = _ell_array(space, conds)
+    mark = ell is not None
+    if not mark:
+        total = sum(degree * len(group) for degree, group in conds)
+        ell = np.zeros(space.problem.field.q ** space.rank, dtype=next(
+            t for t in (np.int8, np.int16, np.int32, np.int64)
+            if np.iinfo(t).max > total))
     dtype = ell.dtype.type
     for degree, group in conds:
         _, rows, width = group.shape
@@ -913,13 +900,17 @@ def _scan_all(space, conds, ell=None):
             rank, pivots, mats = linalg.echelon_stack(group[lo:lo + step], p)
             for r in np.flatnonzero(np.bincount(rank)).tolist():
                 sel = np.flatnonzero(rank == r)
-                if r == 0:  # vacuous: singular everywhere
+                if r == 0 and mark:  # vacuous: singular everywhere
+                    ell[:] = 1
+                elif r == 0:
                     ell += dtype(degree * len(sel))
                 elif r < width:               # a full rank leaves only f = 0
                     for members in _kernel_indices(p, mats[sel], pivots[sel],
                                                    r):
-                        # a scalar of ell's dtype keeps np.add.at's fast loop
-                        np.add.at(ell, members.ravel(), dtype(degree))
+                        if mark:
+                            ell[members.ravel()] = 1
+                        else:  # a dtype scalar keeps np.add.at's fast loop
+                            np.add.at(ell, members.ravel(), dtype(degree))
     return ell
 
 
@@ -970,9 +961,9 @@ def _kernel_indices(p, mats, pivots, rank):
 # Entries per block of numpy work, bounding the temporaries.
 # _DIGIT_ENTRIES (512 KB as float64): entries of the candidates' digit
 # matrix per batch in the sampled classifier (bytes of 8 digits over F_2)
-# and candidate digits per batch in the certificate; matrix entries per
-# block of points eliminated, and kernel indices per block, in `_scan_all`;
-# ell entries per count in `_tally`.
+# and image entries per batch in the certificate over odd p; matrix
+# entries per block of points eliminated, and kernel indices per block, in
+# `_scan_all`; ell entries per count in `_tally`.
 # _BLOCK_ENTRIES (128 KB as float64): per block of points in the sampled
 # classifier, functionals or their values over odd p, and 64-bit words of
 # the XOR tables or of the candidates' images over F_2; jet vectors or
@@ -992,10 +983,8 @@ def _ells(space, conds, indices):
     step = max(1, _DIGIT_ENTRIES // max(-(-width // 8) if f2 else width, 1))
     for lo in range(0, len(indices), step):
         batch = indices[lo:lo + step]
-        if f2:  # byte j of every index in row j, as table offsets
-            digits = _index_bytes(batch, width).T.astype(np.intp)
-        else:
-            digits = _digits(batch, spec.p, width)
+        digits = (_index_bytes(batch, width) if f2
+                  else _digits(batch, spec.p, width))
         for degree, group in conds:
             hits = (_hits_f2(digits, group) if f2
                     else _hits_mod_p(digits, group, spec.p))
@@ -1027,10 +1016,9 @@ def _hits_f2(octets, group):
 
     Each point's rows are packed into one lane, the narrowest of uint8 to
     uint64 that holds them, or into several 64-bit words.  Row c of a
-    packed block is the image of candidate bit c; T_j[v], the XOR of the
-    images of the set bits of v at byte position j, is built by doubling,
-    and a candidate's image is the XOR of T_j[byte j] over j.  A block is
-    padded with empty lanes to whole 64-bit words, the unit of all XORs."""
+    packed block is the image of candidate bit c, and `_xor_images` sums
+    a candidate's images.  A block is padded with empty lanes to whole
+    64-bit words, the unit of all XORs."""
     nbytes, n = octets.shape
     points, rows, width = group.shape
     lane = np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
@@ -1045,14 +1033,8 @@ def _hits_f2(octets, group):
         packed = np.zeros((8 * nbytes, slots, size), dtype=np.uint8)
         packed[:width, :len(block), :-(-rows // 8)] = np.packbits(
             block, axis=1, bitorder="little").transpose(2, 0, 1)
-        cols = packed.reshape(nbytes, 8, slots * size).view(np.uint64)
-        table = np.zeros((nbytes, 256, cols.shape[2]), dtype=np.uint64)
-        for b in range(8):
-            np.bitwise_xor(table[:, :1 << b], cols[:, b, None],
-                           out=table[:, 1 << b:2 << b])
-        image = np.zeros((n, cols.shape[2]), dtype=np.uint64)
-        for j in range(nbytes):
-            image ^= np.take(table[j], octets[j], axis=0)
+        image = _xor_images(octets, packed.reshape(8 * nbytes, slots * size)
+                            .view(np.uint64))
         lanes = image.view(lane).reshape(n, slots, words)[:, :len(block)]
         zero = ~lanes.any(axis=2)
         # row sums; einsum beats sum(axis=1) on short rows
@@ -1060,12 +1042,33 @@ def _hits_f2(octets, group):
     return hits
 
 
+def _xor_images(octets, bits):
+    """Per column of candidate bytes, the XOR of the images (uint64 rows of
+    `bits`) of its set bits, by the method of Four Russians: T_j[v], the
+    XOR of the images of the set bits of v at byte j, is built by doubling
+    in tables of about `_BLOCK_ENTRIES` words, and read at byte j."""
+    nbytes, n = octets.shape
+    bits = bits.reshape(nbytes, 8, bits.shape[1])
+    image = np.zeros((n, bits.shape[2]), dtype=np.uint64)
+    step = -(-_BLOCK_ENTRIES // (256 * max(nbytes, 1)))
+    for lo in range(0, bits.shape[2], step):
+        cols = bits[:, :, lo:lo + step]
+        table = np.zeros((nbytes, 256, cols.shape[2]), dtype=np.uint64)
+        for b in range(8):
+            np.bitwise_xor(table[:, :1 << b], cols[:, b, None],
+                           out=table[:, 1 << b:2 << b])
+        for j in range(nbytes):
+            image[:, lo:lo + step] ^= np.take(table[j], octets[j], axis=0)
+    return image
+
+
 def _index_bytes(indices, width):
-    """The little-endian bytes of each index (below 2^width), one uint8 row
-    per index."""
+    """The little-endian bytes of the indices (below 2^width) as table
+    offsets: byte j of every index in row j."""
     nbytes = -(-width // 8)
     buf = b"".join(index.to_bytes(nbytes, "little") for index in indices)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(len(indices), nbytes)
+    return (np.frombuffer(buf, dtype=np.uint8).reshape(len(indices), nbytes)
+            .T.astype(np.intp))
 
 
 @lru_cache(maxsize=None)
@@ -1081,11 +1084,8 @@ def _digit_table(p):
 
 def _digits(indices, p, width):
     """The `width` base-p digits of each index (below p^width), least
-    significant first, as a float64 matrix with one row per index."""
-    if p == 2:  # the digits are the bits
-        bits = np.unpackbits(_index_bytes(indices, width), axis=1,
-                             bitorder="little")
-        return bits[:, :width].astype(np.float64)
+    significant first, as a float64 matrix with one row per index (odd
+    p)."""
     c, table = _digit_table(p)
     per_word = 1
     while p ** (c * (per_word + 1)) <= 1 << 62:

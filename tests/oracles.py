@@ -7,8 +7,9 @@ brute-force matrix groups, the former point-search smoothness
 certificate and closed-form point counts.  The former per-point jet
 conditions and per-point kernel scan are kept too; those use `linalg`'s
 row reduction, one closed point at a time.  So is the sampled classifier's
-product of functionals and digits, one closed point at a time.  Slow and
-simple on purpose.
+product of functionals and digits, one closed point at a time, and the
+former rank certificate, one candidate at a time over F_q with its own
+elimination.  Slow and simple on purpose.
 """
 
 from functools import lru_cache
@@ -559,6 +560,81 @@ def point_search_certificate(problem, f, e_max=3):
 
 
 # ---------------------------------------------------------------------------
+# The former rank certificate, one candidate at a time: the rows of J_t from
+# `sieve._certificate_rows` as an np.bincount image of the candidate's
+# coefficient digits, decoded to linalg rows over F_q and tested by
+# `fills`, with no expansion to F_p and no lift folded into the map.
+
+def certify_per_candidate(problem, d, indices):
+    """For each candidate index of I_d, whether J_t = S_t (see
+    `sieve._certify_smooth`), by one rank over F_q per candidate."""
+    spec = problem.field
+    p, k = spec.p, spec.k
+    out = np.zeros(len(indices), dtype=bool)
+    codes = sieve._certificate_rows(problem, d)
+    if codes is None:
+        return out
+    _, nrows, ncols = codes.shape
+    digit_table = np.array([spec.digits(a) for a in range(spec.q)])
+    flat = digit_table[codes].reshape(len(codes), -1)
+    source, position = np.nonzero(flat)
+    value = flat[source, position].astype(np.float64)
+    space = sieve.candidate_space(problem, d)
+    lift = sieve._lift(space)
+    for i, index in enumerate(indices):
+        digits = np.array([index // p ** t % p
+                           for t in range(k * space.rank)], dtype=np.int64)
+        if lift is not None:
+            digits = lift @ digits % p
+        image = np.bincount(position, digits[source] * value,
+                            minlength=flat.shape[1]) % p
+        rows = _code_rows(spec, image.reshape(nrows, ncols, k))
+        out[i] = fills(spec, rows, ncols)
+    return out
+
+
+def _code_rows(spec, digits):
+    """The linalg rows whose F_p-digits are `digits`, an array of shape
+    (rows, columns, k)."""
+    if spec.q == 2:
+        packed = np.packbits(digits[:, :, 0].astype(np.uint8), axis=1,
+                             bitorder="little")
+        w = packed.shape[1]
+        buf = packed.tobytes()
+        return [int.from_bytes(buf[i * w:(i + 1) * w], "little")
+                for i in range(len(packed))]
+    codes = (digits @ spec.p ** np.arange(spec.k)).astype(np.int64)
+    return list(map(tuple, codes.tolist()))
+
+
+def fills(spec, rows, ncols):
+    """Whether linalg rows over F_q span all ncols columns, reading no more
+    of the rows (any iterable) than it needs.  Over F_2 each row is reduced
+    on its highest set bit, otherwise on its lowest nonzero code."""
+    pivots = {}
+    rows = iter(rows)
+    while len(pivots) < ncols:
+        r = next(rows, None)
+        if r is None:
+            return False
+        if spec.q == 2:
+            while r and r.bit_length() - 1 in pivots:
+                r ^= pivots[r.bit_length() - 1]
+            if r:
+                pivots[r.bit_length() - 1] = r
+            continue
+        while any(r):
+            c = next(j for j, x in enumerate(r) if x)
+            if c not in pivots:
+                inv = spec.inv(r[c])
+                pivots[c] = [spec.mul(inv, x) for x in r]
+                break
+            f = spec.neg(r[c])
+            r = [spec.add(x, spec.mul(f, y)) for x, y in zip(r, pivots[c])]
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Closed-form counts of smooth cubic forms, published point counts of moduli
 # stacks times |GL_{n+1}(F_q)|.  Since |GL_{n+1}(F_q)| =
 # q^{(n+1)^2} prod_{i <= n+1} (1 - q^-i), both make the exact density at
@@ -581,6 +657,13 @@ def smooth_cubic_surfaces(q):
     """Smooth quaternary cubic forms over F_q: q^4 |GL_4(F_q)| (Das,
     "Arithmetic statistics on cubic surfaces", 2020)."""
     return q ** 4 * gl_order(4, q)
+
+
+def smooth_quadric_surfaces(q):
+    """Quaternary quadratic forms over F_q with a smooth quadric surface:
+    q^6 (q - 1)(q^3 - 1) = |GL_4(F_q)|/|O^+_4(F_q)| + |GL_4(F_q)|/|O^-_4(F_q)|
+    (Taylor, "The Geometry of the Classical Groups", 1992)."""
+    return q ** 6 * (q - 1) * (q ** 3 - 1)
 
 
 def smooth_plane_quartics(q):

@@ -69,6 +69,24 @@ def test_lowdeg_bad_samples_refused_before_loading(schemes_dir, capsys,
     assert loaded == []
 
 
+@pytest.mark.parametrize("command", [["estimate"], ["singdist", "estimate"]])
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_sing_bound_below_one_refused_before_loading(schemes_dir, capsys,
+                                                     monkeypatch, command,
+                                                     bound):
+    loaded = []
+    monkeypatch.setattr(cli.variety, "load_problem",
+                        lambda *args: loaded.append(args))
+    argv = command + ["--scheme", s(schemes_dir, "p2.scm"), "-d", "3",
+                      "--budget", "exhaustive", "--bounded", "--sing-bound",
+                      bound]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: --sing-bound {bound}: the bound must be a positive "
+        f"integer\n")
+    assert loaded == []
+
+
 def test_parse_args_missing_required():
     with pytest.raises(UsageError):
         parse_args(["predict"])

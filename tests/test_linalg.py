@@ -75,7 +75,7 @@ def test_echelon_kernel_reduce_properties(spec):
             for r in rows:
                 assert dot(spec, r, dense(spec, v, ncols)) == 0
         assert linalg.rank(spec, packed) == len(ech)
-        assert linalg.fills(spec, packed, ncols) == (len(ech) == ncols)
+        assert oracles.fills(spec, packed, ncols) == (len(ech) == ncols)
         assert len(ech) + len(kern) == ncols
         assert len(linalg.echelon(spec, kern)) == len(kern)
         # combine is the entrywise linear combination, with the
@@ -120,7 +120,7 @@ def test_f2_highest_bit_rank_agrees_with_echelon():
             for r in rows:
                 seen.append(r)
                 yield r
-        full = linalg.fills(f2, stream(), ncols)
+        full = oracles.fills(f2, stream(), ncols)
         assert full == (len(linalg.echelon(f2, rows)) == ncols)
         if full:
             assert len(linalg.echelon(f2, seen[:-1])) == ncols - 1
@@ -149,3 +149,33 @@ def test_echelon_stack_matches_dense_oracle(p):
         assert red[:r] == expected and not any(map(any, red[r:]))
         assert piv.tolist() == ([next(j for j, x in enumerate(row) if x)
                                  for row in expected] + [-1] * (6 - r))
+
+
+def pack_rows(mats):
+    """Bit-packed rows for rank_stack_f2: column c at bit c % 64 of uint64
+    word c // 64."""
+    packed = np.packbits(mats.astype(np.uint8), axis=2, bitorder="little")
+    packed = np.pad(packed, ((0, 0), (0, 0), (0, -packed.shape[2] % 8)))
+    return packed.view(np.uint64)
+
+
+@pytest.mark.parametrize("width", [1, 9, 63, 64, 65, 130])
+def test_rank_stack_f2_matches_dense_oracle(width):
+    # dense, sparse, rank-deficient and all-zero stacks, over one to three
+    # 64-bit words
+    rng = np.random.default_rng(width)
+    rows = 12
+    dense_part = rng.integers(0, 2, size=(15, rows, width))
+    sparse = rng.integers(0, 2, size=(15, rows, width)) * (
+        rng.random((15, rows, width)) < 0.1)
+    low = rng.integers(0, 2, size=(15, rows, 3)) @ rng.integers(
+        0, 2, (3, width)) % 2
+    tall = rng.integers(0, 2, size=(4, width + 8, width))
+    for mats in (np.concatenate([dense_part, sparse, low,
+                                 np.zeros((3, rows, width), int)]), tall):
+        packed = pack_rows(mats)
+        rank = linalg.rank_stack_f2(packed)
+        assert np.array_equal(packed, pack_rows(mats))  # left as it was
+        assert rank.tolist() == [oracles.dense_rank_mod_p(m, 2)
+                                 for m in mats.tolist()]
+    assert max(rank) == width  # the tall stacks reach full column rank

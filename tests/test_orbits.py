@@ -10,8 +10,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import (invertible_matrices_f2, matrix_closure_size,
-                     orbit_minima_f2, point_search_certificate)
+from oracles import (certify_per_candidate, invertible_matrices_f2,
+                     matrix_closure_size, orbit_minima_f2,
+                     point_search_certificate)
 from smoothsieve import gf, sieve, variety
 from smoothsieve.variety import load_problem, parse_problem
 
@@ -38,18 +39,13 @@ def clean_indices(problem, d, bound):
     return space, np.flatnonzero(ell == 0)
 
 
-@lru_cache(maxsize=None)
-def certify(problem, d, index):
-    """The certificate's answer for one candidate on its own."""
-    return bool(sieve._certify_smooth(problem, d, [index])[0])
-
-
 def per_candidate_result(problem, d, bound):
-    """The exact ScanResult with one certificate per scan-clean candidate."""
+    """The exact ScanResult with one certificate per scan-clean candidate,
+    by the former per-candidate certificate."""
     bounded = sieve._run_scan(problem, d, ("exhaustive",), bound, False, 0,
                               sieve.DEFAULT_CAP)
     _, clean = clean_indices(problem, d, bound)
-    smooth = sum(certify(problem, d, i) for i in clean.tolist())
+    smooth = int(certify_per_candidate(problem, d, clean.tolist()).sum())
     return sieve.ScanResult(d, bounded.count_total, bounded.ell_counts,
                             smooth, len(clean) - smooth,
                             ("exact-certificates",))

@@ -370,8 +370,8 @@ class CodeArrays:
     """Elementwise arithmetic on numpy int64 arrays of element codes.
 
     Fields with q <= _TABLE_CAP multiply through numpy copies of the
-    log/exp tables; larger fields apply the scalar `FieldSpec.mul` and
-    `FieldSpec.pow` element by element, the same split as `FieldSpec.mul`.
+    log/exp tables; larger fields multiply base-p digit vectors as
+    polynomials and fold the product back through the modulus, mod p.
     Sums add base-p digits, which over p = 2 is XOR.  Build one per field
     with `code_arrays`.
     """
@@ -379,12 +379,39 @@ class CodeArrays:
     def __init__(self, spec):
         self.spec = spec
         self._log = self._exp = None
+        self._place = spec.p ** np.arange(spec.k, dtype=np.int64)
         if spec.q <= _TABLE_CAP:
             if spec._exp is None:
                 spec._build_tables()
             self._log = np.array(spec._log, dtype=np.int64)
             self._exp = np.array(spec._exp, dtype=np.int64)
-        self._place = spec.p ** np.arange(spec.k, dtype=np.int64)
+            return
+        # fold[i * k + j] = the digits of x^(i + j) reduced by the modulus
+        powers = [1]
+        for _ in range(2 * spec.k - 2):
+            powers.append(spec._mul_raw(powers[-1], spec.p))
+        self._fold = np.array([spec.digits(powers[i + j])
+                               for i in range(spec.k) for j in range(spec.k)],
+                              dtype=np.int64)
+
+    def _digits(self, codes):
+        return codes[..., None] // self._place % self.spec.p
+
+    def _mul_digits(self, a, b):
+        """The product of two arrays of digit vectors, shape (..., k)."""
+        p, k = self.spec.p, self.spec.k
+        outer = a[..., :, None] * b[..., None, :] % p
+        return outer.reshape(outer.shape[:-2] + (k * k,)) @ self._fold % p
+
+    def _pow_digits(self, a, n):
+        out = None
+        while n:
+            if n & 1:
+                out = a if out is None else self._mul_digits(out, a)
+            n >>= 1
+            if n:
+                a = self._mul_digits(a, a)
+        return out
 
     def term(self, coeff, factors, shape):
         """coeff * prod(x ** n for x, n in factors) as an array of `shape`:
@@ -398,13 +425,10 @@ class CodeArrays:
             out = self._exp[s % (self.spec.q - 1)]
             out[zero] = 0
             return out
-        spec = self.spec
-        out = np.full(shape, coeff, dtype=np.int64)
+        out = self._digits(np.full(shape, coeff, dtype=np.int64))
         for x, n in factors:
-            flat = [spec.mul(a, spec.pow(b, n))
-                    for a, b in zip(out.ravel().tolist(), x.ravel().tolist())]
-            out = np.array(flat, dtype=np.int64).reshape(shape)
-        return out
+            out = self._mul_digits(out, self._pow_digits(self._digits(x), n))
+        return out @ self._place
 
     def pow(self, x, n):
         """x ** n elementwise, n >= 1."""
@@ -421,11 +445,12 @@ class CodeArrays:
             out[((points == 0) @ (exponents.T > 0)) | (coeffs == 0)] = 0
             return out
         cols, size = points.T, len(points)
-        return np.stack([self.term(c, [(cols[i], n) for i, n in enumerate(e)
-                                       if n], size)
-                         if c else np.zeros(size, dtype=np.int64)
-                         for e, c in zip(exponents.tolist(), coeffs.tolist())],
-                        axis=1)
+        out = np.zeros((size, len(exponents)), dtype=np.int64)
+        for t, (e, c) in enumerate(zip(exponents.tolist(), coeffs.tolist())):
+            if c:
+                out[:, t] = self.term(c, [(cols[i], n) for i, n in enumerate(e)
+                                          if n], size)
+        return out
 
     def total(self, values, size):
         """The sum of an iterable of code arrays of length `size`."""
@@ -574,14 +599,6 @@ def frobenius(a: FieldElement, q: int | None = None) -> FieldElement:
     if q is None:
         q = a.spec.p
     return a ** q
-
-
-def enumerate_field(spec: FieldSpec) -> list[FieldElement]:
-    """All q^k elements in deterministic (code) order."""
-    if spec.q > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"|F| = {spec.q} exceeds the enumeration cap {ENUMERATION_CAP}")
-    return [FieldElement(spec, c) for c in range(spec.q)]
 
 
 # ---------------------------------------------------------------------------

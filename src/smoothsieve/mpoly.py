@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import gf
+from . import gf, linalg
 from .gf import FieldMismatchError, FieldSpec
 
 
@@ -221,14 +221,13 @@ class MPoly:
 
     def evaluate_rows(self, rows, target: FieldSpec):
         """Values at the points given as the rows of an int64 array of
-        coordinate codes in the extension `target`, term by term."""
+        coordinate codes in the extension `target`: every term from one
+        `CodeArrays.monomials` call, summed over its columns."""
         arith = gf.code_arrays(target)
         emap = gf.embed_map(self.spec, target)
-        cols, size = rows.T, len(rows)
-        terms = (arith.term(emap[c], [(cols[i], n) for i, n in enumerate(e)
-                                      if n], size)
-                 for e, c in self.terms.items())
-        return arith.total(terms, size)
+        expo = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.nvars)
+        coeffs = np.array([emap[c] for c in self.terms.values()], dtype=np.int64)
+        return arith.total(arith.monomials(rows, expo, coeffs).T, len(rows))
 
     def evaluate(self, point) -> gf.FieldElement:
         """Evaluate at a tuple of FieldElements of a common extension field."""
@@ -470,30 +469,91 @@ def normalized_projective_points(spec: FieldSpec, nvars: int):
 
     Deterministic order: leading index ascending, then tail codes ascending
     (the tail read as a base-q numeral, first coordinate most significant).
+    A chunk may span several leading indices, so small spaces come in one.
     """
     q = spec.q
-    for lead in range(nvars):
-        tail = nvars - lead - 1
-        if q ** tail > gf.ENUMERATION_CAP:
-            raise gf.EnumerationCapError(
-                f"P^{nvars-1}(F_{q}) exceeds the enumeration cap")
-        place = q ** np.arange(tail - 1, -1, -1, dtype=np.int64)
-        for lo in range(0, q ** tail, _CHUNK_ROWS):
-            index = np.arange(lo, min(lo + _CHUNK_ROWS, q ** tail),
-                              dtype=np.int64)
-            rows = np.zeros((len(index), nvars), dtype=np.int64)
-            rows[:, lead] = 1
-            rows[:, lead + 1:] = index[:, None] // place % q
-            yield rows
+    _check_cap(q, nvars - 1)
+    place = q ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    start = np.cumsum(place) - place    # position of each lead's first point
+    total = int(place.sum())
+    for lo in range(0, total, _CHUNK_ROWS):
+        at = np.arange(lo, min(lo + _CHUNK_ROWS, total), dtype=np.int64)
+        lead = np.searchsorted(start, at, side="right") - 1
+        # the tail index is below the lead's place, so the digits up to the
+        # lead come out 0
+        rows = (at - start[lead])[:, None] // place % q
+        rows[np.arange(len(at)), lead] = 1
+        yield rows
+
+
+def _check_cap(q, tail):
+    if q ** tail > gf.ENUMERATION_CAP:
+        raise gf.EnumerationCapError(
+            f"P^{tail}(F_{q}) exceeds the enumeration cap")
+
+
+def _is_linear(f):
+    return bool(f.terms) and all(sum(e) == 1 for e in f.terms)
+
+
+def _linear_section(linear, nvars):
+    """The degree-1 equations `linear` solved for their pivots: the free
+    variables, and for each pivot variable p the linear form in the free
+    variables that x_p equals.
+
+    The reduced echelon form runs over reversed columns, so each pivot is the
+    highest variable of its row and depends only on free variables below it.
+    """
+    base = linear[0].spec
+    ech = linalg.echelon(base, [
+        linalg.row(base, nvars, ((nvars - 1 - e.index(1), c)
+                                 for e, c in f.terms.items()))
+        for f in linear])
+    solved = {}
+    for r in ech:
+        (col, _), *rest = linalg.entries(base, r)
+        solved[nvars - 1 - col] = rest
+    free = [i for i in range(nvars) if i not in solved]
+    unit = {v: tuple(int(v == u) for u in free) for v in free}
+    return free, [(p, MPoly(base, len(free), {unit[nvars - 1 - j]: base.neg(c)
+                                              for j, c in rest}))
+                  for p, rest in solved.items()]
+
+
+def _section_points(linear, spec: FieldSpec, nvars: int):
+    """The normalized points of P^{nvars-1}(F) on the linear equations, in
+    the order of `normalized_projective_points`, from the normalized points
+    of the free coordinates alone.
+
+    A pivot depends only on earlier free coordinates, so the first nonzero
+    coordinate of a row, and the first coordinate where two rows differ, is
+    a free one: the free coordinates' order and normalization carry over.
+    """
+    if not linear:
+        yield from normalized_projective_points(spec, nvars)
+        return
+    _check_cap(spec.q, nvars - 1)     # the ambient scan's refusal
+    free, pivots = _linear_section(linear, nvars)
+    if not free:
+        return
+    for chunk in normalized_projective_points(spec, len(free)):
+        rows = np.zeros((len(chunk), nvars), dtype=np.int64)
+        rows[:, free] = chunk
+        for p, form in pivots:
+            rows[:, p] = form.evaluate_rows(chunk, spec)
+        yield rows
 
 
 def zero_locus_points(equations, removed, spec: FieldSpec, nvars: int):
     """The normalized points of P^{nvars-1}(F) at which every equation
     vanishes and, when `removed` is nonempty, some poly of it does not:
     nonempty int64 code arrays in the order of
-    `normalized_projective_points`."""
-    for rows in normalized_projective_points(spec, nvars):
-        for f in equations:
+    `normalized_projective_points`.  The degree-1 equations are solved
+    once, and only the points of the subspace they cut are listed."""
+    linear = tuple(f for f in equations if _is_linear(f))
+    rest = [f for f in equations if not _is_linear(f)]
+    for rows in _section_points(linear, spec, nvars):
+        for f in rest:
             rows = rows[f.evaluate_rows(rows, spec) == 0]
         if removed:
             outside = np.zeros(len(rows), dtype=bool)

@@ -172,8 +172,11 @@ def complement_presentation(problem: SchemeProblem) -> SchemePresentation:
         return X
     v_eqs = problem.Z.equations
     if not v_eqs:
-        # Z is all of P^n, so X - V is empty; remove everything
-        v_eqs = (MPoly.constant(problem.field, problem.nvars, 1),)
+        # Z is all of P^n, so X - V is empty: 1 vanishes at no point
+        return SchemePresentation(
+            problem.field, problem.nvars,
+            X.equations + (MPoly.constant(problem.field, problem.nvars, 1),),
+            X.removed, X.declared_dim)
     if X.removed:
         removed = tuple(w * v for w in X.removed for v in v_eqs)
     else:

@@ -7,7 +7,7 @@ Also owns the plain-text scheme file format (see `parse_problem`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from . import gf, linalg, mpoly
 from .gf import FieldSpec
 from .graded import GradedIdeal, poly_to_vector
-from .mpoly import MPoly, projective_point_count
+from .mpoly import projective_point_count
 
 
 class EnumerationCapExceeded(ValueError):
@@ -110,13 +110,17 @@ def check_enumeration_cap(scheme: SchemePresentation, degrees,
 
 
 def raw_point_count(scheme: SchemePresentation, e: int, cap: int = DEFAULT_CAP) -> int:
-    """|scheme(F_{q^e})| by direct normalized scan (closed form when free)."""
+    """|scheme(F_{q^e})| by a normalized scan of the zero locus; with no
+    equations, |P^n(F_{q^e})| minus the points of the removed locus."""
     base = scheme.spec
-    q_e = base.q ** e
+    total = projective_point_count(base.q ** e, scheme.ambient_dim)
     if scheme.is_free_ambient():
-        return projective_point_count(q_e, scheme.ambient_dim)
+        return total
     check_enumeration_cap(scheme, [e], cap)
     ext = gf.make_field(base.p, base.k * e)
+    if not scheme.equations:
+        return total - sum(len(rows) for rows in mpoly.zero_locus_points(
+            scheme.removed, (), ext, scheme.nvars))
     return sum(len(rows) for rows in mpoly.zero_locus_points(
         scheme.equations, scheme.removed, ext, scheme.nvars))
 
@@ -224,17 +228,6 @@ def _require_on_scheme(equations, removed, point: ClosedPoint):
         raise PointNotOnScheme(f"point {point.rep_strings()} is off the scheme")
     if removed and all(r.evaluate_codes(rep, ext) == 0 for r in removed):
         raise PointNotOnScheme(f"point {point.rep_strings()} lies in the removed locus")
-
-
-def is_smooth_at(X: SchemePresentation, f: MPoly | None, point: ClosedPoint,
-                 expected_dim: int, chart: int | None = None) -> bool:
-    """Jacobian criterion at P: rank must equal n - expected_dim."""
-    eqs = list(X.equations)
-    if f is not None:
-        eqs.append(f)
-    _require_on_scheme(eqs, X.removed, point)
-    rank = _jacobian_rank_at(eqs, point, chart)
-    return rank == X.ambient_dim - expected_dim
 
 
 @lru_cache(maxsize=32)
@@ -524,37 +517,6 @@ def _parse_modulus(text: str, p: int, k: int):
     return tuple(coeffs)
 
 
-def dump_problem(problem: SchemeProblem) -> str:
-    lines = []
-    fs = problem.field
-    if fs.k == 1:
-        lines.append(f"q = {fs.p}")
-    else:
-        lines.append(f"q = {fs.p}^{fs.k} [{fs.modulus_string('g')}]")
-    lines.append(f"P {problem.nvars - 1} : " + " ".join(problem.aliases))
-    lines.append("X:")
-    for e in problem.X.equations:
-        lines.append("  " + e.to_string(problem.aliases))
-    if problem.X.removed:
-        lines.append("X.remove:")
-        for e in problem.X.removed:
-            lines.append("  " + e.to_string(problem.aliases))
-    if problem.Z is not None:
-        lines.append("Z:")
-        for e in problem.Z.equations:
-            lines.append("  " + e.to_string(problem.aliases))
-    if problem.X.declared_dim is not None:
-        lines.append(f"dim X = {problem.X.declared_dim}")
-    for e, d in problem.stratum_dims:
-        lines.append(f"dim V_{e} = {d}")
-    return "\n".join(lines) + "\n"
-
-
 def load_problem(path, q_override: int | None = None) -> SchemeProblem:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_problem(fh.read(), q_override)
-
-
-def orbit_variants(point: ClosedPoint):
-    """The same closed point presented at each of its orbit members."""
-    return [replace(point, representative=member) for member in point.orbit]

@@ -302,57 +302,3 @@ def zeta_ell(profile: CountProfile, ell: int, s: int) -> ZetaValue:
             term *= comb(a_d, m) * u ** m
         total += term
     return ZetaValue(s, total, total, total)
-
-
-def sym_coefficients(profile: CountProfile, n_max: int, ell_max: int):
-    """Table t[n][ell] = number of effective zero-cycles of degree n
-    supported on exactly ell geometric points (ell capped at ell_max;
-    larger supports are accumulated in t[n][ell_max + 1]).
-
-    Row sums recover the plain symmetric-power counts, computed
-    independently from the Euler-product expansion and asserted equal by
-    the caller's tests, not here.
-    """
-    if not profile.exact_through(n_max):
-        raise InsufficientProfile(
-            f"need exact counts through degree {n_max}, have {profile.b_max}")
-    width = ell_max + 2
-    table = [[0] * width for _ in range(n_max + 1)]
-    table[0][0] = 1
-    for d in range(1, n_max + 1):
-        a_d = profile.a_d(d)
-        if a_d == 0:
-            continue
-        new = [row[:] for row in table]
-        # choose j distinct degree-d points with total multiplicity t >= j
-        for j in range(1, n_max // d + 1):
-            if j > a_d:
-                break
-            ways_pts = comb(a_d, j)
-            for t in range(j, n_max // d + 1):
-                ways = ways_pts * comb(t - 1, j - 1)
-                dn, dell = d * t, d * j
-                for n0 in range(0, n_max - dn + 1):
-                    for e0 in range(width):
-                        v = table[n0][e0]
-                        if v:
-                            e1 = min(e0 + dell, ell_max + 1)
-                            new[n0 + dn][e1] += v * ways
-        table = new
-    return table
-
-
-def sym_total(profile: CountProfile, n_max: int) -> list[int]:
-    """|Sym^n X(F_q)| for n <= n_max, from the Euler product expansion."""
-    if not profile.exact_through(n_max):
-        raise InsufficientProfile(
-            f"need exact counts through degree {n_max}, have {profile.b_max}")
-    series = [0] * (n_max + 1)
-    series[0] = 1
-    for d in range(1, n_max + 1):
-        a_d = profile.a_d(d)
-        for _ in range(a_d):
-            # multiply by 1/(1 - t^d)
-            for n in range(d, n_max + 1):
-                series[n] += series[n - d]
-    return series

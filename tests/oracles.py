@@ -9,16 +9,18 @@ conditions and per-point kernel scan are kept too; those use `linalg`'s
 row reduction, one closed point at a time.  So is the sampled classifier's
 product of functionals and digits, one closed point at a time, and the
 former rank certificate, one candidate at a time over F_q with its own
-elimination.  Slow and simple on purpose.
+elimination.  Slow and simple on purpose.  The last section holds helpers
+that only the tests call.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 from math import comb
 
 import numpy as np
 
-from smoothsieve import gf, linalg, sieve, variety
+from smoothsieve import gf, linalg, sieve, variety, zeta
 from smoothsieve.graded import GradedIdeal
 from smoothsieve.mpoly import monomial_index, monomials_of_degree
 
@@ -688,3 +690,113 @@ def nonreduced_plane_forms(q, d):
         squarefree.append(curves[e] - sum(curves[j] * squarefree[e - 2 * j]
                                           for j in range(1, e // 2 + 1)))
     return forms[d] - (q - 1) * squarefree[d]
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests use: field elements in code order, the
+# Jacobian criterion at a closed point and at each member of its orbit,
+# the scheme-file writer, and the symmetric-power tables of a profile.
+
+
+def enumerate_field(spec):
+    """All q^k elements in deterministic (code) order."""
+    if spec.q > gf.ENUMERATION_CAP:
+        raise gf.EnumerationCapError(
+            f"|F| = {spec.q} exceeds the enumeration cap {gf.ENUMERATION_CAP}")
+    return [gf.FieldElement(spec, c) for c in range(spec.q)]
+
+
+def is_smooth_at(X, f, point, expected_dim, chart=None):
+    """Jacobian criterion at P: rank must equal n - expected_dim."""
+    eqs = list(X.equations)
+    if f is not None:
+        eqs.append(f)
+    variety._require_on_scheme(eqs, X.removed, point)
+    rank = variety._jacobian_rank_at(eqs, point, chart)
+    return rank == X.ambient_dim - expected_dim
+
+
+def orbit_variants(point):
+    """The same closed point presented at each of its orbit members."""
+    return [replace(point, representative=member) for member in point.orbit]
+
+
+def dump_problem(problem):
+    """The problem in the scheme-file format `variety.parse_problem` reads."""
+    lines = []
+    fs = problem.field
+    if fs.k == 1:
+        lines.append(f"q = {fs.p}")
+    else:
+        lines.append(f"q = {fs.p}^{fs.k} [{fs.modulus_string('g')}]")
+    lines.append(f"P {problem.nvars - 1} : " + " ".join(problem.aliases))
+    lines.append("X:")
+    for e in problem.X.equations:
+        lines.append("  " + e.to_string(problem.aliases))
+    if problem.X.removed:
+        lines.append("X.remove:")
+        for e in problem.X.removed:
+            lines.append("  " + e.to_string(problem.aliases))
+    if problem.Z is not None:
+        lines.append("Z:")
+        for e in problem.Z.equations:
+            lines.append("  " + e.to_string(problem.aliases))
+    if problem.X.declared_dim is not None:
+        lines.append(f"dim X = {problem.X.declared_dim}")
+    for e, d in problem.stratum_dims:
+        lines.append(f"dim V_{e} = {d}")
+    return "\n".join(lines) + "\n"
+
+
+def sym_coefficients(profile, n_max, ell_max):
+    """Table t[n][ell] = number of effective zero-cycles of degree n
+    supported on exactly ell geometric points (ell capped at ell_max;
+    larger supports are accumulated in t[n][ell_max + 1]).
+
+    Row sums recover the plain symmetric-power counts, computed
+    independently from the Euler-product expansion and asserted equal by
+    the caller's tests, not here.
+    """
+    if not profile.exact_through(n_max):
+        raise zeta.InsufficientProfile(
+            f"need exact counts through degree {n_max}, have {profile.b_max}")
+    width = ell_max + 2
+    table = [[0] * width for _ in range(n_max + 1)]
+    table[0][0] = 1
+    for d in range(1, n_max + 1):
+        a_d = profile.a_d(d)
+        if a_d == 0:
+            continue
+        new = [row[:] for row in table]
+        # choose j distinct degree-d points with total multiplicity t >= j
+        for j in range(1, n_max // d + 1):
+            if j > a_d:
+                break
+            ways_pts = comb(a_d, j)
+            for t in range(j, n_max // d + 1):
+                ways = ways_pts * comb(t - 1, j - 1)
+                dn, dell = d * t, d * j
+                for n0 in range(0, n_max - dn + 1):
+                    for e0 in range(width):
+                        v = table[n0][e0]
+                        if v:
+                            e1 = min(e0 + dell, ell_max + 1)
+                            new[n0 + dn][e1] += v * ways
+        table = new
+    return table
+
+
+def sym_total(profile, n_max):
+    """|Sym^n X(F_q)| for n <= n_max, from the Euler product expansion."""
+    if not profile.exact_through(n_max):
+        raise zeta.InsufficientProfile(
+            f"need exact counts through degree {n_max}, have {profile.b_max}")
+    series = [0] * (n_max + 1)
+    series[0] = 1
+    for d in range(1, n_max + 1):
+        a_d = profile.a_d(d)
+        for _ in range(a_d):
+            # multiply by 1/(1 - t^d)
+            for n in range(d, n_max + 1):
+                series[n] += series[n - d]
+    return series

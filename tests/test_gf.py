@@ -3,11 +3,11 @@ import random
 import numpy as np
 import pytest
 
+from oracles import enumerate_field
 from smoothsieve import gf
 from smoothsieve.gf import (EnumerationCapError, FieldMismatchError,
                             IncompatibleFieldsError, NonPrimeError,
-                            ReducibleModulusError, embed, enumerate_field,
-                            make_field)
+                            ReducibleModulusError, embed, make_field)
 
 
 def test_make_field_prime_and_quadratic():
@@ -171,10 +171,10 @@ def test_element_strings():
     assert f2.element_string(1) == "1"
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (2, 17)])
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 17), (257, 2), (65537, 1)])
 def test_code_arrays_monomials_match_scalar_products(p, k):
-    # F_9 goes through the log/exp tables, F_{2^17} (above the table cap)
-    # through one scalar term per monomial
+    # F_9 goes through the log/exp tables; F_{2^17}, F_{257^2} and F_65537
+    # (above the table cap) through products of digit vectors
     spec = make_field(p, k)
     rng = random.Random(p * k)
     points = np.array([[rng.choice([0, 1, rng.randrange(spec.q)])
@@ -188,3 +188,24 @@ def test_code_arrays_monomials_match_scalar_products(p, k):
                 for x, y, z in points.tolist()]
     got = gf.code_arrays(spec).monomials(points, exponents, coeffs)
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("p,k", [(2, 17), (257, 2), (65537, 1), (5, 3)])
+def test_code_arrays_powers_match_scalar_powers(p, k):
+    # the Frobenius powers x^q and x^(q^2) the orbit search applies, and
+    # small powers and products, on arrays holding 0 and 1
+    spec = make_field(p, k)
+    rng = random.Random(p + k)
+    x = np.array([0, 1, p - 1] + [rng.randrange(spec.q) for _ in range(40)],
+                 dtype=np.int64)
+    y = x[::-1].copy()
+    arith = gf.code_arrays(spec)
+    for n in (1, 2, 3, p, spec.q, spec.q ** 2):
+        assert arith.pow(x, n).tolist() == [spec.pow(a, n) for a in x.tolist()]
+    c = rng.randrange(1, spec.q)
+    assert (arith.term(c, [(x, 2), (y, 1)], x.shape).tolist()
+            == [spec.mul(c, spec.mul(spec.pow(a, 2), b))
+                for a, b in zip(x.tolist(), y.tolist())])
+    grid = x[:42].reshape(6, 7)
+    assert arith.pow(grid, p).tolist() == [[spec.pow(a, p) for a in r]
+                                           for r in grid.tolist()]

@@ -126,6 +126,28 @@ def test_evaluate_rows_equals_evaluate_codes(base, e):
                 == [f.evaluate_codes(pt, ext) for pt in pts])
 
 
+@pytest.mark.parametrize("p,k,e", [(2, 1, 1), (2, 2, 1), (3, 2, 1), (257, 2, 1),
+                                   (3, 1, 2), (257, 1, 2)])
+def test_evaluate_rows_on_random_codes(p, k, e):
+    # random polynomials over F_{p^k} at random code rows (zeros included)
+    # of its extension of degree e; F_{257^2} lies above the table cap
+    rng = random.Random(p * k + e)
+    base = gf.make_field(p, k)
+    ext = gf.make_field(p, k * e)
+    rows = np.array([[rng.choice([0, 1, rng.randrange(ext.q)])
+                      for _ in range(3)] for _ in range(60)], dtype=np.int64)
+    pts = list(map(tuple, rows.tolist()))
+    forms = [MPoly.zero(base, 3)]
+    for d in (0, 1, 2, 3, 4):
+        monos = monomials_of_degree(3, d)
+        forms.append(MPoly(base, 3, {m: rng.randrange(base.q) for m in monos
+                                     if rng.random() < 0.7}))
+    for f in forms:
+        assert (f.evaluate_rows(rows, ext).tolist()
+                == [f.evaluate_codes(pt, ext) for pt in pts])
+    assert MPoly.zero(base, 3).evaluate_rows(rows[:0], ext).tolist() == []
+
+
 @pytest.mark.parametrize("spec", [F2, F3])
 def test_euler_identity(spec):
     rng = random.Random(3)

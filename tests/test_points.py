@@ -5,7 +5,7 @@ exactly, point for point and in order."""
 import pytest
 
 import oracles
-from smoothsieve import gf, sieve, variety
+from smoothsieve import gf, mpoly, sieve, variety
 from smoothsieve.graded import GradedIdeal
 from smoothsieve.mpoly import parse_homogeneous
 from smoothsieve.variety import SchemePresentation
@@ -56,9 +56,55 @@ def test_points_equal_per_point_scan(name):
         assert variety.raw_point_count(X, e) == oracles.raw_point_count(X, e)
 
 
+# Linear equations are solved once and only the subspace they cut is
+# listed; with no equations, counts are |P^n| minus the removed locus.
+SECTIONS = {
+    "plane_conic_q3": (scheme(3, 4, ["x + 2*y + z + w", "x*z - y^2"]), 3),
+    "line_g_q4": (scheme(4, 4, ["(g)*x + y + (g+1)*w", "z + (g)*w"]), 2),
+    "plane_line_g_q4": (scheme(4, 3, ["(g)*x + y + (g+1)*z"]), 3),
+    "dependent_q3": (scheme(3, 4, ["x + y + z", "y - w", "x + 2*y + z - w",
+                                   "2*x + 2*y + 2*z"]), 3),
+    "full_rank_q2": (scheme(2, 3, ["x + y", "y + z", "x + z + y"]), 3),
+    "full_rank_q3": (scheme(3, 3, ["x + y", "y + z", "x + z"]), 2),
+    "section_minus_removed_q4": (scheme(4, 4, ["x + (g)*y + w", "x*z + w^2"],
+                                        ["x", "z + y"]), 2),
+    "plane_minus_removed_q2": (scheme(2, 4, ["w"], ["x*y + z^2"]), 3),
+    "p2_minus_line_q3": (scheme(3, 3, [], ["x + y + 2*z"]), 3),
+    "p2_minus_conic_q4": (scheme(4, 3, [], ["x*y + (g)*z^2"]), 2),
+    "p3_minus_nodal_q2": (scheme(2, 4, [], NODAL), 3),
+    "p3_minus_two_planes_q3": (scheme(3, 4, [], ["x*y", "z + w"]), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONS))
+def test_section_points_equal_per_point_scan(name):
+    X, bound = SECTIONS[name]
+    assert (variety.enumerate_closed_points(X, bound)
+            == oracles.enumerate_closed_points(X, bound))
+    for e in range(1, bound + 1):
+        ext = gf.make_field(X.spec.p, X.spec.k * e)
+        rows = [tuple(r) for rows in mpoly.zero_locus_points(
+            X.equations, X.removed, ext, X.nvars) for r in rows.tolist()]
+        assert rows == [pt for pt in oracles.projective_points(ext, X.nvars)
+                        if oracles.contains_code_point(X, pt, ext)]
+        assert variety.raw_point_count(X, e) == len(rows)
+
+
+def test_section_of_the_nodal_cubic_lists_only_its_plane(enumeration_calls):
+    # w = 0 leaves the three free coordinates x, y, z: every chunk stream
+    # of the curve and of its complement in P^3 is one on P^2
+    curve, rest = scheme(2, 4, NODAL), scheme(2, 4, [], NODAL)
+    assert (variety.enumerate_closed_points(curve, 3)
+            == oracles.enumerate_closed_points(curve, 3))
+    assert ([variety.raw_point_count(rest, e) for e in (1, 2, 3)]
+            == [oracles.raw_point_count(rest, e) for e in (1, 2, 3)])
+    assert len(enumeration_calls) == 6
+    assert all(nvars == 3 for _, nvars in enumeration_calls)
+
+
 def test_points_above_the_table_cap():
     # F_{257^2} has no log/exp tables: the engine evaluates and applies
-    # Frobenius element by element there; 3 is not a square mod 257
+    # Frobenius on digit vectors there; 3 is not a square mod 257
     X = scheme(257, 2, ["x^2 - 3*y^2"])
     assert X.spec.q ** 2 > gf._TABLE_CAP
     points = variety.enumerate_closed_points(X, 2)
@@ -77,13 +123,32 @@ SEARCHES = {
     "cubic_line_q4": (4, ["x^3 + (g)*y^3 + z^3 + x*y*z", "x + y"], ["z"], 2),
 }
 
+# (q, generators, removed, e_max) on P^3, each with a linear generator
+PLANE_SEARCHES = {
+    "nodal_off_node_q2": (2, NODAL, ["x", "y"], 2),
+    "nodal_off_both_q2": (2, NODAL, ["x", "y^2 + x*z"], 2),
+    "lines_q3": (3, ["x + y + 2*z", "y + w"], [], 1),
+    "g_plane_conic_q4": (4, ["(g)*x + y + w", "x*y + z^2"], ["z"], 2),
+    "g_line_q4": (4, ["(g)*x + y", "z + (g+1)*w"], ["w"], 1),
+    "full_rank_q2": (2, ["x", "y", "z + w", "w + x"], [], 2),
+}
+
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_point_search_witness_equals_per_point_scan(name):
     q, gens, removed, e_max = SEARCHES[name]
-    S = scheme(q, 3, gens, removed)
+    _check_point_search(scheme(q, 3, gens, removed), e_max)
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_SEARCHES))
+def test_point_search_on_a_plane_section(name):
+    q, gens, removed, e_max = PLANE_SEARCHES[name]
+    _check_point_search(scheme(q, 4, gens, removed), e_max)
+
+
+def _check_point_search(S, e_max):
     expected = oracles.find_point(S, e_max)
-    J = GradedIdeal(S.spec, 3, S.equations)
+    J = GradedIdeal(S.spec, S.nvars, S.equations)
     assert J.find_point(e_max, S.removed) == expected
     if not S.removed:
         wit = J.is_projectively_empty(e_max=e_max)

@@ -356,6 +356,17 @@ def test_jet_condition_ranks_match_zeta_exponents(nodal):
         assert rank == (m + 1) * P.degree
 
 
+@pytest.mark.parametrize("q,removed", [(2, ""), (4, "X.remove:\n  x\n")])
+def test_complement_of_all_of_pn_is_empty(q, removed):
+    # Z with no equations is all of P^2, so X - V has no point at all
+    prob = parse_problem(f"q = {q}\nP 2 : x y z\nX:\n{removed}Z:\n"
+                         "dim X = 2\n")
+    xmv = sieve.complement_presentation(prob)
+    assert [variety.raw_point_count(xmv, e) for e in (1, 2)] == [0, 0]
+    assert variety.enumerate_closed_points(xmv, 2) == []
+    assert [oracles.raw_point_count(xmv, e) for e in (1, 2)] == [0, 0]
+
+
 def test_estimate_through_z_converges_to_predictor(nodal):
     # frozen exhaustive count at d=3: 248 of the 2048 sections through the
     # curve are certified smooth, within 0.01 of the limiting 15/128

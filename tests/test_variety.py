@@ -1,13 +1,13 @@
 import pytest
 
+from oracles import dump_problem, is_smooth_at, orbit_variants
 from smoothsieve import gf, variety, zeta
 from smoothsieve.mpoly import parse_homogeneous
 from smoothsieve.variety import (ClosedPoint, EnumerationCapExceeded,
                                  PointNotOnScheme, SchemePresentation,
-                                 dump_problem, embedding_dimension,
-                                 enumerate_closed_points, is_smooth_at,
-                                 load_problem, orbit_variants, parse_problem,
-                                 raw_point_count, stratify)
+                                 embedding_dimension, enumerate_closed_points,
+                                 load_problem, parse_problem, raw_point_count,
+                                 stratify)
 
 F2 = gf.make_field(2)
 XYZW = ("x", "y", "z", "w")

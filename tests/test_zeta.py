@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import sym_coefficients, sym_total
 from smoothsieve import gf, variety
 from smoothsieve.mpoly import parse_homogeneous
 from smoothsieve.variety import SchemePresentation, enumerate_closed_points
 from smoothsieve.zeta import (CountProfile, DivergentArgument,
                               InsufficientProfile, profile_from_counts,
-                              profile_from_scheme, sym_coefficients,
-                              sym_total, zeta_ell, zeta_value)
+                              profile_from_scheme, zeta_ell, zeta_value)
 
 F2 = gf.make_field(2)
 

@@ -549,7 +549,10 @@ def zero_locus_points(equations, removed, spec: FieldSpec, nvars: int):
     vanishes and, when `removed` is nonempty, some poly of it does not:
     nonempty int64 code arrays in the order of
     `normalized_projective_points`.  The degree-1 equations are solved
-    once, and only the points of the subspace they cut are listed."""
+    once, and only the points of the subspace they cut are listed.  A
+    nonzero constant equation lists nothing and scans no chunk."""
+    if any(f.degree() == 0 for f in equations):
+        return
     linear = tuple(f for f in equations if _is_linear(f))
     rest = [f for f in equations if not _is_linear(f)]
     for rows in _section_points(linear, spec, nvars):

@@ -527,8 +527,8 @@ def _det(mat, spec, nvars):
 
 def _certificate_rows(problem, d):
     """The degree-t rows of J for the forms of I_d as an F_q-linear image
-    of f, or None when V(J) is never empty: codes[m * k + j, row, column]
-    for f = x^j m, with x^j in F_q's power basis.
+    of f: codes[m * k + j, row, column] for f = x^j m, with x^j in F_q's
+    power basis.
 
     The multiples of X's equations are a fixed block, so the other rows are
     taken modulo it: J_t = S_t exactly when they span the ncols-dimensional
@@ -537,14 +537,25 @@ def _certificate_rows(problem, d):
     is F_q-linear in f.  t counts every generator slot, zero or not: a zero
     generator can only lower the degree f needs, and J_t = S_t carries over
     to every larger t.  Over p not dividing d with X = P^n, Euler's
-    d f = sum x_j df/dx_j puts f in the ideal of its partials: left out."""
+    d f = sum x_j df/dx_j puts f in the ideal of its partials: left out.
+    With r nonzero equations in N variables there are
+    r + [r > 0 or p | d] + C(N, r + 1) >= N generator degrees (for r < N,
+    C(N, j) >= N - j + 1 at j = r + 1), so t always exists.
+
+    The rows are built by linearity.  Reduction modulo the block is a
+    linear map: the unit row of a pivot column c reduces to minus the
+    block's row at c, and that of a free column to itself, both read on the
+    free columns.  The slot generators g of f = m are built once per m; the
+    row mu * g of f = x^j m is the sum, over g's terms c x^e, of x^j c times
+    the reduced unit row of e + mu, gathered in numpy as F_p-digits."""
     spec, nvars = problem.field, problem.nvars
+    p, k = spec.p, spec.k
     eqs = [g for g in problem.X.equations if g]
     r = len(eqs)
     jac = [[g.partial(j) for j in range(nvars)] for g in eqs]
     # a slot is a generator sum(cofactor * (f if j is None else df/dx_j))
     slots = []
-    if eqs or d % spec.p == 0:
+    if eqs or d % p == 0:
         slots.append((d, [(MPoly.constant(spec, nvars, 1), None)]))
     minor_degree = sum(g.homogeneous_degree() - 1 for g in eqs) + d - 1
     for cols in combinations(range(nvars), r + 1):
@@ -556,50 +567,77 @@ def _certificate_rows(problem, d):
         slots.append((minor_degree, cofactors))
     degrees = sorted([g.homogeneous_degree() for g in eqs]
                      + [deg for deg, _ in slots], reverse=True)
-    if len(degrees) < nvars:
-        return None
     t = max(0, sum(e - 1 for e in degrees[:nvars]) + 1)
-    index = monomial_index(nvars, t)
 
-    def multiples(g, deg):
-        """The multiples mu * g in S_t, as linalg rows."""
-        return [linalg.row(spec, len(index), (
-            (index[tuple(a + b for a, b in zip(e, mu))], c)
-            for e, c in g.terms.items()))
-            for mu in monomials_of_degree(nvars, t - deg)]
+    def monomials(deg):
+        return np.array(monomials_of_degree(nvars, deg),
+                        dtype=np.int64).reshape(-1, nvars)
 
-    fixed = linalg.echelon(spec, [row for g in eqs
-                                  if g.homogeneous_degree() <= t
-                                  for row in multiples(
-                                      g, g.homogeneous_degree())])
-    pivots = {linalg.entries(spec, row)[0][0] for row in fixed}
-    free = [c for c in range(len(index)) if c not in pivots]
-    codes = []
-    for m in monomials_of_degree(nvars, d):
-        for j in range(spec.k):
-            f = MPoly(spec, nvars, {m: spec.from_digits([0] * j + [1])})
-            rows = [linalg.reduce(spec, row, fixed)
-                    for deg, cofactors in slots if deg <= t
-                    for row in multiples(sum(
-                        (cof * (f if c is None else f.partial(c))
-                         for cof, c in cofactors), MPoly.zero(spec, nvars)),
-                        deg)]
-            codes.append(np.array([[dict(linalg.entries(spec, row)).get(c, 0)
-                                    for c in free] for row in rows],
-                                  dtype=np.min_scalar_type(spec.q)))
-    return np.array(codes)
+    # the graded-lex order of S_t lists the base-(t + 1) keys descending
+    place = (t + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    keys = -(monomials(t) @ place)
+    size = len(keys)
+
+    def column(expo):
+        return np.searchsorted(keys, -(expo @ place))
+
+    def terms(g):
+        return (np.array(list(g.terms), dtype=np.int64).reshape(-1, nvars),
+                list(g.terms.values()))
+
+    block = []
+    for g in eqs:
+        if g.homogeneous_degree() <= t:
+            expo, coeffs = terms(g)
+            shifted = column(monomials(t - g.homogeneous_degree())[:, None]
+                             + expo)
+            block += [linalg.row(spec, size, zip(cols, coeffs))
+                      for cols in shifted.tolist()]
+    echelon = linalg.echelon(spec, block)
+    fixed = np.zeros((len(echelon), size), dtype=np.int64)
+    for row, out in zip(echelon, fixed):
+        for c, a in linalg.entries(spec, row):
+            out[c] = a
+    pivots = (fixed != 0).argmax(axis=1)
+    free = np.delete(np.arange(size), pivots)
+    # reduced[c, free column] = the F_p-digits of unit row c modulo the block
+    table = _fp_table(spec, spec)
+    reduced = np.zeros((size, len(free), k), dtype=np.int64)
+    reduced[free, np.arange(len(free)), 0] = 1
+    reduced[pivots] = -table[fixed[:, free], 0].astype(np.int64) % p
+
+    powers = [spec.from_digits([0] * j + [1]) for j in range(k)]
+    live = [(monomials(t - deg), cofactors) for deg, cofactors in slots
+            if deg <= t]
+    monos = monomials_of_degree(nvars, d)
+    codes = np.empty((len(monos) * k, sum(len(mu) for mu, _ in live),
+                      len(free)), dtype=np.min_scalar_type(spec.q))
+    radix = p ** np.arange(k)
+    for i, m in enumerate(monos):
+        f = MPoly(spec, nvars, {m: 1})
+        rows = []
+        for mu, cofactors in live:
+            expo, coeffs = terms(sum(
+                (cof * (f if c is None else f.partial(c))
+                 for cof, c in cofactors), MPoly.zero(spec, nvars)))
+            # scale[j, term]: the F_p-matrix of x^j times that coefficient
+            scale = table[np.array([[spec.mul(x, c) for c in coeffs]
+                                    for x in powers],
+                                   dtype=np.intp).reshape(k, -1)]
+            rows.append(np.einsum("atfi,jtio->jafo",
+                                  reduced[column(mu[:, None] + expo)], scale))
+        codes[i * k:(i + 1) * k] = np.concatenate(rows, axis=1) % p @ radix
+    return codes
 
 
 @lru_cache(maxsize=16)
 def _certificate_context(problem, d):
-    """`_certificate_rows` as a dense F_p-linear map with `_lift` folded in,
-    or None: (columns, images), images[s] the rows that candidate digit s
-    adds, each F_q row r as its k multiples x^j r.  Over F_2 the rows are
-    packed, column c at bit c % 64 of uint64 word c // 64, and the digits
-    padded to whole bytes; otherwise they are float64."""
+    """`_certificate_rows` as a dense F_p-linear map with `_lift` folded in:
+    (columns, images), images[s] the rows that candidate digit s adds, each
+    F_q row r as its k multiples x^j r.  Over F_2 the rows are packed,
+    column c at bit c % 64 of uint64 word c // 64, and the digits padded to
+    whole bytes; otherwise they are float64."""
     codes = _certificate_rows(problem, d)
-    if codes is None:
-        return None
     spec = problem.field
     rows, ncols = codes.shape[1] * spec.k, codes.shape[2] * spec.k
     images = (_fp_table(spec, spec)[codes].transpose(0, 1, 3, 2, 4)
@@ -623,10 +661,7 @@ def _certify_smooth(problem, d, indices):
     no more than reading) and from one float64 product mod p otherwise."""
     p = problem.field.p
     out = np.zeros(len(indices), dtype=bool)
-    context = _certificate_context(problem, d)
-    if context is None:
-        return out
-    ncols, images = context
+    ncols, images = _certificate_context(problem, d)
     width, rows, cols = images.shape
     flat = images.reshape(width, rows * cols)
     step = (max(256, _BLOCK_ENTRIES // max(rows * cols, 1)) if p == 2

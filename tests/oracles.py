@@ -9,20 +9,21 @@ conditions and per-point kernel scan are kept too; those use `linalg`'s
 row reduction, one closed point at a time.  So is the sampled classifier's
 product of functionals and digits, one closed point at a time, and the
 former rank certificate, one candidate at a time over F_q with its own
-elimination.  Slow and simple on purpose.  The last section holds helpers
-that only the tests call.
+elimination, and its former row build, one polynomial product and one
+reduction per multiple.  Slow and simple on purpose.  The last section
+holds helpers that only the tests call.
 """
 
 from dataclasses import replace
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
 from smoothsieve import gf, linalg, sieve, variety, zeta
 from smoothsieve.graded import GradedIdeal
-from smoothsieve.mpoly import monomial_index, monomials_of_degree
+from smoothsieve.mpoly import MPoly, monomial_index, monomials_of_degree
 
 
 def dense_rank_mod_p(rows, p):
@@ -563,9 +564,65 @@ def point_search_certificate(problem, f, e_max=3):
 
 # ---------------------------------------------------------------------------
 # The former rank certificate, one candidate at a time: the rows of J_t from
-# `sieve._certificate_rows` as an np.bincount image of the candidate's
-# coefficient digits, decoded to linalg rows over F_q and tested by
-# `fills`, with no expansion to F_p and no lift folded into the map.
+# `certificate_rows` as an np.bincount image of the candidate's coefficient
+# digits, decoded to linalg rows over F_q and tested by `fills`, with no
+# expansion to F_p and no lift folded into the map.  `certificate_rows` is
+# the former row build of `sieve._certificate_rows`: one `MPoly` product and
+# one `linalg.reduce` against X's block per multiple of each generator.
+
+def certificate_rows(problem, d):
+    """codes[m * k + j, row, column], the rows of J_t for f = x^j m reduced
+    modulo the multiples of X's equations and read on the block's non-pivot
+    columns (see `sieve._certificate_rows`)."""
+    spec, nvars = problem.field, problem.nvars
+    eqs = [g for g in problem.X.equations if g]
+    r = len(eqs)
+    jac = [[g.partial(j) for j in range(nvars)] for g in eqs]
+    # a slot is a generator sum(cofactor * (f if j is None else df/dx_j))
+    slots = []
+    if eqs or d % spec.p == 0:
+        slots.append((d, [(MPoly.constant(spec, nvars, 1), None)]))
+    minor_degree = sum(g.homogeneous_degree() - 1 for g in eqs) + d - 1
+    for cols in combinations(range(nvars), r + 1):
+        cofactors = []
+        for i, c in enumerate(cols):
+            cof = sieve._det([[row[b] for b in cols if b != c] for row in jac],
+                             spec, nvars)
+            cofactors.append((-cof if (r + i) % 2 else cof, c))
+        slots.append((minor_degree, cofactors))
+    degrees = sorted([g.homogeneous_degree() for g in eqs]
+                     + [deg for deg, _ in slots], reverse=True)
+    t = max(0, sum(e - 1 for e in degrees[:nvars]) + 1)
+    index = monomial_index(nvars, t)
+
+    def multiples(g, deg):
+        """The multiples mu * g in S_t, as linalg rows."""
+        return [linalg.row(spec, len(index), (
+            (index[tuple(a + b for a, b in zip(e, mu))], c)
+            for e, c in g.terms.items()))
+            for mu in monomials_of_degree(nvars, t - deg)]
+
+    fixed = linalg.echelon(spec, [row for g in eqs
+                                  if g.homogeneous_degree() <= t
+                                  for row in multiples(
+                                      g, g.homogeneous_degree())])
+    pivots = {linalg.entries(spec, row)[0][0] for row in fixed}
+    free = [c for c in range(len(index)) if c not in pivots]
+    codes = []
+    for m in monomials_of_degree(nvars, d):
+        for j in range(spec.k):
+            f = MPoly(spec, nvars, {m: spec.from_digits([0] * j + [1])})
+            rows = [linalg.reduce(spec, row, fixed)
+                    for deg, cofactors in slots if deg <= t
+                    for row in multiples(sum(
+                        (cof * (f if c is None else f.partial(c))
+                         for cof, c in cofactors), MPoly.zero(spec, nvars)),
+                        deg)]
+            codes.append(np.array([[dict(linalg.entries(spec, row)).get(c, 0)
+                                    for c in free] for row in rows],
+                                  dtype=np.min_scalar_type(spec.q)))
+    return np.array(codes)
+
 
 def certify_per_candidate(problem, d, indices):
     """For each candidate index of I_d, whether J_t = S_t (see
@@ -573,9 +630,7 @@ def certify_per_candidate(problem, d, indices):
     spec = problem.field
     p, k = spec.p, spec.k
     out = np.zeros(len(indices), dtype=bool)
-    codes = sieve._certificate_rows(problem, d)
-    if codes is None:
-        return out
+    codes = certificate_rows(problem, d)
     _, nrows, ncols = codes.shape
     digit_table = np.array([spec.digits(a) for a in range(spec.q)])
     flat = digit_table[codes].reshape(len(codes), -1)

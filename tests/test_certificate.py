@@ -1,9 +1,11 @@
 """The batched smoothness certificate against the former per-candidate one
-(`oracles.certify_per_candidate`, one rank over F_q per candidate), and
-exact scans of quadric surfaces against their closed-form count."""
+(`oracles.certify_per_candidate`, one rank over F_q per candidate), its
+rows against the former row build (`oracles.certificate_rows`), and exact
+scans of quadric surfaces against their closed-form count."""
 
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -22,8 +24,8 @@ def projective(n, q):
 
 
 def problem_of(schemes_dir, name, q):
-    if name == "p2":
-        return projective(2, q)
+    if name in ("p2", "p3"):
+        return projective(int(name[1]), q)
     if name == "nodal":
         return load_problem(schemes_dir / "nodal_cubic.scm")
     return parse_problem({"quadric": QUADRIC.format(q=q), "conic": CONIC,
@@ -60,6 +62,23 @@ def test_batched_certificate_equals_per_candidate(schemes_dir, name, q, d,
     expected = oracles.certify_per_candidate(problem, d, indices)
     assert batched.tolist() == expected.tolist()
     assert batched.any() and not batched.all()
+
+
+# every case above, the quadric over F_4 and cubic surfaces over F_2
+ROW_CASES = [(name, q, d) for name, q, d, _ in CASES] + [("quadric", 4, 2),
+                                                        ("p3", 2, 3)]
+
+
+@pytest.mark.parametrize("name,q,d", ROW_CASES,
+                         ids=[f"{n}_q{q}_d{d}" for n, q, d in ROW_CASES])
+def test_certificate_rows_equal_oracle(schemes_dir, name, q, d):
+    # the rows built by linearity against the former build, one MPoly
+    # product and one reduction per multiple: same shape, dtype and entries
+    problem = problem_of(schemes_dir, name, q)
+    rows = sieve._certificate_rows(problem, d)
+    expected = oracles.certificate_rows(problem, d)
+    assert (rows.shape, rows.dtype) == (expected.shape, expected.dtype)
+    assert np.array_equal(rows, expected)
 
 
 @pytest.mark.parametrize("name,q,d,size", [("quadric", 2, 2, None),

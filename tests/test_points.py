@@ -159,3 +159,15 @@ def _check_point_search(S, e_max):
     else:
         assert cert.status == "nonempty"
         assert (cert.witness, cert.witness_field) == expected
+
+
+@pytest.mark.parametrize("removed", [[], ["x"]])
+def test_unit_ideal_scans_no_chunk(enumeration_calls, removed):
+    # the generators ('w', '1') that the embedder searches for the nodal
+    # cubic: the nonzero constant empties the locus before any chunk
+    S = scheme(2, 4, ["w", "1"], removed)
+    J = GradedIdeal(S.spec, S.nvars, S.equations)
+    _check_point_search(S, 2)
+    assert J.find_point(2, S.removed) is None
+    assert sieve._empty_on_open(J, S.removed, 2).status == "empty"
+    assert enumeration_calls == []

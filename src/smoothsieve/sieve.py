@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import gf, linalg, variety, zeta
 from .graded import EmptinessCertificate, GradedIdeal
 from .mpoly import MPoly, monomial_index, monomials_of_degree
 from .variety import (ClosedPoint, SchemePresentation, SchemeProblem,
-                      enumerate_closed_points, stratify)
+                      closed_point_arrays, enumerate_closed_points, stratify)
 
 DEFAULT_CAP = variety.DEFAULT_CAP
 
@@ -300,8 +300,8 @@ def low_degree_predictor(problem: SchemeProblem, r: int,
                     return Fraction(0)
                 value *= 1 - Fraction(1, q ** (s * P.degree))
     xmv = complement_presentation(problem)
-    for P in enumerate_closed_points(xmv, r - 1, cap):
-        value *= 1 - Fraction(1, q ** ((m + 1) * P.degree))
+    for e, _, orbits in closed_point_arrays(xmv, r - 1, cap):
+        value *= (1 - Fraction(1, q ** ((m + 1) * e))) ** len(orbits)
     return value
 
 
@@ -310,7 +310,9 @@ def low_degree_predictor(problem: SchemeProblem, r: int,
 #
 # A candidate is the index sum(code_i * q^i) over the basis rows of I_d.
 # Codes are base-p digit vectors, so digit i*k + j of the index, digit j of
-# code_i, is an F_p-coordinate; over F_2 the index is the bitset.
+# code_i, is an F_p-coordinate; over F_2 the index is the bitset.  Scans
+# take candidates as one digit array, a row per candidate: the index's
+# little-endian bytes over p = 2, its base-p digits otherwise.
 
 @dataclass(frozen=True)
 class CandidateSpace:
@@ -356,32 +358,84 @@ def candidate_space(problem: SchemeProblem, d: int,
     return CandidateSpace(problem, d, basis.rank, basis.rows, flags)
 
 
-def _draw(rng, q, rank):
-    """A uniform candidate index: one getrandbits call over F_2, one
-    randrange per coordinate otherwise, so seeded runs stay reproducible."""
+def _words(rng, n):
+    """n successive 32-bit outputs of rng's Mersenne Twister, from one
+    getrandbits(32 n) call, whose result holds them as 32-bit words, the
+    first drawn least significant."""
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"),
+                         dtype="<u4")
+
+
+def _draws(rng, q, rank, n):
+    """n uniform candidates as a digit array: those that n calls of
+    `getrandbits(rank)` over F_2, or of one `randrange(q)` per coordinate
+    otherwise, would draw from rng, consuming exactly the same words, so
+    seeded runs stay reproducible.
+
+    getrandbits(rank) is ceil(rank / 32) words, least significant first,
+    the last shifted right to its rank % 32 bits.  randrange(q) is the top
+    q.bit_length() bits of a word, drawn again while >= q; each round takes
+    as many words as values are missing, so none is read past the last."""
     if q == 2:
-        return rng.getrandbits(rank)
-    return sum(rng.randrange(q) * q ** i for i in range(rank))
+        w = -(-rank // 32)
+        words = _words(rng, w * n).reshape(n, w).copy()
+        if rank % 32:
+            words[:, -1] >>= 32 - rank % 32
+        return words.view(np.uint8)[:, :-(-rank // 8)]
+    codes = np.empty(n * rank, dtype=np.int64)
+    done = 0
+    while done < len(codes):
+        values = _words(rng, len(codes) - done) >> (32 - q.bit_length())
+        values = values[values < q]
+        codes[done:done + len(values)] = values
+        done += len(values)
+    p = gf.prime_factors(q)[0]
+    k = 1
+    while p ** k < q:
+        k += 1
+    if p != 2:
+        return _index_digits(codes, p, k).reshape(n, -1)
+    # code i holds bits k i .. k i + k - 1 of the index
+    bits = (codes[:, None] >> np.arange(k) & 1).astype(np.uint8)
+    return np.packbits(bits.reshape(n, -1), axis=1, bitorder="little")
 
 
-def _x_jacobian_pivots(X: SchemePresentation, point: ClosedPoint, jac):
-    """RREF rows of X's homogeneous Jacobian at the representative, given
-    as one row of codes per equation; raises if X is not smooth of its
-    declared dimension at the point."""
-    ext = point.residue
+def _index_digits(indices, p, width):
+    """The digit array of candidate indices given as an int64 array, each
+    below p^width."""
+    if p == 2:
+        return (indices.astype("<u8").view(np.uint8).reshape(-1, 8)
+                [:, :-(-width // 8)])
+    return (indices[:, None] // p ** np.arange(width) % p).astype(
+        np.min_scalar_type(p))
+
+
+def _index_of(digits, p):
+    """The candidate index of one row of a digit array."""
+    if p == 2:
+        return int.from_bytes(digits.tobytes(), "little")
+    return sum(v * p ** i for i, v in enumerate(digits.tolist()))
+
+
+def _x_jacobian_pivots(X: SchemePresentation, ext, rep, jac):
+    """RREF rows of X's homogeneous Jacobian at the representative `rep`
+    (codes of kappa(P) = ext), given as one row of codes per equation;
+    raises if X is not smooth of its declared dimension at the point."""
     pivots = linalg.echelon(ext, [linalg.row(ext, X.nvars, enumerate(r))
                                   for r in jac])
     m = X.dim()
     if m is not None and len(pivots) != X.ambient_dim - m:
+        at = tuple(ext.element_string(c) for c in rep)
         raise UnsupportedPresentation(
-            f"X is not smooth of dimension {m} at {point.rep_strings()}")
+            f"X is not smooth of dimension {m} at {at}")
     return pivots
 
 
-def _jet_vectors(X: SchemePresentation, points, d):
-    """Per-condition vectors over kappa(P) for closed points of one degree,
-    indexed by the degree-d monomial basis: codes of shape (points,
-    1 + nvars, monomials).
+def _jet_vectors(X: SchemePresentation, ext, reps, d):
+    """Per-condition vectors over kappa(P) = ext for closed points of one
+    degree, given by their representatives' codes (points, nvars), indexed
+    by the degree-d monomial basis: codes of shape (points, 1 + nvars,
+    monomials).
 
     Conditions: f(P) = 0 together with the components of grad f(P) reduced
     modulo the row space of X's Jacobian at P; their simultaneous vanishing
@@ -389,9 +443,7 @@ def _jet_vectors(X: SchemePresentation, points, d):
     values at the representatives and row 1 + j their x_j-partials
     m_j * (m / x_j)(P), all from one `monomials` call.
     """
-    ext = points[0].residue
     arith = gf.code_arrays(ext)
-    reps = np.array([P.representative for P in points], dtype=np.int64)
     expo = np.array(monomials_of_degree(X.nvars, d), dtype=np.int64)
     lowered = [np.maximum(expo - np.eye(X.nvars, dtype=np.int64)[j], 0)
                for j in range(X.nvars)]
@@ -399,15 +451,15 @@ def _jet_vectors(X: SchemePresentation, points, d):
         expo[:, j] % ext.p for j in range(X.nvars)]  # codes of F_p in ext
     vecs = arith.monomials(reps, np.concatenate([expo] + lowered),
                            np.concatenate(coeffs))
-    vecs = vecs.reshape(len(points), 1 + X.nvars, len(expo))
+    vecs = vecs.reshape(len(reps), 1 + X.nvars, len(expo))
     if not X.equations:
         return vecs
     jac = np.stack([[g.partial(j).evaluate_rows(reps, ext)
                      for j in range(X.nvars)] for g in X.equations])
     size = len(expo)
-    for P, grads, rows in zip(points, vecs[:, 1:],
-                              jac.transpose(2, 0, 1).tolist()):
-        for prow in _x_jacobian_pivots(X, P, rows):
+    for rep, grads, rows in zip(reps.tolist(), vecs[:, 1:],
+                                jac.transpose(2, 0, 1).tolist()):
+        for prow in _x_jacobian_pivots(X, ext, rep, rows):
             (pc, _), *rest = linalg.entries(ext, prow)
             for j, c in rest:
                 grads[j] = arith.total(
@@ -444,13 +496,15 @@ def _lift(space: CandidateSpace):
             .astype(np.int64))
 
 
-def _conditions(X: SchemePresentation, space: CandidateSpace, points):
-    """(e, functionals) per degree e of the given closed points: the jet
-    conditions as an int array over F_p of shape (points of degree e, rows,
-    candidate digits), one row per digit of each kappa(P)-valued condition;
-    a candidate is singular at P exactly when all of P's rows vanish on it.
-    The points of one degree are handled in blocks of at most
-    `_BLOCK_ENTRIES` jet-vector or functional entries, or one point."""
+def _conditions(X: SchemePresentation, space: CandidateSpace, groups):
+    """(e, functionals) per degree e of closed points given as
+    `closed_point_arrays` groups (e, kappa, orbits), degrees without points
+    left out: the jet conditions as an int array over F_p of shape (points
+    of degree e, rows, candidate digits), one row per digit of each
+    kappa(P)-valued condition; a candidate is singular at P exactly when
+    all of P's rows vanish on it.  The points of one degree are handled in
+    blocks of at most `_BLOCK_ENTRIES` jet-vector or functional entries, or
+    one point."""
     spec = X.spec
     size = len(space.monomials)
     width = size * spec.k
@@ -458,15 +512,17 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, points):
     # Euler: f(P) = 0 follows from the gradient conditions unless p | d
     skip = int(space.d % spec.p != 0)
     out = []
-    for degree, group in groupby(points, key=lambda P: P.degree):
-        group = list(group)
-        table = _fp_table(spec, group[0].residue)
+    for degree, ext, orbits in groups:
+        if not len(orbits):
+            continue
+        reps = np.ascontiguousarray(orbits[:, 0])
+        table = _fp_table(spec, ext)
         rows = (1 + X.nvars - skip) * table.shape[2]
-        funcs = np.empty((len(group), rows, spec.k * space.rank), table.dtype)
+        funcs = np.empty((len(reps), rows, spec.k * space.rank), table.dtype)
         chunk = max(1, _BLOCK_ENTRIES // max(rows * width,
                                              (1 + X.nvars) * size))
-        for i in range(0, len(group), chunk):
-            vecs = _jet_vectors(X, group[i:i + chunk], space.d)[:, skip:]
+        for i in range(0, len(reps), chunk):
+            vecs = _jet_vectors(X, ext, reps[i:i + chunk], space.d)[:, skip:]
             f = (table[vecs].transpose(0, 1, 4, 2, 3)
                  .reshape(-1, rows, width))
             funcs[i:i + chunk] = f if lift is None else f @ lift % spec.p
@@ -654,25 +710,26 @@ def _certificate_context(problem, d):
     return ncols, packed.view(np.uint64)
 
 
-def _certify_smooth(problem, d, indices):
-    """For each candidate index of I_d, whether X cap H_f is smooth of
-    dimension dim X - 1: J_t = S_t, by one stacked F_p-rank per batch, its
-    rows from byte tables over F_2 (a batch fills a table: building costs
-    no more than reading) and from one float64 product mod p otherwise."""
+def _certify_smooth(problem, d, digits):
+    """For each candidate of I_d (a row of the digit array), whether X cap
+    H_f is smooth of dimension dim X - 1: J_t = S_t, by one stacked
+    F_p-rank per batch, its rows from byte tables over F_2 (a batch fills a
+    table: building costs no more than reading) and from one float64
+    product mod p otherwise."""
     p = problem.field.p
-    out = np.zeros(len(indices), dtype=bool)
+    out = np.zeros(len(digits), dtype=bool)
     ncols, images = _certificate_context(problem, d)
     width, rows, cols = images.shape
     flat = images.reshape(width, rows * cols)
     step = (max(256, _BLOCK_ENTRIES // max(rows * cols, 1)) if p == 2
             else max(1, _DIGIT_ENTRIES // max(rows * cols, 1)))
-    for lo in range(0, len(indices), step):
-        batch = indices[lo:lo + step]
+    for lo in range(0, len(digits), step):
+        batch = digits[lo:lo + step]
         if p == 2:
             rank = linalg.rank_stack_f2(_xor_images(
-                _index_bytes(batch, width), flat).reshape(-1, rows, cols))
+                batch.T.astype(np.intp), flat).reshape(-1, rows, cols))
         else:
-            image = _digits(batch, p, width) @ flat
+            image = batch.astype(np.float64) @ flat
             image -= p * np.floor(image / p)  # float % is slow
             rank = linalg.echelon_stack(image.reshape(-1, rows, cols), p)[0]
         out[lo:lo + step] = rank == ncols
@@ -843,18 +900,16 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     flags = list(space.flags)
     top = (_degree_route(problem, d, sing_bound, total)
            if exact and exhaustive else None)
-    conds = _conditions(X, space, enumerate_closed_points(
+    conds = _conditions(X, space, closed_point_arrays(
         X, sing_bound if top is None else top, cap))
     low = [(e, group) for e, group in conds if e <= sing_bound]
     if exhaustive:
-        indices = range(total)
         ell = _scan_all(space, low)
         ell[0] = _INFINITE   # f = 0
     else:
-        rng = random.Random(seed)
-        indices = [_draw(rng, spec.q, space.rank) for _ in range(total)]
-        ell = _ells(space, conds, indices)
-        ell[[i for i, index in enumerate(indices) if not index]] = _INFINITE
+        digits = _draws(random.Random(seed), spec.q, space.rank, total)
+        ell = _ells(space, conds, digits)
+        ell[~digits.any(axis=1)] = _INFINITE
     counter = _tally(ell)
     clean = counter.pop(0, 0)
     unresolved = 0
@@ -869,8 +924,9 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
             clean, sizes = _orbit_groups(space, clean)  # positions = indices
         else:
             sizes = np.ones(len(clean), dtype=np.int64)
-        certified = _certify_smooth(problem, d,
-                                    [indices[i] for i in clean.tolist()])
+        candidates = (_index_digits(clean, spec.p, spec.k * space.rank)
+                      if exhaustive else digits[clean])
+        certified = _certify_smooth(problem, d, candidates)
         smooth = int(sizes[certified].sum())
         unresolved = int(sizes.sum()) - smooth
     else:
@@ -997,11 +1053,11 @@ def _kernel_indices(p, mats, pivots, rank):
 
 
 # Entries per block of numpy work, bounding the temporaries.
-# _DIGIT_ENTRIES (512 KB as float64): entries of the candidates' digit
-# matrix per batch in the sampled classifier (bytes of 8 digits over F_2)
-# and image entries per batch in the certificate over odd p; matrix
-# entries per block of points eliminated, and kernel indices per block, in
-# `_scan_all`; ell entries per count in `_tally`.
+# _DIGIT_ENTRIES (512 KB as float64): entries of the candidate digit array
+# per batch in the sampled classifier (index bytes of 8 digits over F_2,
+# read as table offsets) and image entries per batch in the certificate
+# over odd p; matrix entries per block of points eliminated, and kernel
+# indices per block, in `_scan_all`; ell entries per count in `_tally`.
 # _BLOCK_ENTRIES (128 KB as float64): per block of points in the sampled
 # classifier, functionals or their values over odd p, and 64-bit words of
 # the XOR tables or of the candidates' images over F_2; jet vectors or
@@ -1010,22 +1066,21 @@ _DIGIT_ENTRIES = 1 << 16
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _ells(space, conds, indices):
-    """ell for each candidate index: per batch of indices and per degree,
-    the number of points whose jet conditions all vanish on the candidate,
-    by XOR tables over F_2 and by products mod p otherwise."""
-    spec = space.problem.field
-    width = spec.k * space.rank
-    f2 = spec.p == 2
-    out = np.zeros(len(indices), dtype=np.int64)
-    step = max(1, _DIGIT_ENTRIES // max(-(-width // 8) if f2 else width, 1))
-    for lo in range(0, len(indices), step):
-        batch = indices[lo:lo + step]
-        digits = (_index_bytes(batch, width) if f2
-                  else _digits(batch, spec.p, width))
+def _ells(space, conds, digits):
+    """ell for each candidate (a row of the digit array): per batch of
+    candidates and per degree, the number of points whose jet conditions
+    all vanish on the candidate, by XOR tables over F_2 and by products
+    mod p otherwise."""
+    p = space.problem.field.p
+    out = np.zeros(len(digits), dtype=np.int64)
+    step = max(1, _DIGIT_ENTRIES // max(digits.shape[1], 1))
+    for lo in range(0, len(digits), step):
+        batch = digits[lo:lo + step]
+        batch = (batch.T.astype(np.intp) if p == 2
+                 else batch.astype(np.float64))
         for degree, group in conds:
-            hits = (_hits_f2(digits, group) if f2
-                    else _hits_mod_p(digits, group, spec.p))
+            hits = (_hits_f2(batch, group) if p == 2
+                    else _hits_mod_p(batch, group, p))
             out[lo:lo + step] += degree * hits
     return out
 
@@ -1098,45 +1153,6 @@ def _xor_images(octets, bits):
         for j in range(nbytes):
             image[:, lo:lo + step] ^= np.take(table[j], octets[j], axis=0)
     return image
-
-
-def _index_bytes(indices, width):
-    """The little-endian bytes of the indices (below 2^width) as table
-    offsets: byte j of every index in row j."""
-    nbytes = -(-width // 8)
-    buf = b"".join(index.to_bytes(nbytes, "little") for index in indices)
-    return (np.frombuffer(buf, dtype=np.uint8).reshape(len(indices), nbytes)
-            .T.astype(np.intp))
-
-
-@lru_cache(maxsize=None)
-def _digit_table(p):
-    """(c, table): p^c is the largest power of p up to 256, and table[v]
-    holds the c base-p digits of v, least significant first."""
-    c = 1
-    while p ** (c + 1) <= 256:
-        c += 1
-    return c, np.array([[v // p ** t % p for t in range(c)]
-                        for v in range(p ** c)], dtype=np.float64)
-
-
-def _digits(indices, p, width):
-    """The `width` base-p digits of each index (below p^width), least
-    significant first, as a float64 matrix with one row per index (odd
-    p)."""
-    c, table = _digit_table(p)
-    per_word = 1
-    while p ** (c * (per_word + 1)) <= 1 << 62:
-        per_word += 1
-    nwords = -(-width // (c * per_word))
-    words = []
-    for index in indices:
-        for _ in range(nwords):
-            index, w = divmod(index, p ** (c * per_word))
-            words.append(w)
-    words = np.array(words, dtype=np.int64).reshape(len(indices), nwords, 1)
-    chunks = words // p ** (c * np.arange(per_word)) % p ** c
-    return table[chunks].reshape(len(indices), -1)[:, :width]
 
 
 # ---------------------------------------------------------------------------
@@ -1233,12 +1249,11 @@ def estimate_low_degree(problem: SchemeProblem, r: int, d: int,
                         cap: int = DEFAULT_CAP) -> EstimateValue:
     """Sampled fraction of f in I_d smooth at every point of degree < r."""
     space = candidate_space(problem, d, cap)
-    points = enumerate_closed_points(problem.X, r - 1, cap) if r > 1 else []
-    conds = _conditions(problem.X, space, points)
-    rng = random.Random(seed)
-    indices = [_draw(rng, problem.field.q, space.rank)
-               for _ in range(n_samples)]
-    good = int(np.count_nonzero(_ells(space, conds, indices) == 0))
+    conds = _conditions(problem.X, space,
+                        closed_point_arrays(problem.X, r - 1, cap))
+    digits = _draws(random.Random(seed), problem.field.q, space.rank,
+                    n_samples)
+    good = int(np.count_nonzero(_ells(space, conds, digits) == 0))
     note = "binomial sampling; uncertainty ~ sqrt(p(1-p)/N)"
     return EstimateValue(good, n_samples, note)
 
@@ -1312,7 +1327,8 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
             budget = min(budget_per_degree, problem.field.q ** space.rank)
             seen = set()
             while tries < budget:
-                cand = _draw(rng, problem.field.q, space.rank)
+                cand = _index_of(_draws(rng, problem.field.q, space.rank,
+                                        1)[0], problem.field.p)
                 if not cand or cand in seen:
                     tries += 1
                     continue

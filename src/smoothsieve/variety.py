@@ -125,21 +125,33 @@ def raw_point_count(scheme: SchemePresentation, e: int, cap: int = DEFAULT_CAP) 
         scheme.equations, scheme.removed, ext, scheme.nvars))
 
 
-def enumerate_closed_points(scheme: SchemePresentation, max_degree: int,
-                            cap: int = DEFAULT_CAP) -> list[ClosedPoint]:
-    """Every closed point of degree <= max_degree, exactly once, grouped
-    into Frobenius orbits, ordered by (degree, representative)."""
+def closed_point_arrays(scheme: SchemePresentation, max_degree: int,
+                        cap: int = DEFAULT_CAP):
+    """[(e, kappa, orbits)] for e = 1..max_degree, refused by the cap before
+    any point is enumerated: the closed points of degree e as one code
+    array of shape (points, e, nvars), sorted by representative, each
+    orbit's members sorted, so the representative comes first."""
     base = scheme.spec
     check_enumeration_cap(scheme, range(1, max_degree + 1), cap)
     out = []
     for e in range(1, max_degree + 1):
-        out.extend(_closed_points_of_degree(
-            scheme, gf.make_field(base.p, base.k * e), e))
+        ext = gf.make_field(base.p, base.k * e)
+        out.append((e, ext, _closed_points_of_degree(scheme, ext, e)))
     return out
 
 
+def enumerate_closed_points(scheme: SchemePresentation, max_degree: int,
+                            cap: int = DEFAULT_CAP) -> list[ClosedPoint]:
+    """Every closed point of degree <= max_degree, exactly once, grouped
+    into Frobenius orbits, ordered by (degree, representative)."""
+    return [ClosedPoint(e, ext, tuple(map(tuple, orbit)), tuple(orbit[0]))
+            for e, ext, orbits in closed_point_arrays(scheme, max_degree, cap)
+            for orbit in orbits.tolist()]
+
+
 def _closed_points_of_degree(scheme, ext, e):
-    """The closed points of degree e, sorted by representative.
+    """The orbits of the closed points of degree e, sorted by
+    representative, as an int64 array of shape (points, e, nvars).
 
     A point's key sum_i c_i Q^(n-i) orders code rows as tuples.  A row is
     kept when each of its e - 1 images under the q-power Frobenius has a
@@ -162,12 +174,10 @@ def _closed_points_of_degree(scheme, ext, e):
         orbits.append(np.stack(orbit, axis=1))
         keys.append(key)
     if not orbits:
-        return []
+        return np.zeros((0, e, scheme.nvars), dtype=np.int64)
     orbits = np.concatenate(orbits)[np.argsort(np.concatenate(keys))]
-    orbits = np.take_along_axis(
+    return np.take_along_axis(
         orbits, np.argsort(orbits @ place, axis=1)[:, :, None], axis=1)
-    return [ClosedPoint(e, ext, tuple(map(tuple, orbit)), tuple(orbit[0]))
-            for orbit in orbits.tolist()]
 
 
 def mobius(n: int) -> int:

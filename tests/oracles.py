@@ -10,8 +10,9 @@ row reduction, one closed point at a time.  So is the sampled classifier's
 product of functionals and digits, one closed point at a time, and the
 former rank certificate, one candidate at a time over F_q with its own
 elimination, and its former row build, one polynomial product and one
-reduction per multiple.  Slow and simple on purpose.  The last section
-holds helpers that only the tests call.
+reduction per multiple, and the former draw, one Python int per candidate.
+Slow and simple on purpose.  The last section holds helpers that only the
+tests call.
 """
 
 from dataclasses import replace
@@ -349,6 +350,46 @@ def _span_indices(fp, basis):
         members = np.concatenate([members + a * step for a in range(p)])
         digits = np.concatenate([digits + a * v[~lone] for a in range(p)])
     return members + digits % p @ weights[~lone]
+
+
+# ---------------------------------------------------------------------------
+# The former per-candidate draw and digit splits: one Python int per
+# candidate, one randrange call per coordinate over q != 2.
+
+def draw(rng, q, rank):
+    """A uniform candidate index: one getrandbits call over F_2, one
+    randrange per coordinate otherwise."""
+    if q == 2:
+        return rng.getrandbits(rank)
+    return sum(rng.randrange(q) * q ** i for i in range(rank))
+
+
+def index_digits(space, indices):
+    """The digit array of candidate indices of the space, one index at a
+    time: little-endian index bytes over p = 2, base-p digits otherwise."""
+    spec = space.problem.field
+    p, width = spec.p, spec.k * space.rank
+    if p == 2:
+        nbytes = -(-width // 8)
+        rows = [list(index.to_bytes(nbytes, "little")) for index in indices]
+        return np.array(rows, dtype=np.uint8).reshape(len(indices), nbytes)
+    rows = []
+    for index in indices:
+        row = []
+        for _ in range(width):
+            index, digit = divmod(index, p)
+            row.append(digit)
+        rows.append(row)
+    return np.array(rows, dtype=np.uint8).reshape(len(indices), width)
+
+
+def digit_indices(digits, p):
+    """The candidate index of each row of a digit array (p < 10 when odd),
+    read back through the bytes or the base-p numeral."""
+    if p == 2:
+        return [int.from_bytes(row.tobytes(), "little") for row in digits]
+    return [int("".join(map(str, row[::-1])) or "0", p)
+            for row in digits.tolist()]
 
 
 # ---------------------------------------------------------------------------

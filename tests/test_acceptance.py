@@ -93,7 +93,9 @@ def test_criterion_4_empirical_convergence(plane_runs):
         # every oracle-smooth candidate is certified by the main path, so
         # equal counts force equal sets
         agree = agree and bool(sieve._certify_smooth(
-            prob, d, smooth.nonzero()[0].tolist()).all())
+            prob, d, oracles.index_digits(sieve.candidate_space(prob, d),
+                                          smooth.nonzero()[0].tolist())
+        ).all())
     ok = close and agree
     _report(4, ok, f"smooth fractions {{d: f}} = "
                    f"{{3: {float(fractions[3]):.4f}, 4: {float(fractions[4]):.4f}, "

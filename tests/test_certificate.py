@@ -52,13 +52,18 @@ def sample(problem, d, size, seed):
     return random.Random(seed).sample(range(total), size)
 
 
+def digits(problem, d, indices):
+    """The digit array `sieve._certify_smooth` takes for these indices."""
+    return oracles.index_digits(sieve.candidate_space(problem, d), indices)
+
+
 @pytest.mark.parametrize("name,q,d,size", CASES,
                          ids=[f"{n}_q{q}_d{d}" for n, q, d, _ in CASES])
 def test_batched_certificate_equals_per_candidate(schemes_dir, name, q, d,
                                                   size):
     problem = problem_of(schemes_dir, name, q)
     indices = sample(problem, d, size, seed=q * 100 + d)
-    batched = sieve._certify_smooth(problem, d, indices)
+    batched = sieve._certify_smooth(problem, d, digits(problem, d, indices))
     expected = oracles.certify_per_candidate(problem, d, indices)
     assert batched.tolist() == expected.tolist()
     assert batched.any() and not batched.all()
@@ -92,18 +97,22 @@ def test_small_batches(schemes_dir, monkeypatch, name, q, d, size):
     indices = sample(problem, d, size, seed=7)
     monkeypatch.setattr(sieve, "_DIGIT_ENTRIES", 1)
     monkeypatch.setattr(sieve, "_BLOCK_ENTRIES", 1)
-    assert sieve._certify_smooth(problem, d, indices).tolist() == \
+    assert sieve._certify_smooth(problem, d,
+                                 digits(problem, d, indices)).tolist() == \
         oracles.certify_per_candidate(problem, d, indices).tolist()
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_empty_index_list_and_rank_0_space(q):
-    out = sieve._certify_smooth(projective(2, q), 3, [])
+    plane = projective(2, q)
+    out = sieve._certify_smooth(plane, 3, digits(plane, 3, []))
     assert out.dtype == bool and out.shape == (0,)
     # Z = P^2 leaves only f = 0, whose section is never smooth
     ambient = parse_problem(f"q = {q}\nP 2 : x y z\nX:\nZ:\n")
-    assert sieve._certify_smooth(ambient, 3, []).shape == (0,)
-    assert sieve._certify_smooth(ambient, 3, [0]).tolist() == \
+    assert sieve._certify_smooth(ambient, 3,
+                                 digits(ambient, 3, [])).shape == (0,)
+    assert sieve._certify_smooth(ambient, 3,
+                                 digits(ambient, 3, [0])).tolist() == \
         oracles.certify_per_candidate(ambient, 3, [0]).tolist() == [False]
 
 

@@ -1,11 +1,14 @@
-"""Golden reports: the `result` member of nine CLI runs, byte for byte.
+"""Golden reports: the `result` member of twelve CLI runs, byte for byte.
 
 Sampled scans through Z and embedding chains map a candidate index to a
 form through the canonical basis rows of the candidate space, and
 `points` reports ranks over the residue fields, so these files pin the
 row-reduction core's canonical echelon form.  The runs over F_3 and F_5
 pin the seeded draw and the scan counts over odd characteristic.  The
-two exhaustive exact scans of P^2 pin the certified counts.
+two exhaustive exact scans of P^2 pin the certified counts.  The F_2
+sample at d = 9 pins draws of two words with a shifted last word, the
+exact F_3 sample the drawn candidates' certificates, and the embedding
+over F_3 the embedder's one-at-a-time draws across two degrees.
 Regenerate a file only for a deliberate change of report content.
 """
 
@@ -48,6 +51,15 @@ CASES = {
                                    "--q", "3", "-d", "2",
                                    "--budget", "exhaustive",
                                    "--sing-bound", "2", "--exact"],
+    "estimate_p2_d9_sample_b3": ["estimate", "--scheme", "p2.scm", "-d", "9",
+                                 "--budget", "sample:300", "--sing-bound",
+                                 "3", "--seed", "11"],
+    "estimate_p2_q3_d4_sample_exact": ["estimate", "--scheme", "p2.scm",
+                                       "--q", "3", "-d", "4", "--budget",
+                                       "sample:60", "--sing-bound", "2",
+                                       "--exact", "--seed", "6"],
+    "embed_nodal_q3": ["embed", "--scheme", "nodal_cubic.scm", "--q", "3",
+                       "--d-min", "2", "--seed", "5"],
 }
 
 

@@ -10,9 +10,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import (certify_per_candidate, invertible_matrices_f2,
-                     matrix_closure_size, orbit_minima_f2,
-                     point_search_certificate)
+from oracles import (certify_per_candidate, index_digits,
+                     invertible_matrices_f2, matrix_closure_size,
+                     orbit_minima_f2, point_search_certificate)
 from smoothsieve import gf, sieve, variety
 from smoothsieve.variety import load_problem, parse_problem
 
@@ -33,8 +33,8 @@ def projective(n, q):
 def clean_indices(problem, d, bound):
     """(candidate space, sorted scan-clean indices) of an exhaustive scan."""
     space = sieve.candidate_space(problem, d)
-    points = variety.enumerate_closed_points(problem.X, bound)
-    ell = sieve._scan_all(space, sieve._conditions(problem.X, space, points))
+    groups = variety.closed_point_arrays(problem.X, bound)
+    ell = sieve._scan_all(space, sieve._conditions(problem.X, space, groups))
     ell[0] = sieve._INFINITE
     return space, np.flatnonzero(ell == 0)
 
@@ -71,7 +71,8 @@ def test_certificate_agrees_with_point_search(schemes_dir, case):
     space, clean = clean_indices(problem, d, bound)
     if problem.Z is None and problem.X.is_free_ambient():
         clean, _ = sieve._orbit_groups(space, clean)
-    certified = sieve._certify_smooth(problem, d, clean.tolist()).tolist()
+    certified = sieve._certify_smooth(
+        problem, d, index_digits(space, clean.tolist())).tolist()
     seen = Counter()
     for index, smooth in zip(clean.tolist(), certified):
         status = point_search_certificate(problem, space.poly_of(index))

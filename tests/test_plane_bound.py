@@ -87,7 +87,7 @@ def test_route_rule_picks_before_enumerating(schemes_dir, monkeypatch, q, d,
         calls.append(max_degree)
         raise Enumerated
 
-    monkeypatch.setattr(sieve, "enumerate_closed_points", stop)
+    monkeypatch.setattr(sieve, "closed_point_arrays", stop)
     with pytest.raises(Enumerated):
         exact_scan(plane(schemes_dir, q), d, bound)
     top = max(bound, d * (d - 1) // 2)

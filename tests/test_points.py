@@ -2,6 +2,7 @@
 closed points, raw point counts and point-search witnesses must agree
 exactly, point for point and in order."""
 
+import numpy as np
 import pytest
 
 import oracles
@@ -100,6 +101,48 @@ def test_section_of_the_nodal_cubic_lists_only_its_plane(enumeration_calls):
             == [oracles.raw_point_count(rest, e) for e in (1, 2, 3)])
     assert len(enumeration_calls) == 6
     assert all(nvars == 3 for _, nvars in enumeration_calls)
+
+
+# Free P^1..P^3, equations, a removed locus and an empty scheme, for the
+# arrays the scans read
+ARRAY_CASES = {
+    "p1_q3": (scheme(3, 2, []), 4),
+    "p2_q2": (scheme(2, 3, []), 4),
+    "p3_q2": (scheme(2, 4, []), 3),
+    "conic_q3": (scheme(3, 3, ["x*z - y^2"]), 4),
+    "nodal_v_q2": (scheme(2, 4, NODAL), 4),
+    "p1_minus_axes_q2": (scheme(2, 2, [], ["x*y"]), 6),
+    "empty_q2": (scheme(2, 3, ["x + y", "y + z", "x + z + y"]), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+def test_closed_point_arrays_equal_per_point_scan(name):
+    X, bound = ARRAY_CASES[name]
+    groups = variety.closed_point_arrays(X, bound)
+    assert [(e, ext) for e, ext, _ in groups] == [
+        (e, gf.make_field(X.spec.p, X.spec.k * e))
+        for e in range(1, bound + 1)]
+    for e, _, orbits in groups:
+        assert orbits.dtype == np.int64
+        assert orbits.shape[1:] == (e, X.nvars)
+    points = [variety.ClosedPoint(e, ext, tuple(map(tuple, orbit)),
+                                  tuple(orbit[0]))
+              for e, ext, orbits in groups for orbit in orbits.tolist()]
+    assert points == oracles.enumerate_closed_points(X, bound)
+    if name == "empty_q2":
+        assert [len(orbits) for _, _, orbits in groups] == [0] * bound
+
+
+def test_closed_point_arrays_refuse_before_any_chunk(enumeration_calls):
+    # P^2(F_16) is over the cap: degrees 1..3, under it, are not listed
+    X = scheme(2, 3, [])
+    with pytest.raises(variety.EnumerationCapExceeded) as info:
+        variety.closed_point_arrays(X, 4, cap=100)
+    assert str(info.value) == "P^2(F_16) has 273 points (cap 100)"
+    assert enumeration_calls == []
+    variety.closed_point_arrays(X, 3, cap=100)
+    assert len(enumeration_calls) == 3
 
 
 def test_points_above_the_table_cap():

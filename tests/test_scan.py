@@ -8,8 +8,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import (dense_rref_mod_p, ell_histogram_oracle,
-                     ells_by_products, point_functionals, scan_all_per_point)
+from oracles import (dense_rref_mod_p, digit_indices, draw,
+                     ell_histogram_oracle, ells_by_products, index_digits,
+                     point_functionals, scan_all_per_point)
 from smoothsieve import sieve, variety
 from smoothsieve.mpoly import MPoly, monomials_of_degree
 from smoothsieve.variety import load_problem, parse_problem
@@ -124,7 +125,8 @@ def batch_case(schemes_dir, case):
     prob = load_case(schemes_dir, scheme, q)
     space = sieve.candidate_space(prob, d)
     points = variety.enumerate_closed_points(prob.X, bound)
-    return space, points, sieve._conditions(prob.X, space, points)
+    return space, points, sieve._conditions(
+        prob.X, space, variety.closed_point_arrays(prob.X, bound))
 
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
@@ -164,7 +166,7 @@ ELL_CASES = {
 def drawn_indices(space, n, seed=0):
     rng = random.Random(seed)
     q = space.problem.field.q
-    return [sieve._draw(rng, q, space.rank) for _ in range(n)]
+    return [draw(rng, q, space.rank) for _ in range(n)]
 
 
 @pytest.mark.parametrize("case", sorted(ELL_CASES))
@@ -173,10 +175,11 @@ def test_ells_equal_per_point_products(schemes_dir, case):
     prob = load_case(schemes_dir, scheme, q)
     space = sieve.candidate_space(prob, d)
     conds = sieve._conditions(prob.X, space,
-                              variety.enumerate_closed_points(prob.X, bound))
+                              variety.closed_point_arrays(prob.X, bound))
     assert [group.shape[1] for _, group in conds] == rows
     indices = drawn_indices(space, n)
-    assert np.array_equal(sieve._ells(space, conds, indices),
+    assert np.array_equal(sieve._ells(space, conds,
+                                      index_digits(space, indices)),
                           ells_by_products(space, conds, indices))
 
 
@@ -195,7 +198,7 @@ def test_ells_more_than_64_rows_and_a_vacuous_point(schemes_dir):
     conds = [(3, np.array(funcs, dtype=np.uint8)),
              (2, np.zeros((1, 70, width), dtype=np.uint8))]
     indices = drawn_indices(space, 700)
-    ell = sieve._ells(space, conds, indices)
+    ell = sieve._ells(space, conds, index_digits(space, indices))
     assert np.array_equal(ell, ells_by_products(space, conds, indices))
     assert {int(v) % 3 for v in ell} == {2} and len(set(ell.tolist())) > 2
 
@@ -205,7 +208,8 @@ def test_ells_on_a_rank_0_candidate_space(schemes_dir):
                                  ())
     conds = [(1, np.ones((4, 3, 0), dtype=np.uint8)),
              (2, np.ones((2, 6, 0), dtype=np.uint8))]
-    assert sieve._ells(space, conds, [0] * 5).tolist() == [8] * 5
+    assert sieve._ells(space, conds,
+                       index_digits(space, [0] * 5)).tolist() == [8] * 5
 
 
 def test_ells_across_batches_and_blocks(schemes_dir, monkeypatch):
@@ -215,9 +219,10 @@ def test_ells_across_batches_and_blocks(schemes_dir, monkeypatch):
     prob = load_problem(schemes_dir / "p2.scm")
     space = sieve.candidate_space(prob, 5)
     conds = sieve._conditions(prob.X, space,
-                              variety.enumerate_closed_points(prob.X, 4))
+                              variety.closed_point_arrays(prob.X, 4))
     indices = drawn_indices(space, 101, seed=4)
-    assert np.array_equal(sieve._ells(space, conds, indices),
+    assert np.array_equal(sieve._ells(space, conds,
+                                      index_digits(space, indices)),
                           ells_by_products(space, conds, indices))
 
 
@@ -237,24 +242,54 @@ def test_exhaustive_cap_refuses_before_enumerating(schemes_dir, monkeypatch):
     # |I_9| = 2^55 is over the cap: refused before any closed point of
     # degree <= 8 is enumerated
     calls = []
-    real = sieve.enumerate_closed_points
+    real = sieve.closed_point_arrays
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(sieve, "enumerate_closed_points", counting)
+    monkeypatch.setattr(sieve, "closed_point_arrays", counting)
+    p2 = load_problem(schemes_dir / "p2.scm")
     with pytest.raises(variety.EnumerationCapExceeded) as info:
-        sieve.estimate_density(load_problem(schemes_dir / "p2.scm"), [9],
-                               ("exhaustive",), sing_bound=8, exact=False)
+        sieve.estimate_density(p2, [9], ("exhaustive",), sing_bound=8,
+                               exact=False)
     assert str(info.value) == "|I_d| = 36028797018963968 exceeds cap 16777216"
     assert calls == []
+    # the same patch sees the one enumeration of an accepted scan
+    sieve._scan_cached.cache_clear()
+    sieve.estimate_density(p2, [3], ("exhaustive",), sing_bound=2,
+                           exact=False)
+    assert [args[1:] for args in calls] == [(2, sieve.DEFAULT_CAP)]
+
+
+@pytest.mark.parametrize("q,p,k", [(2, 2, 1), (3, 3, 1), (4, 2, 2),
+                                   (5, 5, 1), (8, 2, 3), (9, 3, 2)])
+def test_draws_equal_the_per_candidate_draw(q, p, k):
+    # the same candidates as one draw per candidate, and the same words
+    # consumed: the embedder's later draws depend on where the stream ends
+    for rank in (0, 1, 31, 32, 33, 64, 65, 351):
+        for n in (1, 3, 2000):
+            seed = q * 10 ** 6 + rank * 10 ** 4 + n
+            mine, theirs = random.Random(seed), random.Random(seed)
+            digits = sieve._draws(mine, q, rank, n)
+            expected = [draw(theirs, q, rank) for _ in range(n)]
+            width = k * rank
+            assert digits.shape == (n, -(-width // 8) if p == 2 else width)
+            assert digit_indices(digits, p) == expected, (rank, n)
+            assert mine.getstate() == theirs.getstate(), (rank, n)
+    # one candidate at a time, as the embedder draws
+    for rank in (5, 33):
+        mine, theirs = random.Random(rank), random.Random(rank)
+        drawn = [sieve._index_of(sieve._draws(mine, q, rank, 1)[0], p)
+                 for _ in range(40)]
+        assert drawn == [draw(theirs, q, rank) for _ in range(40)]
+        assert mine.getstate() == theirs.getstate()
 
 
 def test_poly_of_replays_the_drawn_forms(schemes_dir):
     # the index of a draw names the same form the coordinates do
     prob = load_problem(schemes_dir / "nodal_cubic.scm", q_override=4)
     space = sieve.candidate_space(prob, 3)
-    rng = random.Random(5)
-    indices = [sieve._draw(rng, 4, space.rank) for _ in range(30)]
+    digits = sieve._draws(random.Random(5), 4, space.rank, 30)
+    indices = [sieve._index_of(row, 2) for row in digits]
     assert [space.poly_of(i) for i in indices] == drawn_forms(space, 30, 5)

@@ -342,17 +342,19 @@ def test_jet_condition_ranks_match_zeta_exponents(nodal):
     space = sieve.candidate_space(nodal, 11)
     m = 3
 
-    def ranks(points):
-        funcs = [f for _, group in sieve._conditions(nodal.X, space, points)
+    def ranks(scheme, bound):
+        groups = variety.closed_point_arrays(scheme, bound)
+        funcs = [f for _, group in sieve._conditions(nodal.X, space, groups)
                  for f in group]
+        points = variety.enumerate_closed_points(scheme, bound)
         return [(P, dense_rank_mod_p(f.tolist(), 2))
                 for P, f in zip(points, funcs)]
 
-    for P, rank in ranks(variety.enumerate_closed_points(V, 2)):
+    for P, rank in ranks(V, 2):
         e = variety.embedding_dimension(V, P)
         assert rank == (m - e) * P.degree
     xmv = sieve.complement_presentation(nodal)
-    for P, rank in ranks(variety.enumerate_closed_points(xmv, 1)):
+    for P, rank in ranks(xmv, 1):
         assert rank == (m + 1) * P.degree
 
 

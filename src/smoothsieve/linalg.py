@@ -203,8 +203,12 @@ def echelon_stack(mats, p):
     A matrix with no pivot in a column gets an all-zero lead row, which
     leaves it as it is.  Entries are reduced mod p only where a pivot is
     sought and at the end, so the dtype holds columns * p^2.  Over F_2 each
-    row is packed into an int64 bitset instead and eliminated by XOR."""
+    row is packed into an int64 bitset instead and eliminated by XOR, so
+    more than 64 columns are refused."""
     if p == 2:
+        if mats.shape[2] > 64:
+            raise ValueError(f"{mats.shape[2]} columns do not fit one int64 "
+                             "bitset")
         return _echelon_stack_f2(mats)
     n, rows, width = mats.shape
     mats = mats.astype(np.min_scalar_type(-width * p * p))

@@ -15,7 +15,7 @@ arrays; sampled scans evaluate the functionals in numpy batches.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -219,8 +219,7 @@ def predict_density(problem: SchemeProblem, b: int | None = None,
             return DensityReport("predicted", Fraction(0), check, (),
                                  flags=tuple(flags))
         factors = []
-        xmv = complement_presentation(problem)
-        prof = zeta.profile_from_scheme(replace(xmv, declared_dim=m), b, cap)
+        prof = _complement_profile(problem, table, m, b, cap)
         if prof.poly is None:
             raise MissingProfile("no exact polynomial profile for X - V")
         factors.append(ZetaFactor("X-V", m + 1, zeta.zeta_value(prof, m + 1).exact))
@@ -247,6 +246,16 @@ def predict_density(problem: SchemeProblem, b: int | None = None,
     return DensityReport("predicted", 1 / zv,
                          HypothesisCheck("satisfied", provenance="declared"),
                          (ZetaFactor("X", m + 1, zv),), flags=tuple(flags))
+
+
+def _complement_profile(problem, table, m, b, cap):
+    """The profile of X - V through degree b from the stratification of V:
+    a_d(X - V) = a_d(X) - sum_e a_d(V_e), with a_d(X) in closed form for
+    X = P^n and from X's own point counts otherwise."""
+    a_x = zeta.profile_from_scheme(problem.X, b, cap).a
+    counts = {d: a - sum(s.counts.get(d, 0) for s in table.strata.values())
+              for d, a in enumerate(a_x, 1)}
+    return zeta.profile_from_counts(counts, problem.field.q, m, b)
 
 
 def _hypothesis(table, m) -> HypothesisCheck:
@@ -509,6 +518,8 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, groups):
     size = len(space.monomials)
     width = size * spec.k
     lift = _lift(space)
+    if lift is not None:  # a float64 product is exact, and far faster
+        lift = lift.astype(np.float64)
     # Euler: f(P) = 0 follows from the gradient conditions unless p | d
     skip = int(space.d % spec.p != 0)
     out = []
@@ -525,7 +536,8 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, groups):
             vecs = _jet_vectors(X, ext, reps[i:i + chunk], space.d)[:, skip:]
             f = (table[vecs].transpose(0, 1, 4, 2, 3)
                  .reshape(-1, rows, width))
-            funcs[i:i + chunk] = f if lift is None else f @ lift % spec.p
+            funcs[i:i + chunk] = (f if lift is None else
+                                  (f @ lift).astype(np.int32) % spec.p)
         out.append((degree, funcs))
     return out
 
@@ -1261,6 +1273,10 @@ def estimate_low_degree(problem: SchemeProblem, r: int, d: int,
 # ---------------------------------------------------------------------------
 # The constructive embedder.
 
+# Draws per chunk of the embedder's walk; those after a winner are redrawn.
+_EMBED_CHUNK = 64
+
+
 @dataclass(frozen=True)
 class EmbedStep:
     degree: int
@@ -1317,34 +1333,24 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
                 variety.EnumerationCapExceeded):
             flags.append("no-density-prediction")
         budget_per_degree = (int(try_factor / density) + 1) if density else 200
+        try:
+            groups = closed_point_arrays(cur.X, e_max, cap)
+        except (variety.EnumerationCapExceeded, gf.EnumerationCapError):
+            groups = None
         found = None
         for d in range(d_min, d_max + 1):
             space = candidate_space(cur, d, cap)
             if space.rank == 0:
                 tries_log.append((step_index, d, 0))
                 continue
-            tries = 0
+            conds = None
+            if groups is not None:
+                try:
+                    conds = _conditions(cur.X, space, groups)
+                except UnsupportedPresentation:  # X singular at a point
+                    groups = None
             budget = min(budget_per_degree, problem.field.q ** space.rank)
-            seen = set()
-            while tries < budget:
-                cand = _index_of(_draws(rng, problem.field.q, space.rank,
-                                        1)[0], problem.field.p)
-                if not cand or cand in seen:
-                    tries += 1
-                    continue
-                seen.add(cand)
-                tries += 1
-                f = space.poly_of(cand)
-                if not f:
-                    continue
-                chain_eqs = list(cur.X.equations) + [f]
-                gens = _jacobian_ideal_polys(chain_eqs, problem.field,
-                                             problem.nvars)
-                J = GradedIdeal(problem.field, problem.nvars, gens)
-                cert = _empty_on_open(J, cur.X.removed, e_max=e_max)
-                if cert.status == "empty":
-                    found = EmbedStep(d, f, cert, tries)
-                    break
+            found, tries = _walk(cur, space, budget, rng, conds, e_max)
             tries_log.append((step_index, d, tries))
             if found:
                 break
@@ -1359,6 +1365,43 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
     return EmbedResult("success", tuple(steps),
                        tries_per_degree=tuple(tries_log),
                        flags=tuple(dict.fromkeys(flags)))
+
+
+def _walk(problem, space, budget, rng, conds, e_max):
+    """(EmbedStep or None, tries): the first of up to `budget` draws, taken
+    `_EMBED_CHUNK` at a time, that `_empty_on_open` certifies; a zero or
+    repeated draw is a skipped try.  A draw that the jet conditions `conds`
+    (X smooth at their points) call singular has a point of V(J) and is
+    rejected, and the rest skip the point search: on a complete
+    intersection it rejects no others, and the graded test passes no V(J)
+    with a point off the removed locus.  The rng is left just past the
+    winner."""
+    spec, X = problem.field, problem.X
+    seen = set()
+    tries = 0
+    while tries < budget:
+        state = rng.getstate()
+        digits = _draws(rng, spec.q, space.rank,
+                        min(_EMBED_CHUNK, budget - tries))
+        ells = None if conds is None else _ells(space, conds, digits)
+        for i, row in enumerate(digits):
+            tries += 1
+            cand = _index_of(row, spec.p)
+            if not cand or cand in seen:
+                continue
+            seen.add(cand)
+            if ells is not None and ells[i]:
+                continue
+            f = space.poly_of(cand)
+            J = GradedIdeal(spec, problem.nvars, _jacobian_ideal_polys(
+                list(X.equations) + [f], spec, problem.nvars))
+            cert = _empty_on_open(J, X.removed,
+                                  e_max=e_max if ells is None else 0)
+            if cert.status == "empty":
+                rng.setstate(state)
+                _draws(rng, spec.q, space.rank, i + 1)
+                return EmbedStep(space.d, f, cert, tries), tries
+    return None, tries
 
 
 def verify_chain(problem: SchemeProblem, result: EmbedResult,

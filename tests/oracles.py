@@ -10,12 +10,15 @@ row reduction, one closed point at a time.  So is the sampled classifier's
 product of functionals and digits, one closed point at a time, and the
 former rank certificate, one candidate at a time over F_q with its own
 elimination, and its former row build, one polynomial product and one
-reduction per multiple, and the former draw, one Python int per candidate.
+reduction per multiple, and the former draw, one Python int per candidate,
+and the former embedder loop, one point search per draw.
 Slow and simple on purpose.  The last section holds helpers that only the
 tests call.
 """
 
+import random
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -601,6 +604,83 @@ def point_search_certificate(problem, f, e_max=3):
         return "nonempty"
     ideal = GradedIdeal(spec, nvars, gens)
     return ideal.is_projectively_empty(point_search=False).status
+
+
+# ---------------------------------------------------------------------------
+# The former embedder loop: one draw at a time, each decided by
+# `sieve._empty_on_open`, whose point search scans P^n(F_{q^e}), e <= e_max,
+# for a common zero of J before the graded test.
+
+def embed_per_draw(problem, target_dim, d_max, seed=0, d_min=1,
+                   precheck_degree=3, try_factor=20, e_max=2,
+                   cap=sieve.DEFAULT_CAP):
+    """`sieve.embed_curve` with one `_empty_on_open(J, removed, e_max)` per
+    nonzero, unrepeated draw."""
+    if problem.Z is None:
+        raise sieve.MissingProfile("embedding needs the curve presented as Z")
+    C = sieve.intersection_presentation(problem)
+    n = problem.nvars - 1
+    for P in variety.enumerate_closed_points(C, precheck_degree, cap):
+        e_p = variety.embedding_dimension(C, P)
+        if e_p > target_dim:
+            return sieve.EmbedResult("obstructed", witness=P, witness_e=e_p)
+    if n <= target_dim:
+        return sieve.EmbedResult("success")
+    rng = random.Random(seed)
+    spec = problem.field
+    steps, tries_log, flags = [], [], []
+    cur = problem
+    for step_index in range(n - target_dim):
+        m_cur = sieve._require_dim(cur)
+        density = None
+        try:
+            rep = sieve.predict_density(cur, cap=cap)
+            if isinstance(rep.value, Fraction) and rep.value > 0:
+                density = rep.value
+        except (sieve.MissingProfile, zeta.InsufficientProfile,
+                variety.EnumerationCapExceeded):
+            flags.append("no-density-prediction")
+        budget_per_degree = (int(try_factor / density) + 1) if density else 200
+        found = None
+        for d in range(d_min, d_max + 1):
+            space = sieve.candidate_space(cur, d, cap)
+            if space.rank == 0:
+                tries_log.append((step_index, d, 0))
+                continue
+            tries = 0
+            budget = min(budget_per_degree, spec.q ** space.rank)
+            seen = set()
+            while tries < budget:
+                cand = sieve._index_of(
+                    sieve._draws(rng, spec.q, space.rank, 1)[0], spec.p)
+                tries += 1
+                if not cand or cand in seen:
+                    continue
+                seen.add(cand)
+                f = space.poly_of(cand)
+                if not f:
+                    continue
+                gens = sieve._jacobian_ideal_polys(
+                    list(cur.X.equations) + [f], spec, problem.nvars)
+                J = GradedIdeal(spec, problem.nvars, gens)
+                cert = sieve._empty_on_open(J, cur.X.removed, e_max=e_max)
+                if cert.status == "empty":
+                    found = sieve.EmbedStep(d, f, cert, tries)
+                    break
+            tries_log.append((step_index, d, tries))
+            if found:
+                break
+        if not found:
+            raise sieve.NoSmoothHypersurfaceFound(d_max, tuple(tries_log))
+        steps.append(found)
+        new_x = variety.SchemePresentation(spec, problem.nvars,
+                                           cur.X.equations + (found.poly,),
+                                           cur.X.removed, m_cur - 1)
+        cur = variety.SchemeProblem(spec, problem.nvars, problem.aliases,
+                                    new_x, problem.Z, problem.stratum_dims)
+    return sieve.EmbedResult("success", tuple(steps),
+                             tries_per_degree=tuple(tries_log),
+                             flags=tuple(dict.fromkeys(flags)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden reports: the `result` member of twelve CLI runs, byte for byte.
+"""Golden reports: the `result` member of seventeen CLI runs, byte for byte.
 
 Sampled scans through Z and embedding chains map a candidate index to a
 form through the canonical basis rows of the candidate space, and
@@ -8,7 +8,11 @@ pin the seeded draw and the scan counts over odd characteristic.  The
 two exhaustive exact scans of P^2 pin the certified counts.  The F_2
 sample at d = 9 pins draws of two words with a shifted last word, the
 exact F_3 sample the drawn candidates' certificates, and the embedding
-over F_3 the embedder's one-at-a-time draws across two degrees.
+over F_3 the embedder's odd-q draws across two degrees.  The three
+predictions pin the X - V factor and the violated case.  The embeddings
+of the cuspidal cubic (16 rejected draws at d = 2, then 25 tries at
+d = 3) and of the nodal cubic over F_4 pin the tries and the chosen forms
+behind the embedder's jet-condition filter.
 Regenerate a file only for a deliberate change of report content.
 """
 
@@ -60,6 +64,13 @@ CASES = {
                                        "--exact", "--seed", "6"],
     "embed_nodal_q3": ["embed", "--scheme", "nodal_cubic.scm", "--q", "3",
                        "--d-min", "2", "--seed", "5"],
+    "predict_nodal": ["predict", "--scheme", "nodal_cubic.scm"],
+    "predict_cuspidal": ["predict", "--scheme", "cuspidal_cubic.scm"],
+    "predict_nonreduced": ["predict", "--scheme", "nonreduced_line.scm"],
+    "embed_cuspidal_d2": ["embed", "--scheme", "cuspidal_cubic.scm",
+                          "--d-min", "2", "--seed", "7"],
+    "embed_nodal_q4": ["embed", "--scheme", "nodal_cubic.scm", "--q", "4",
+                       "--d-min", "3", "--seed", "2"],
 }
 
 

@@ -151,6 +151,31 @@ def test_echelon_stack_matches_dense_oracle(p):
                                  for row in expected] + [-1] * (6 - r))
 
 
+@pytest.mark.parametrize("width", [63, 64])
+def test_echelon_stack_f2_up_to_one_word(width):
+    # the last columns of a 64-bit bitset, bit 63 the int64 sign bit
+    rng = np.random.default_rng(width)
+    dense_part = rng.integers(0, 2, size=(10, 8, width))
+    edge = np.zeros((10, 8, width), dtype=np.int64)
+    edge[:, :, width - 6:] = rng.integers(0, 2, size=(10, 8, 6))
+    mats = np.concatenate([dense_part, edge])
+    rank, pivots, reduced = linalg.echelon_stack(mats.astype(np.uint8), 2)
+    for m, r, red in zip(mats.tolist(), rank, reduced.tolist()):
+        assert r == oracles.dense_rank_mod_p(m, 2)
+        assert red[:r] == oracles.dense_rref_mod_p(m, 2)
+
+
+@pytest.mark.parametrize("width", [65, 70])
+def test_echelon_stack_f2_refuses_more_than_64_columns(width):
+    # columns from 64 on would be dropped from the int64 bitsets, and the
+    # rank read from column 3 alone
+    mats = np.zeros((1, 3, width), dtype=np.uint8)
+    mats[0, 0, 3] = mats[0, 1, 64] = mats[0, 2, width - 1] = 1
+    with pytest.raises(ValueError, match="columns"):
+        linalg.echelon_stack(mats, 2)
+    linalg.echelon_stack(mats, 3)  # odd p has no word limit
+
+
 def pack_rows(mats):
     """Bit-packed rows for rank_stack_f2: column c at bit c % 64 of uint64
     word c // 64."""

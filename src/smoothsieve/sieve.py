@@ -518,8 +518,8 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, groups):
     size = len(space.monomials)
     width = size * spec.k
     lift = _lift(space)
-    if lift is not None:  # a float64 product is exact, and far faster
-        lift = lift.astype(np.float64)
+    if lift is not None and width * (spec.p - 1) ** 2 < 2 ** 53:
+        lift = lift.astype(np.float64)  # exact, and far faster than int64
     # Euler: f(P) = 0 follows from the gradient conditions unless p | d
     skip = int(space.d % spec.p != 0)
     out = []
@@ -537,7 +537,7 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, groups):
             f = (table[vecs].transpose(0, 1, 4, 2, 3)
                  .reshape(-1, rows, width))
             funcs[i:i + chunk] = (f if lift is None else
-                                  (f @ lift).astype(np.int32) % spec.p)
+                                  (f @ lift).astype(np.int64) % spec.p)
         out.append((degree, funcs))
     return out
 
@@ -1275,6 +1275,11 @@ def estimate_low_degree(problem: SchemeProblem, r: int, d: int,
 
 # Draws per chunk of the embedder's walk; those after a winner are redrawn.
 _EMBED_CHUNK = 64
+# The jet conditions of one degree cost about as much as the point searches
+# of one draw per this many points of P^n(F_{q^e_max}), about q^(n e_max):
+# 2-7 draws over F_2, 4-8 over F_3, 19-71 over F_4 for the cubics at
+# d = 2-4 (64, 729 and 4,096 points).
+_SEARCH_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -1333,24 +1338,34 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
                 variety.EnumerationCapExceeded):
             flags.append("no-density-prediction")
         budget_per_degree = (int(try_factor / density) + 1) if density else 200
-        try:
-            groups = closed_point_arrays(cur.X, e_max, cap)
-        except (variety.EnumerationCapExceeded, gf.EnumerationCapError):
-            groups = None
+        listed = []  # X's closed points of degree <= e_max, on first use
+
+        def jet_conditions(space):
+            """The jet conditions on `space` at X's closed points of degree
+            <= e_max; None where the cap refuses them or X is singular at
+            one of them."""
+            if not listed:
+                try:
+                    listed.append(closed_point_arrays(cur.X, e_max, cap))
+                except (variety.EnumerationCapExceeded,
+                        gf.EnumerationCapError):
+                    listed.append(None)
+            if listed[0] is not None:
+                try:
+                    return _conditions(cur.X, space, listed[0])
+                except UnsupportedPresentation:  # X singular at a point
+                    listed[0] = None
+            return None
+
         found = None
         for d in range(d_min, d_max + 1):
             space = candidate_space(cur, d, cap)
             if space.rank == 0:
                 tries_log.append((step_index, d, 0))
                 continue
-            conds = None
-            if groups is not None:
-                try:
-                    conds = _conditions(cur.X, space, groups)
-                except UnsupportedPresentation:  # X singular at a point
-                    groups = None
             budget = min(budget_per_degree, problem.field.q ** space.rank)
-            found, tries = _walk(cur, space, budget, rng, conds, e_max)
+            found, tries = _walk(cur, space, budget, rng, jet_conditions,
+                                 e_max)
             tries_log.append((step_index, d, tries))
             if found:
                 break
@@ -1367,22 +1382,28 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
                        flags=tuple(dict.fromkeys(flags)))
 
 
-def _walk(problem, space, budget, rng, conds, e_max):
-    """(EmbedStep or None, tries): the first of up to `budget` draws, taken
-    `_EMBED_CHUNK` at a time, that `_empty_on_open` certifies; a zero or
-    repeated draw is a skipped try.  A draw that the jet conditions `conds`
-    (X smooth at their points) call singular has a point of V(J) and is
-    rejected, and the rest skip the point search: on a complete
-    intersection it rejects no others, and the graded test passes no V(J)
-    with a point off the removed locus.  The rng is left just past the
-    winner."""
+def _walk(problem, space, budget, rng, jet_conditions, e_max):
+    """(EmbedStep or None, tries): the first of up to `budget` draws that
+    `_empty_on_open` certifies; a zero or repeated draw is a skipped try.
+    The first draws take the per-draw point search, as many as the jet
+    conditions cost (`_SEARCH_POINTS`), so a short walk builds none.  A
+    walk that goes on builds `jet_conditions(space)` (X smooth at their
+    points) and classifies `_EMBED_CHUNK` draws at a time: a draw they
+    call singular has a point of V(J) and is rejected, and the rest skip
+    the point search: on a complete intersection it rejects no others,
+    and the graded test passes no V(J) with a point off the removed
+    locus.  The rng is left just past the winner."""
     spec, X = problem.field, problem.X
+    searched = spec.q ** ((problem.nvars - 1) * e_max) // _SEARCH_POINTS + 1
     seen = set()
     tries = 0
+    conds = None
     while tries < budget:
+        if tries == searched:
+            conds = jet_conditions(space)
         state = rng.getstate()
-        digits = _draws(rng, spec.q, space.rank,
-                        min(_EMBED_CHUNK, budget - tries))
+        digits = _draws(rng, spec.q, space.rank, min(
+            _EMBED_CHUNK if tries else searched, budget - tries))
         ells = None if conds is None else _ells(space, conds, digits)
         for i, row in enumerate(digits):
             tries += 1

@@ -74,9 +74,11 @@ def _problem(schemes_dir, name, q):
 def test_complement_profile_equals_scan_of_complement(schemes_dir, name, q):
     prob = _problem(schemes_dir, name, q)
     m = prob.X.dim()
-    # the predictor's default b, but at most 4 over F_3: stratifying the
-    # axes' points through F_243 one at a time takes seconds
-    b = min(max([m] + list(prob.dims.values())) + 2, 6 - q)
+    # the predictor's default b (5 for the curves, 4 for the quadric), but
+    # at most 4 over F_3: the axes' points through F_243 take seconds there
+    b = max([m] + list(prob.dims.values())) + 2
+    if q == 3:
+        b = min(b, 4)
     table = variety.stratify(sieve.intersection_presentation(prob), b,
                              prob.dims)
     got = sieve._complement_profile(prob, table, m, b, sieve.DEFAULT_CAP)
@@ -169,9 +171,16 @@ def test_embed_chain_of_two_steps_equals_per_draw_loop():
     assert chains
 
 
-def test_embed_falls_back_where_the_conditions_refuse(schemes_dir):
+def test_embed_falls_back_where_the_conditions_refuse(schemes_dir,
+                                                      monkeypatch):
     # X singular at a rational point: `_conditions` refuses, and every draw
-    # gets the per-draw point search
+    # gets the per-draw point search; conditions priced at one draw ask
+    # for them from the second draw of a degree on
+    monkeypatch.setattr(sieve, "_SEARCH_POINTS", 10 ** 9)
+    refusals = []
+    for name in ("_conditions", "closed_point_arrays"):
+        monkeypatch.setattr(sieve, name, _recording(getattr(sieve, name),
+                                                    refusals))
     cone = parse_problem(CONE)
     space = sieve.candidate_space(cone, 1)
     with pytest.raises(sieve.UnsupportedPresentation):
@@ -179,13 +188,20 @@ def test_embed_falls_back_where_the_conditions_refuse(schemes_dir):
             cone.X, 2))
     # x3 wins at degree 1; at degree 2, f = x3 h on X, so X cap H_f is Z
     # plus X cap V(h), singular where they meet, and the budget runs out
+    refused = 0
     for d_min, seeds in ((1, range(4)), (2, range(1))):
         for seed in seeds:
+            refusals.clear()
             got = _outcome(sieve.embed_curve, cone, d_max=2, seed=seed,
                            d_min=d_min)
             assert got == _outcome(oracles.embed_per_draw, cone, d_max=2,
                                    seed=seed, d_min=d_min)
             assert isinstance(got, sieve.EmbedResult) == (d_min == 1)
+            # at most once per chain step, then the degrees go on without
+            assert refusals in ([], ["UnsupportedPresentation"])
+            refused += len(refusals)
+    assert refused
+    refusals.clear()
     # the point cap refuses F_16 at e_max = 4 but not the precheck's F_8
     nodal = load_problem(schemes_dir / "nodal_cubic.scm")
     with pytest.raises(variety.EnumerationCapExceeded):
@@ -195,3 +211,16 @@ def test_embed_falls_back_where_the_conditions_refuse(schemes_dir):
                          e_max=4, cap=1000)
                 == _outcome(oracles.embed_per_draw, nodal, seed=seed,
                             d_min=3, e_max=4, cap=1000))
+    assert "EnumerationCapExceeded" in refusals
+
+
+def _recording(func, refusals):
+    """`func`, appending the name of each exception it raises."""
+    def wrapper(*args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except (sieve.UnsupportedPresentation,
+                variety.EnumerationCapExceeded) as exc:
+            refusals.append(type(exc).__name__)
+            raise
+    return wrapper

@@ -142,6 +142,24 @@ def test_batched_functionals_span_the_per_point_rows(schemes_dir, case):
                 == dense_rref_mod_p(expected, p))
 
 
+def test_functionals_through_z_over_a_large_prime():
+    # over F_65537 one product of a lift digit and a jet digit passes 2^31,
+    # so the lifted functionals must be reduced from exact integers
+    prob = parse_problem("q = 65537\nP 1 : x y\nX:\nZ:\n  x - 2*y\n"
+                         "dim X = 1\n")
+    space = sieve.candidate_space(prob, 3)
+    [(e, ext, orbits)] = variety.closed_point_arrays(prob.X, 1)
+    points = variety.enumerate_closed_points(prob.X, 1)
+    picks = list(range(0, len(points), 4099)) + [len(points) - 1]
+    [(_, group)] = sieve._conditions(prob.X, space,
+                                     [(e, ext, orbits[picks])])
+    assert group.shape == (len(picks), 2, 3)
+    for i, funcs in zip(picks, group):
+        expected = point_functionals(prob.X, space, points[i]).tolist()
+        assert (dense_rref_mod_p(funcs.tolist(), 65537)
+                == dense_rref_mod_p(expected, 65537))
+
+
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_scan_all_equals_per_point_kernels(schemes_dir, case):
     space, _, conds = batch_case(schemes_dir, case)

@@ -152,7 +152,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_mod_int", "_exp", "_log",
-                 "_frob_p", "_gen_order_checked", "_primitive")
+                 "_primitive")
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -163,7 +163,6 @@ class FieldSpec:
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._exp = None
         self._log = None
-        self._frob_p = None
         self._primitive = None
 
     def __eq__(self, other):
@@ -306,24 +305,6 @@ class FieldSpec:
             a = self._mul_raw(a, a)
             e >>= 1
         return r
-
-    def frobenius(self, a, times=1):
-        """times applications of the p-power map."""
-        if self._frob_p is None:
-            gp = [self.pow(self.from_digits([0] * i + [1]) if i else 1, self.p)
-                  for i in range(self.k)]
-            self._frob_p = gp
-        times %= self.k
-        for _ in range(times):
-            out = 0
-            for i, c in enumerate(self.digits(a)):
-                if c:
-                    term = self._frob_p[i]
-                    if c > 1:
-                        term = self.mul(term, c)
-                    out = self.add(out, term)
-            a = out
-        return a
 
     def _build_tables(self):
         q = self.q
@@ -592,13 +573,6 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     if modulus is not None:
         modulus = tuple(int(c) for c in modulus)
     return _make_field(int(p), int(k), modulus)
-
-
-def frobenius(a: FieldElement, q: int | None = None) -> FieldElement:
-    """a ** q; by default the p-power (absolute) Frobenius."""
-    if q is None:
-        q = a.spec.p
-    return a ** q
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ class GradedIdeal:
             gens.append(g)
         self.generators = tuple(gens)
         self._pieces: dict[int, SubspaceBasis] = {}
-        self._saturated: dict[tuple, tuple] = {}
+        self._saturated: dict[int, tuple] = {}
 
     # -- degree-d part of the generated ideal --------------------------------
 
@@ -131,22 +131,18 @@ class GradedIdeal:
         self._pieces[d] = basis
         return basis
 
-    def default_saturation_cap(self, d: int) -> int:
-        return d + sum(g.homogeneous_degree() for g in self.generators)
-
-    def saturated_piece(self, d: int, cap: int | None = None):
+    def saturated_piece(self, d: int):
         """Degree-d part of the saturation, with an honesty flag.
 
         Returns (basis, flag); flag is 'stable' when the ascending chain
         {f : x_i^N f in piece(d+N) for all i} repeated a value for two
-        consecutive N, and 'capped' when N reached the cap first.
+        consecutive N, and 'capped' when N reached the cap, d plus the
+        generators' degrees, first.
         """
-        if cap is None:
-            cap = self.default_saturation_cap(d)
-        key = (d, cap)
-        cached = self._saturated.get(key)
+        cached = self._saturated.get(d)
         if cached is not None:
             return cached
+        cap = d + sum(g.homogeneous_degree() for g in self.generators)
         spec = self.spec
         dim_sd = len(monomials_of_degree(self.nvars, d))
         current = self.piece(d)
@@ -165,7 +161,7 @@ class GradedIdeal:
                     flag = "stable"
                     break
         result = (current, flag)
-        self._saturated[key] = result
+        self._saturated[d] = result
         return result
 
     def _saturation_stage(self, d: int, n: int) -> SubspaceBasis:
@@ -193,38 +189,23 @@ class GradedIdeal:
 
     # -- membership ------------------------------------------------------------
 
-    def contains(self, f: MPoly, strict: bool = False, with_flag: bool = False):
-        """Whether f lies in the (saturated, unless strict) ideal."""
+    def contains(self, f: MPoly) -> bool:
+        """Whether f lies in the saturated ideal."""
         if not f:
-            return (True, "stable") if with_flag else True
+            return True
         d = f.homogeneous_degree()
-        vec = poly_to_vector(f, d)
-        if strict:
-            ok = self.piece(d).contains_vector(vec)
-            flag = "stable"
-        else:
-            basis, flag = self.saturated_piece(d)
-            ok = basis.contains_vector(vec)
-        return (ok, flag) if with_flag else ok
+        return self.saturated_piece(d)[0].contains_vector(poly_to_vector(f, d))
 
     # -- projective emptiness -----------------------------------------------------
-
-    def default_certificate_cap(self) -> int:
-        return sum(g.homogeneous_degree() - 1 for g in self.generators) + 2
 
     def certifies_empty_at(self, k: int) -> bool:
         """Single-degree check: J_k = S_k proves V(J) empty (monotone in k)."""
         return self.piece(k).rank == len(monomials_of_degree(self.nvars, k))
 
-    def is_projectively_empty(self, k_max: int | None = None, e_max: int = 2,
-                              point_search: bool = True) -> EmptinessCertificate:
-        if k_max is None:
-            k_max = self.default_certificate_cap()
-        if point_search:
-            wit = self.find_point(e_max)
-            if wit is not None:
-                return EmptinessCertificate("nonempty", witness=wit[0],
-                                            witness_field=wit[1])
+    def is_projectively_empty(self) -> EmptinessCertificate:
+        """'empty' at the least degree k with J_k = S_k, searched up to
+        2 + sum(deg g - 1) over the generators, else 'inconclusive'."""
+        k_max = sum(g.homogeneous_degree() - 1 for g in self.generators) + 2
         for k in range(1, k_max + 1):
             if self.certifies_empty_at(k):
                 return EmptinessCertificate("empty", k=k)

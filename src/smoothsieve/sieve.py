@@ -165,26 +165,6 @@ def intersection_presentation(problem: SchemeProblem) -> SchemePresentation | No
                               problem.X.removed)
 
 
-def complement_presentation(problem: SchemeProblem) -> SchemePresentation:
-    """X - V as a quasi-projective presentation."""
-    X = problem.X
-    if problem.Z is None:
-        return X
-    v_eqs = problem.Z.equations
-    if not v_eqs:
-        # Z is all of P^n, so X - V is empty: 1 vanishes at no point
-        return SchemePresentation(
-            problem.field, problem.nvars,
-            X.equations + (MPoly.constant(problem.field, problem.nvars, 1),),
-            X.removed, X.declared_dim)
-    if X.removed:
-        removed = tuple(w * v for w in X.removed for v in v_eqs)
-    else:
-        removed = tuple(v_eqs)
-    return SchemePresentation(problem.field, problem.nvars, X.equations,
-                              removed, X.declared_dim)
-
-
 def _require_dim(problem) -> int:
     m = problem.X.dim()
     if m is None:
@@ -209,17 +189,17 @@ def predict_density(problem: SchemeProblem, b: int | None = None,
             b = max([m] + declared) + 2
         table = stratify(V, b, problem.dims, cap)
         flags.extend(table.flags)
-        if not table.strata and V.equations:
+        if not table.nonempty_values() and V.equations:
             ideal = GradedIdeal(problem.field, problem.nvars, V.equations)
-            cert = ideal.is_projectively_empty(e_max=1)
-            if cert.status != "empty":
+            if ideal.is_projectively_empty().status != "empty":
                 flags.append("no-low-degree-points")
         check = _hypothesis(table, m)
         if check.status == "violated":
             return DensityReport("predicted", Fraction(0), check, (),
                                  flags=tuple(flags))
         factors = []
-        prof = _complement_profile(problem, table, m, b, cap)
+        prof = zeta.profile_from_counts(
+            _complement_counts(problem, table, b, cap), problem.field.q, m, b)
         if prof.poly is None:
             raise MissingProfile("no exact polynomial profile for X - V")
         factors.append(ZetaFactor("X-V", m + 1, zeta.zeta_value(prof, m + 1).exact))
@@ -248,14 +228,13 @@ def predict_density(problem: SchemeProblem, b: int | None = None,
                          (ZetaFactor("X", m + 1, zv),), flags=tuple(flags))
 
 
-def _complement_profile(problem, table, m, b, cap):
-    """The profile of X - V through degree b from the stratification of V:
+def _complement_counts(problem, table, b, cap):
+    """{d: a_d(X - V)} for d <= b from the stratification of V:
     a_d(X - V) = a_d(X) - sum_e a_d(V_e), with a_d(X) in closed form for
     X = P^n and from X's own point counts otherwise."""
     a_x = zeta.profile_from_scheme(problem.X, b, cap).a
-    counts = {d: a - sum(s.counts.get(d, 0) for s in table.strata.values())
-              for d, a in enumerate(a_x, 1)}
-    return zeta.profile_from_counts(counts, problem.field.q, m, b)
+    return {d: a - sum(s.counts.get(d, 0) for s in table.strata.values())
+            for d, a in enumerate(a_x, 1)}
 
 
 def _hypothesis(table, m) -> HypothesisCheck:
@@ -293,24 +272,28 @@ def predict_sing_dist(problem: SchemeProblem, ell_max: int,
 def low_degree_predictor(problem: SchemeProblem, r: int,
                          cap: int = DEFAULT_CAP) -> Fraction:
     """Exact density of sections smooth at every point of degree < r: the
-    finite product of the per-point Euler factors."""
+    finite product of the per-point Euler factors, one power per degree of
+    each stratum V_e and of X - V."""
     m = _require_dim(problem)
     q = problem.field.q
     value = Fraction(1)
     if r <= 1:
         return value
+    variety.check_enumeration_cap(problem.X, range(1, r), cap)
     V = intersection_presentation(problem)
-    if V is not None:
+    if V is None:
+        counts = dict(enumerate(zeta.profile_from_scheme(problem.X, r - 1,
+                                                         cap).a, 1))
+    else:
         table = stratify(V, r - 1, problem.dims, cap)
         for e in table.nonempty_values():
-            s = m - e
-            for P in table.strata[e].points:
-                if s <= 0:
-                    return Fraction(0)
-                value *= 1 - Fraction(1, q ** (s * P.degree))
-    xmv = complement_presentation(problem)
-    for e, _, orbits in closed_point_arrays(xmv, r - 1, cap):
-        value *= (1 - Fraction(1, q ** ((m + 1) * e))) ** len(orbits)
+            if m - e <= 0:
+                return Fraction(0)
+            for d, a in table.strata[e].counts.items():
+                value *= (1 - Fraction(1, q ** ((m - e) * d))) ** a
+        counts = _complement_counts(problem, table, r - 1, cap)
+    for d, a in counts.items():
+        value *= (1 - Fraction(1, q ** ((m + 1) * d))) ** a
     return value
 
 
@@ -759,7 +742,7 @@ def _empty_on_open(J: GradedIdeal, removed, e_max) -> EmptinessCertificate:
     if wit is not None:
         return EmptinessCertificate("nonempty", witness=wit[0],
                                     witness_field=wit[1])
-    direct = J.is_projectively_empty(point_search=False)
+    direct = J.is_projectively_empty()
     if direct.status == "empty" or not removed:
         return direct
     # V(J) subset of the removed locus: radical membership for each generator
@@ -967,7 +950,8 @@ def _degree_route(problem, d, sing_bound, total):
     spec = problem.field
     top = max(sing_bound, d * (d - 1) // 2)
     per_digit = 3 + int(d % spec.p == 0)  # the partials, f(P) when p | d
-    rows = sum(per_digit * spec.k * e * variety.closed_point_count(problem.X, e)
+    a = zeta.profile_from_scheme(problem.X, top).a
+    rows = sum(per_digit * spec.k * e * a[e - 1]
                for e in range(max(sing_bound, 0) + 1, top + 1))
     return top if rows < total else None
 
@@ -1280,6 +1264,11 @@ _EMBED_CHUNK = 64
 # 2-7 draws over F_2, 4-8 over F_3, 19-71 over F_4 for the cubics at
 # d = 2-4 (64, 729 and 4,096 points).
 _SEARCH_POINTS = 64
+# Closed points of the curve up to this degree are checked for an
+# obstruction before any draw.
+_PRECHECK_DEGREE = 3
+# A degree's draws: this many times the inverse predicted density.
+_TRY_FACTOR = 20
 
 
 @dataclass(frozen=True)
@@ -1301,8 +1290,7 @@ class EmbedResult:
 
 
 def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
-                seed: int = 0, d_min: int = 1, precheck_degree: int = 3,
-                try_factor: int = 20, e_max: int = 2,
+                seed: int = 0, d_min: int = 1, e_max: int = 2,
                 cap: int = DEFAULT_CAP) -> EmbedResult:
     """Greedy recursive search for smooth hypersurface sections containing
     the (reduced, user-asserted) curve presented as Z.
@@ -1316,7 +1304,7 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
         raise MissingProfile("embedding needs the curve presented as Z")
     C = intersection_presentation(problem)
     n = problem.nvars - 1
-    for P in enumerate_closed_points(C, precheck_degree, cap):
+    for P in enumerate_closed_points(C, _PRECHECK_DEGREE, cap):
         e_p = variety.embedding_dimension(C, P)
         if e_p > target_dim:
             return EmbedResult("obstructed", witness=P, witness_e=e_p)
@@ -1337,7 +1325,7 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
         except (MissingProfile, zeta.InsufficientProfile,
                 variety.EnumerationCapExceeded):
             flags.append("no-density-prediction")
-        budget_per_degree = (int(try_factor / density) + 1) if density else 200
+        budget_per_degree = (int(_TRY_FACTOR / density) + 1) if density else 200
         listed = []  # X's closed points of degree <= e_max, on first use
 
         def jet_conditions(space):

@@ -78,7 +78,6 @@ class ClosedPoint:
 @dataclass
 class Stratum:
     e: int
-    points: tuple
     counts: dict            # degree -> number of closed points (a_d)
     dim_estimate: int | None
     dim_source: str         # 'declared' | 'heuristic' | 'empty'
@@ -87,11 +86,10 @@ class Stratum:
 @dataclass
 class StratumTable:
     strata: dict            # e -> Stratum
-    max_degree: int
     flags: tuple = ()
 
     def nonempty_values(self):
-        return sorted(e for e, s in self.strata.items() if s.points)
+        return sorted(e for e, s in self.strata.items() if s.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +193,45 @@ def mobius(n: int) -> int:
     return out
 
 
-def closed_point_count(scheme: SchemePresentation, d: int,
-                       cap: int = DEFAULT_CAP) -> int:
-    """a_d via Moebius inversion of the raw counts N_e."""
-    divisors = [e for e in range(1, d + 1) if d % e == 0]
-    if not scheme.is_free_ambient():
-        check_enumeration_cap(scheme, divisors, cap)
-    total = sum(mobius(d // e) * raw_point_count(scheme, e, cap)
-                for e in divisors)
-    assert total % d == 0
-    return total // d
+# ---------------------------------------------------------------------------
+# Point counts N_e = |X(F_{q^e})| and closed-point counts a_d, related by
+# N_e = sum_{d | e} d a_d.
+
+def closed_point_counts(n_values) -> tuple:
+    """a_1..a_b from N_1..N_b by Moebius inversion."""
+    out = []
+    for d in range(1, len(n_values) + 1):
+        total = sum(mobius(d // e) * n_values[e - 1]
+                    for e in range(1, d + 1) if d % e == 0)
+        assert total % d == 0
+        out.append(total // d)
+    return tuple(out)
+
+
+def point_counts(a) -> list:
+    """N_1..N_b from a_1..a_b."""
+    return [sum(d * a[d - 1] for d in range(1, e + 1) if e % d == 0)
+            for e in range(1, len(a) + 1)]
+
+
+def growth_dimension(n_e: int, e: int, q: int) -> int:
+    """Nearest integer to log_q(N_e)/e in exact arithmetic: the k with
+    q^{e(2k-1)} <= N_e^2 < q^{e(2k+1)}."""
+    k = 0
+    sq = n_e * n_e
+    while q ** (e * (2 * k + 1)) <= sq:
+        k += 1
+    return k
+
+
+def dimension_guess(n_values, q: int) -> int | None:
+    """The growth dimension of the last nonzero N_e (N_e ~ q^{dim e});
+    None, standing in for the empty scheme's dimension of -infinity, when
+    every N_e is 0."""
+    for e in range(len(n_values), 0, -1):
+        if n_values[e - 1]:
+            return growth_dimension(n_values[e - 1], e, q)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -281,56 +308,30 @@ def embedding_dimension(V: SchemePresentation, point: ClosedPoint,
 def stratify(V: SchemePresentation, max_degree: int,
              declared_dims: dict | None = None,
              cap: int = DEFAULT_CAP) -> StratumTable:
-    """Assign every closed point of degree <= B to its stratum V_e."""
+    """Count the closed points of degree <= B in each stratum V_e."""
     declared_dims = declared_dims or {}
-    points = enumerate_closed_points(V, max_degree, cap)
     flags = []
-    grouped: dict[int, list] = {}
-    for P in points:
+    grouped: dict[int, dict] = {}
+    for P in enumerate_closed_points(V, max_degree, cap):
         e, fl = embedding_dimension(V, P, with_flag=True)
         if fl == "capped" and "saturation-capped" not in flags:
             flags.append("saturation-capped")
-        grouped.setdefault(e, []).append(P)
+        counts = grouped.setdefault(e, {})
+        counts[P.degree] = counts.get(P.degree, 0) + 1
     strata = {}
-    q = V.spec.q
-    for e, pts in sorted(grouped.items()):
-        counts = {}
-        for P in pts:
-            counts[P.degree] = counts.get(P.degree, 0) + 1
+    for e, counts in sorted(grouped.items()):
         if e in declared_dims:
             dim_e, source = declared_dims[e], "declared"
         else:
-            dim_e, source = _growth_dimension(counts, q, max_degree), "heuristic"
+            a = [counts.get(d, 0) for d in range(1, max_degree + 1)]
+            dim_e = dimension_guess(point_counts(a), V.spec.q)
+            source = "heuristic"
             flags.append(f"heuristic-dim:V_{e}")
-        strata[e] = Stratum(e, tuple(pts), counts, dim_e, source)
+        strata[e] = Stratum(e, counts, dim_e, source)
     for e, dim_e in declared_dims.items():
         if e not in strata:
-            strata[e] = Stratum(e, (), {}, dim_e, "declared")
-    return StratumTable(strata, max_degree, tuple(flags))
-
-
-def growth_dimension(n_e: int, e: int, q: int) -> int:
-    """Nearest integer to log_q(N_e)/e in exact arithmetic: the k with
-    q^{e(2k-1)} <= N_e^2 < q^{e(2k+1)}."""
-    k = 0
-    sq = n_e * n_e
-    while q ** (e * (2 * k + 1)) <= sq:
-        k += 1
-    return k
-
-
-def _growth_dimension(counts: dict, q: int, max_degree: int) -> int:
-    """dim estimate from a_d ~ q^{dim*d}/d growth; None stands in for the
-    empty stratum's dimension of -infinity."""
-    n_max = 0
-    best_e = 0
-    for e in range(1, max_degree + 1):
-        n_e = sum(d * a for d, a in counts.items() if e % d == 0)
-        if n_e > 0:
-            n_max, best_e = n_e, e
-    if best_e == 0:
-        return None
-    return growth_dimension(n_max, best_e, q)
+            strata[e] = Stratum(e, {}, dim_e, "declared")
+    return StratumTable(strata, tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +361,6 @@ class SchemeProblem:
     @property
     def dims(self):
         return dict(self.stratum_dims)
-
-    def dim_x(self):
-        return self.X.dim()
 
 
 def parse_problem(text: str, q_override: int | None = None) -> SchemeProblem:

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import comb
 
 from . import variety
-from .variety import SchemePresentation, growth_dimension, mobius
+from .variety import (SchemePresentation, closed_point_counts,
+                      dimension_guess, point_counts)
 
 
 class DivergentArgument(ValueError):
@@ -44,27 +45,15 @@ class CountProfile:
 
     def __post_init__(self):
         if self.poly is not None:
-            for e in range(1, max(self.b_max, 3) + 1):
-                if self.point_count_from_poly(e) < 0:
-                    raise ValueError("polynomial profile takes negative values")
-            for e in range(1, self.b_max + 1):
-                if self.point_count_from_poly(e) != self.point_count_enumerated(e):
-                    raise ValueError("polynomial profile contradicts counts")
+            if any(n < 0 for n in self.poly_counts(max(self.b_max, 3))):
+                raise ValueError("polynomial profile takes negative values")
+            if self.poly_counts(self.b_max) != point_counts(self.a):
+                raise ValueError("polynomial profile contradicts counts")
 
-    def point_count_from_poly(self, e: int) -> int:
-        return sum(c * (self.q ** b) ** e for c, b in self.poly)
-
-    def point_count_enumerated(self, e: int) -> int:
-        return sum(d * self.a[d - 1] for d in range(1, e + 1) if e % d == 0)
-
-    def point_count(self, e: int) -> int:
-        """N_e = |X(F_{q^e})|."""
-        if self.poly is not None:
-            return self.point_count_from_poly(e)
-        if e > self.b_max:
-            raise InsufficientProfile(
-                f"N_{e} needs counts through degree {e}, have {self.b_max}")
-        return self.point_count_enumerated(e)
+    def poly_counts(self, b: int) -> list:
+        """N_1..N_b from the polynomial view."""
+        return [sum(c * (self.q ** j) ** e for c, j in self.poly)
+                for e in range(1, b + 1)]
 
     def a_d(self, d: int) -> int:
         if d <= self.b_max:
@@ -72,10 +61,7 @@ class CountProfile:
         if self.poly is None:
             raise InsufficientProfile(
                 f"a_{d} not enumerated (b_max = {self.b_max}) and no polynomial view")
-        total = sum(mobius(d // e) * self.point_count_from_poly(e)
-                    for e in range(1, d + 1) if d % e == 0)
-        assert total % d == 0
-        return total // d
+        return closed_point_counts(self.poly_counts(d))[d - 1]
 
     def exact_through(self, d: int) -> bool:
         return self.poly is not None or d <= self.b_max
@@ -161,55 +147,36 @@ def profile_from_scheme(X: SchemePresentation, b: int,
     """Enumerated profile a_1..a_b, with a validated polynomial view when
     the counts admit one of degree <= dim."""
     q = X.spec.q
+    if not X.is_free_ambient():
+        variety.check_enumeration_cap(X, range(1, b + 1), cap)
+    n_values = [variety.raw_point_count(X, e, cap) for e in range(1, b + 1)]
+    a = closed_point_counts(n_values)
     if X.is_free_ambient():
         # free P^n: exact polynomial profile, no scanning
         n = X.ambient_dim
-        poly = tuple((1, j) for j in range(n, -1, -1))
-        a = tuple(_poly_a_d(poly, q, d) for d in range(1, b + 1))
-        return CountProfile(q, n, a, poly)
-    variety.check_enumeration_cap(X, range(1, b + 1), cap)
-    n_values = [variety.raw_point_count(X, e, cap) for e in range(1, b + 1)]
-    a = []
-    for d in range(1, b + 1):
-        total = sum(mobius(d // e) * n_values[e - 1]
-                    for e in range(1, d + 1) if d % e == 0)
-        a.append(total // d)
+        return CountProfile(q, n, a, tuple((1, j) for j in range(n, -1, -1)))
     dim = X.dim()
-    flags = []
+    flags = ()
     if dim is None:
-        dim = _heuristic_dim(n_values, q)
-        flags.append("heuristic-dim")
+        dim = dimension_guess(n_values, q)
+        flags = ("heuristic-dim",)
+    return CountProfile(q, dim, a, _fit(n_values, q, dim), flags)
+
+
+def profile_from_counts(counts: dict, q: int, dim: int | None,
+                        b: int) -> CountProfile:
+    """Profile from a {degree: a_d} dict enumerated through degree b."""
+    a = tuple(counts.get(d, 0) for d in range(1, b + 1))
+    return CountProfile(q, dim, a, _fit(point_counts(a), q, dim))
+
+
+def _fit(n_values, q, dim):
+    """The polynomial view of degree <= dim through the counts; () for
+    counts that are all 0, None when there is none."""
     poly = fit_count_polynomial(n_values, q, dim) if dim is not None else None
     if poly is None and not any(n_values):
         poly = ()
-    return CountProfile(q, dim, tuple(a), poly, tuple(flags))
-
-
-def _poly_a_d(poly, q, d):
-    total = sum(mobius(d // e) * sum(c * (q ** b) ** e for c, b in poly)
-                for e in range(1, d + 1) if d % e == 0)
-    return total // d
-
-
-def _heuristic_dim(n_values, q):
-    for e in range(len(n_values), 0, -1):
-        if n_values[e - 1] > 0:
-            return growth_dimension(n_values[e - 1], e, q)
-    return None
-
-
-def profile_from_counts(counts: dict, q: int, dim: int | None, b: int,
-                        fit: bool = True, flags=()) -> CountProfile:
-    """Profile from a {degree: a_d} dict enumerated through degree b."""
-    a = tuple(counts.get(d, 0) for d in range(1, b + 1))
-    n_values = [sum(d * a[d - 1] for d in range(1, e + 1) if e % d == 0)
-                for e in range(1, b + 1)]
-    poly = None
-    if fit and dim is not None:
-        poly = fit_count_polynomial(n_values, q, dim)
-    if poly is None and not any(a):
-        poly = ()
-    return CountProfile(q, dim, a, poly, tuple(flags))
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +222,8 @@ def zeta_value(profile: CountProfile, s: int) -> ZetaValue:
     return ZetaValue(s, None, lower, lower / (1 - tail), flags)
 
 
-def _support_patterns(ell: int, max_d: int | None = None):
+def _support_patterns(ell: int):
     """Multiplicity functions {d: m_d >= 1} with sum d*m_d = ell."""
-    max_d = max_d or ell
 
     def rec(remaining, d_min):
         if remaining == 0:

@@ -11,7 +11,9 @@ product of functionals and digits, one closed point at a time, and the
 former rank certificate, one candidate at a time over F_q with its own
 elimination, and its former row build, one polynomial product and one
 reduction per multiple, and the former draw, one Python int per candidate,
-and the former embedder loop, one point search per draw.
+and the former embedder loop, one point search per draw, and the former
+low-degree predictor, one Euler factor per closed point of V and a
+separate enumeration of X - V.
 Slow and simple on purpose.  The last section holds helpers that only the
 tests call.
 """
@@ -81,7 +83,31 @@ def multiples_matrix(gens, d, nvars, p):
 # ---------------------------------------------------------------------------
 # The former library point scans: one code tuple of P^n(F_{q^e}) at a time,
 # tested with scalar MPoly.evaluate_codes, Frobenius orbits followed with
-# FieldSpec.frobenius.
+# `frobenius_code`.
+
+@lru_cache(maxsize=None)
+def _frobenius_images(spec):
+    """The p-th powers of the power basis 1, x, ..., x^(k-1) of spec."""
+    return tuple(spec.pow(spec.from_digits([0] * i + [1]) if i else 1, spec.p)
+                 for i in range(spec.k))
+
+
+def frobenius_code(spec, a, times=1):
+    """`times` applications of the p-power map to the code a, applied to
+    its digits by F_p-linearity."""
+    for _ in range(times % spec.k):
+        out = 0
+        for i, c in enumerate(spec.digits(a)):
+            if c:
+                out = spec.add(out, spec.mul(_frobenius_images(spec)[i], c))
+        a = out
+    return a
+
+
+def frobenius(a, q=None):
+    """a ** q for a FieldElement; by default the p-power Frobenius."""
+    return a ** (a.spec.p if q is None else q)
+
 
 def projective_points(spec, nvars):
     """Points of P^{nvars-1}(F) as code tuples, first nonzero coordinate 1:
@@ -123,7 +149,7 @@ def enumerate_closed_points(scheme, max_degree):
             orbit = [pt]
             cur = pt
             while True:
-                cur = tuple(ext.frobenius(c, base.k) for c in cur)
+                cur = tuple(frobenius_code(ext, c, base.k) for c in cur)
                 if cur == pt:
                     break
                 orbit.append(cur)
@@ -603,7 +629,52 @@ def point_search_certificate(problem, f, e_max=3):
                   e_max) is not None:
         return "nonempty"
     ideal = GradedIdeal(spec, nvars, gens)
-    return ideal.is_projectively_empty(point_search=False).status
+    return ideal.is_projectively_empty().status
+
+
+# ---------------------------------------------------------------------------
+# The former low-degree predictor: one Euler factor per closed point of V at
+# its embedding dimension, and one power per degree of the closed points of
+# X - V, enumerated from a presentation of their own.
+
+def complement_presentation(problem):
+    """X - V as a quasi-projective presentation."""
+    X = problem.X
+    if problem.Z is None:
+        return X
+    v_eqs = problem.Z.equations
+    if not v_eqs:
+        # Z is all of P^n, so X - V is empty: 1 vanishes at no point
+        return variety.SchemePresentation(
+            problem.field, problem.nvars,
+            X.equations + (MPoly.constant(problem.field, problem.nvars, 1),),
+            X.removed, X.declared_dim)
+    if X.removed:
+        removed = tuple(w * v for w in X.removed for v in v_eqs)
+    else:
+        removed = tuple(v_eqs)
+    return variety.SchemePresentation(problem.field, problem.nvars,
+                                      X.equations, removed, X.declared_dim)
+
+
+def low_degree_predictor(problem, r, cap=sieve.DEFAULT_CAP):
+    """The density of sections smooth at every closed point of degree < r."""
+    m = sieve._require_dim(problem)
+    q = problem.field.q
+    value = Fraction(1)
+    if r <= 1:
+        return value
+    V = sieve.intersection_presentation(problem)
+    if V is not None:
+        for P in variety.enumerate_closed_points(V, r - 1, cap):
+            s = m - variety.embedding_dimension(V, P)
+            if s <= 0:
+                return Fraction(0)
+            value *= 1 - Fraction(1, q ** (s * P.degree))
+    xmv = complement_presentation(problem)
+    for e, _, orbits in variety.closed_point_arrays(xmv, r - 1, cap):
+        value *= (1 - Fraction(1, q ** ((m + 1) * e))) ** len(orbits)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -922,6 +993,16 @@ def dump_problem(problem):
     for e, d in problem.stratum_dims:
         lines.append(f"dim V_{e} = {d}")
     return "\n".join(lines) + "\n"
+
+
+def point_count(profile, e):
+    """N_e = |X(F_{q^e})| of a count profile."""
+    if profile.poly is not None:
+        return profile.poly_counts(e)[-1]
+    if e > profile.b_max:
+        raise zeta.InsufficientProfile(
+            f"N_{e} needs counts through degree {e}, have {profile.b_max}")
+    return variety.point_counts(profile.a)[e - 1]
 
 
 def sym_coefficients(profile, n_max, ell_max):

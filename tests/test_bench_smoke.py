@@ -3,7 +3,9 @@
 `perfbench/run.py --trace 1` must exit 0 and print, as its last stdout
 line, a JSON record whose metrics are all finite numbers: a line printed
 after the result, or a NaN or infinite metric, makes the run unreadable.
-One pass of each workload at `--seconds 0` takes a few seconds.
+One pass of each workload at `--seconds 0` takes a few seconds; f2_scan
+and generic_q run `lowdeg` ops, f2_exact and predict_embed the exact
+scans, predictions and embeddings.
 """
 
 import json
@@ -21,7 +23,8 @@ def _refuse(constant):
     raise ValueError(f"non-finite JSON constant {constant}")
 
 
-@pytest.mark.parametrize("workload", ["f2_exact", "predict_embed"])
+@pytest.mark.parametrize("workload", ["f2_exact", "f2_scan", "generic_q",
+                                      "predict_embed"])
 def test_traced_run_ends_with_a_finite_result(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

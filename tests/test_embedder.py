@@ -1,9 +1,10 @@
-"""Cross-checks of the predictor's complement counts and the embedder's
+"""Cross-checks of the predictors' complement counts and the embedder's
 jet-condition filter against the routes they replace.
 
-`predict_density` reads the closed-point counts of X - V off the
-stratification of V and X's own counts; `zeta.profile_from_scheme` scans
-X - V.  The embedder rejects a draw singular at a closed point of degree
+`predict_density` and `low_degree_predictor` read the closed-point counts
+of X - V off the stratification of V and X's own counts;
+`zeta.profile_from_scheme` scans X - V, and `oracles.low_degree_predictor`
+takes one factor per closed point of V and enumerates X - V.  The embedder rejects a draw singular at a closed point of degree
 <= e_max by the scan's jet conditions; `GradedIdeal.find_point` searches
 the points of V(J) one draw at a time, and `oracles.embed_per_draw` is the
 former per-draw loop.
@@ -81,11 +82,36 @@ def test_complement_profile_equals_scan_of_complement(schemes_dir, name, q):
         b = min(b, 4)
     table = variety.stratify(sieve.intersection_presentation(prob), b,
                              prob.dims)
-    got = sieve._complement_profile(prob, table, m, b, sieve.DEFAULT_CAP)
-    xmv = replace(sieve.complement_presentation(prob), declared_dim=m)
+    got = zeta.profile_from_counts(
+        sieve._complement_counts(prob, table, b, sieve.DEFAULT_CAP),
+        prob.field.q, m, b)
+    xmv = replace(oracles.complement_presentation(prob), declared_dim=m)
     want = zeta.profile_from_scheme(xmv, b)
     assert (got.a, got.poly, got.dim, got.flags) == (
         want.a, want.poly, want.dim, want.flags)
+
+
+LOWDEG_CASES = ([(name, q, r) for name in ("p1", "p2", "nodal_cubic",
+                                           "cuspidal_cubic", "nonreduced_line",
+                                           "obstructed_axes")
+                 for q in (2, 3, 4) for r in (1, 2, 3, 4)]
+                + [(name, 2, r) for name in ("quadric", "quadric_removed")
+                   for r in (2, 3, 4)])
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name,q,r", LOWDEG_CASES)
+def test_low_degree_predictor_equals_per_point_product(schemes_dir, name, q,
+                                                       r):
+    prob = _problem(schemes_dir, name, q)
+    assert (_value_or_error(sieve.low_degree_predictor, prob, r)
+            == _value_or_error(oracles.low_degree_predictor, prob, r))
 
 
 # -- the jet-condition filter ---------------------------------------------------

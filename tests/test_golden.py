@@ -1,4 +1,4 @@
-"""Golden reports: the `result` member of seventeen CLI runs, byte for byte.
+"""Golden reports: the `result` member of nineteen CLI runs, byte for byte.
 
 Sampled scans through Z and embedding chains map a candidate index to a
 form through the canonical basis rows of the candidate space, and
@@ -12,7 +12,9 @@ over F_3 the embedder's odd-q draws across two degrees.  The three
 predictions pin the X - V factor and the violated case.  The embeddings
 of the cuspidal cubic (16 rejected draws at d = 2, then 25 tries at
 d = 3) and of the nodal cubic over F_4 pin the tries and the chosen forms
-behind the embedder's jet-condition filter.
+behind the embedder's jet-condition filter.  The two low-degree products
+through Z, over the nodal cubic at r = 4 and the cuspidal cubic over F_3
+at r = 3, pin the per-stratum and X - V factors.
 Regenerate a file only for a deliberate change of report content.
 """
 
@@ -71,6 +73,9 @@ CASES = {
                           "--d-min", "2", "--seed", "7"],
     "embed_nodal_q4": ["embed", "--scheme", "nodal_cubic.scm", "--q", "4",
                        "--d-min", "3", "--seed", "2"],
+    "lowdeg_nodal_r4": ["lowdeg", "--scheme", "nodal_cubic.scm", "--r", "4"],
+    "lowdeg_cuspidal_q3_r3": ["lowdeg", "--scheme", "cuspidal_cubic.scm",
+                              "--q", "3", "--r", "3"],
 }
 
 

@@ -118,7 +118,8 @@ def test_contains_strict_vs_saturated():
     I = ideal(["x^2", "x*y"], nvars=2, aliases=XY)
     x = parse_poly("x", F2, 2, XY)
     assert I.contains(x)
-    assert not I.contains(x, strict=True)
+    # x is in the saturation of (x^2, xy) but not in the ideal itself
+    assert not I.piece(1).contains_vector(poly_to_vector(x, 1))
 
 
 def test_emptiness_irrelevant():
@@ -138,14 +139,12 @@ def test_emptiness_fermat_cubic_jacobian():
 
 def test_emptiness_witness():
     I = GradedIdeal(F2, 2, [parse_poly("x", F2, 2, XY)])
-    cert = I.is_projectively_empty()
-    assert cert.status == "nonempty"
-    assert cert.witness == (0, 1)
+    assert I.find_point(2) == ((0, 1), F2)
 
 
 def test_emptiness_inconclusive_when_capped():
     I = GradedIdeal(F2, 2, [parse_poly("x", F2, 2, XY)])
-    cert = I.is_projectively_empty(k_max=3, point_search=False)
+    cert = I.is_projectively_empty()
     assert cert.status == "inconclusive"
 
 
@@ -175,12 +174,10 @@ def test_emptiness_agrees_with_point_search_on_corpus():
             if not gens:
                 continue
             I = GradedIdeal(spec, nvars, gens)
-            cert = I.is_projectively_empty(e_max=4)
-            found = I.find_point(4)
+            cert = I.is_projectively_empty()
+            assert cert.status in ("empty", "inconclusive")
             if cert.status == "empty":
-                assert found is None
-            elif cert.status == "nonempty":
-                assert found is not None
+                assert I.find_point(4) is None
 
 
 def test_s1_stability():

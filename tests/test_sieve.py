@@ -88,6 +88,17 @@ def test_predict_zero_iff_violated(nodal, p2, schemes_dir):
         assert (rep.value == 0) == (rep.hypothesis_check.status == "violated")
 
 
+@pytest.mark.parametrize("dims", ["", "dim V_0 = 0\n"])
+def test_no_low_degree_points_flag_with_declared_strata(dims):
+    # Z is one closed point of degree 7 on P^1 over F_2 and has no point of
+    # degree <= 3; a declared stratum dimension leaves the flag in place
+    prob = parse_problem("q = 2\nP 1 : x y\nX:\nZ:\n  x^7 + x*y^6 + y^7\n"
+                         "dim X = 1\n" + dims)
+    rep = predict_density(prob)
+    assert rep.value == Fraction(3, 8)
+    assert "no-low-degree-points" in rep.flags
+
+
 # -- singularity distribution -------------------------------------------------
 
 def test_predict_sing_dist_p2(p2):
@@ -120,6 +131,18 @@ def test_sing_dist_identity_all_q(schemes_dir, q):
 def test_lowdeg_trivial_and_p2(p2):
     assert low_degree_predictor(p2, 1) == 1
     assert low_degree_predictor(p2, 2) == Fraction(7, 8) ** 7
+
+
+def test_lowdeg_refuses_over_the_cap_before_enumerating(p2,
+                                                        enumeration_calls):
+    # r = 13 reaches P^2(F_4096); P^2's counts come in closed form, so the
+    # cap is checked first (the exact power for a_12, about 1.4 million
+    # points, would take minutes to build)
+    with pytest.raises(variety.EnumerationCapExceeded) as info:
+        low_degree_predictor(p2, 13)
+    assert str(info.value) == ("P^2(F_4096) has 16781313 points "
+                               "(cap 16777216)")
+    assert enumeration_calls == []
 
 
 def test_lowdeg_nodal(nodal):
@@ -353,7 +376,7 @@ def test_jet_condition_ranks_match_zeta_exponents(nodal):
     for P, rank in ranks(V, 2):
         e = variety.embedding_dimension(V, P)
         assert rank == (m - e) * P.degree
-    xmv = sieve.complement_presentation(nodal)
+    xmv = oracles.complement_presentation(nodal)
     for P, rank in ranks(xmv, 1):
         assert rank == (m + 1) * P.degree
 
@@ -363,10 +386,13 @@ def test_complement_of_all_of_pn_is_empty(q, removed):
     # Z with no equations is all of P^2, so X - V has no point at all
     prob = parse_problem(f"q = {q}\nP 2 : x y z\nX:\n{removed}Z:\n"
                          "dim X = 2\n")
-    xmv = sieve.complement_presentation(prob)
+    xmv = oracles.complement_presentation(prob)
     assert [variety.raw_point_count(xmv, e) for e in (1, 2)] == [0, 0]
     assert variety.enumerate_closed_points(xmv, 2) == []
     assert [oracles.raw_point_count(xmv, e) for e in (1, 2)] == [0, 0]
+    table = variety.stratify(sieve.intersection_presentation(prob), 2)
+    assert sieve._complement_counts(prob, table, 2, sieve.DEFAULT_CAP) == {
+        1: 0, 2: 0}
 
 
 def test_estimate_through_z_converges_to_predictor(nodal):
@@ -492,7 +518,7 @@ def test_empty_on_open_radical_step():
     # empty on P^2, and x is not in J but x^2 is
     J = _plane_ideal(["x^2", "y"])
     x = parse_homogeneous("x", F2, 3, ("x", "y", "z"))
-    assert J.is_projectively_empty(point_search=False).status != "empty"
+    assert J.is_projectively_empty().status != "empty"
     assert not J.contains(x) and J.contains(x * x)
     cert = sieve._empty_on_open(J, (x,), e_max=2)
     assert cert.status == "empty"

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
-from oracles import dump_problem, is_smooth_at, orbit_variants
-from smoothsieve import gf, variety, zeta
+from oracles import (dump_problem, frobenius_code, is_smooth_at,
+                     orbit_variants)
+from smoothsieve import gf, sieve, variety, zeta
 from smoothsieve.mpoly import parse_homogeneous
 from smoothsieve.variety import (ClosedPoint, EnumerationCapExceeded,
+                                 SchemeProblem,
                                  PointNotOnScheme, SchemePresentation,
                                  embedding_dimension, enumerate_closed_points,
                                  load_problem, parse_problem, raw_point_count,
@@ -55,13 +59,30 @@ def test_orbit_structure_and_moebius(schemes_dir):
     for P in pts:
         ext = P.residue
         for member in P.orbit:
-            image = tuple(ext.frobenius(c, 1) for c in member)
+            image = tuple(frobenius_code(ext, c) for c in member)
             assert image in P.orbit
         assert len(P.orbit) == P.degree
-    for e in range(1, 5):
-        n_e = raw_point_count(C, e)
+    n_values = [raw_point_count(C, e) for e in range(1, 5)]
+    for e, n_e in enumerate(n_values, 1):
         assert n_e == sum(P.degree for P in pts
                           if e % P.degree == 0)
+    a = tuple(sum(P.degree == d for P in pts) for d in range(1, 5))
+    assert variety.closed_point_counts(n_values) == a
+    assert variety.point_counts(a) == n_values
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 2), (4, 3)])
+def test_counts_of_pn(q, n):
+    # N_e = (q^{e(n+1)} - 1)/(q^e - 1); a_1 = N_1, and d a_d sums
+    # mu(d/e) N_e over the divisors e of d
+    n_values = [(q ** (e * (n + 1)) - 1) // (q ** e - 1) for e in range(1, 9)]
+    a = variety.closed_point_counts(n_values)
+    assert a[0] == n_values[0]
+    assert 6 * a[5] == n_values[5] - n_values[2] - n_values[1] + n_values[0]
+    assert variety.point_counts(a) == n_values
+    assert variety.dimension_guess(n_values, q) == n
+    assert variety.dimension_guess(n_values[:3] + [0] * 5, q) == n
+    assert variety.dimension_guess([0] * 8, q) is None
 
 
 def test_enumeration_cap(enumeration_calls):
@@ -75,7 +96,7 @@ def test_enumeration_cap(enumeration_calls):
     assert enumeration_calls == []
 
 
-@pytest.mark.parametrize("count", ["profile", "closed_points"])
+@pytest.mark.parametrize("count", ["profile", "lowdeg"])
 def test_point_counts_refuse_before_enumerating(enumeration_calls, count):
     # degree 12 is over the cap and is checked first: no lower degree is
     # enumerated (P^2(F_2048) alone has 4.2 million points)
@@ -85,7 +106,9 @@ def test_point_counts_refuse_before_enumerating(enumeration_calls, count):
         if count == "profile":
             zeta.profile_from_scheme(conic, 12)
         else:
-            variety.closed_point_count(conic, 12)
+            curve = replace(conic, declared_dim=1)
+            sieve.low_degree_predictor(
+                SchemeProblem(F2, 3, XYZW[:3], curve, None), 13)
     assert str(info.value) == ("P^2(F_4096) has 16781313 points "
                                "(cap 16777216)")
     assert enumeration_calls == []

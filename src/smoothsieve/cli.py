@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import gf, sieve, variety, zeta
-from .sieve import (EmbedResult, MissingProfile,
-                    NoSmoothHypersurfaceFound, UnsupportedPresentation)
+from .sieve import EmbedResult, NoSmoothHypersurfaceFound
 
 SCHEMA_VERSION = 1
 
@@ -351,11 +350,7 @@ def main(argv=None) -> int:
                           "NoSmoothHypersurfaceFound", "d_max": exc.d_max,
                           "tries": [list(t) for t in exc.tries]}, indent=2))
         return 1
-    except (MissingProfile, UnsupportedPresentation, zeta.DivergentArgument,
-            zeta.InsufficientProfile, variety.EnumerationCapExceeded,
-            variety.SchemeFileError, variety.PointNotOnScheme,
-            gf.NonPrimeError, gf.ReducibleModulusError,
-            gf.IncompatibleFieldsError, FileNotFoundError) as exc:
+    except (gf.SmoothsieveError, FileNotFoundError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
     print(render(report, config.out))

@@ -23,23 +23,28 @@ ENUMERATION_CAP = 1 << 24
 _TABLE_CAP = 1 << 16
 
 
-class NonPrimeError(ValueError):
+class SmoothsieveError(ValueError):
+    """Base of the library's errors: an input or request it refuses, which
+    the command line reports as one `error [Type]` line."""
+
+
+class NonPrimeError(SmoothsieveError):
     """Characteristic is not prime."""
 
 
-class ReducibleModulusError(ValueError):
+class ReducibleModulusError(SmoothsieveError):
     """Supplied modulus is not irreducible (or not monic of the right degree)."""
 
 
-class FieldMismatchError(ValueError):
+class FieldMismatchError(SmoothsieveError):
     """Operands live in different field specs."""
 
 
-class IncompatibleFieldsError(ValueError):
+class IncompatibleFieldsError(SmoothsieveError):
     """No canonical embedding between the two specs."""
 
 
-class EnumerationCapError(ValueError):
+class EnumerationCapError(SmoothsieveError):
     """Requested enumeration exceeds the desk-scale cap."""
 
 

@@ -16,11 +16,11 @@ from . import gf, linalg
 from .gf import FieldMismatchError, FieldSpec
 
 
-class HomogeneityError(ValueError):
+class HomogeneityError(gf.SmoothsieveError):
     """Polynomial is not homogeneous where homogeneity is required."""
 
 
-class ParseError(ValueError):
+class ParseError(gf.SmoothsieveError):
     pass
 
 

@@ -24,18 +24,18 @@ import numpy as np
 
 from . import gf, linalg, variety, zeta
 from .graded import EmptinessCertificate, GradedIdeal
-from .mpoly import MPoly, monomial_index, monomials_of_degree
+from .mpoly import MPoly, monomials_of_degree
 from .variety import (ClosedPoint, SchemePresentation, SchemeProblem,
                       closed_point_arrays, enumerate_closed_points, stratify)
 
 DEFAULT_CAP = variety.DEFAULT_CAP
 
 
-class MissingProfile(ValueError):
+class MissingProfile(gf.SmoothsieveError):
     """A required exact count profile could not be established."""
 
 
-class UnsupportedPresentation(ValueError):
+class UnsupportedPresentation(gf.SmoothsieveError):
     """exact mode needs X = P^n or a complete intersection presentation,
     with nothing removed."""
 
@@ -760,103 +760,11 @@ def _empty_on_open(J: GradedIdeal, removed, e_max) -> EmptinessCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Orbits of GL_{n+1}(F_q) on S_d.  A linear change of coordinates f -> f(Ax)
-# maps closed points to closed points of the same degree and V(f, grad f)
-# to its image, so it preserves ell(f) and the certificate's answer; an
-# exhaustive exact scan of P^n with Z empty certifies one candidate per
-# orbit.
-
-def _gl_generators(spec, nvars):
-    """Matrices A (x_i -> sum_j A[i][j] x_j, rows of codes) generating
-    GL_nvars(F_q): the swap x_0 <-> x_1, the cycle x_i -> x_{i+1}, the
-    transvection x_0 -> x_0 + x_1 and, for q > 2, the scaling x_0 -> w x_0
-    by a generator w of F_q^*."""
-    eye = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
-    gens = []
-    if nvars > 1:
-        gens.append([eye[1], eye[0]] + eye[2:])
-        gens.append([eye[(i + 1) % nvars] for i in range(nvars)])
-        gens.append([eye[0][:1] + (1,) + eye[0][2:]] + eye[1:])
-    if spec.q > 2:
-        gens.append([(spec.primitive,) + eye[0][1:]] + eye[1:])
-    return tuple(tuple(g) for g in gens)
-
-
-_ORBIT_ENTRIES = 1 << 14  # image digits per chunk in `_orbit_labels`
-
-
-@lru_cache(maxsize=16)
-def _gl_action(spec: gf.FieldSpec, nvars: int, d: int):
-    """The F_p-linear maps f -> f(Ax) on the base-p digits of the indices
-    of S_d, one block of columns per generator A: the digits of an index
-    times this matrix are the digits of its images, generator by
-    generator."""
-    monos = monomials_of_degree(nvars, d)
-    index = monomial_index(nvars, d)
-    k = spec.k
-    scalars = [spec.from_digits([0] * j + [1]) for j in range(k)]
-    blocks = [np.zeros((len(monos) * k, 0), dtype=np.int64)]  # F_2, P^0: none
-    for A in _gl_generators(spec, nvars):
-        forms = [MPoly(spec, nvars, {
-            tuple(int(t == j) for t in range(nvars)): c
-            for j, c in enumerate(row)}) for row in A]
-        rows = []  # the image of each candidate digit, as digits
-        for m in monos:
-            image = MPoly.constant(spec, nvars, 1)
-            for form, e in zip(forms, m):
-                for _ in range(e):
-                    image = image * form
-            for s in scalars:
-                row = [0] * (len(monos) * k)
-                for expo, c in (image * s).terms.items():
-                    row[index[expo] * k:(index[expo] + 1) * k] = spec.digits(c)
-                rows.append(row)
-        blocks.append(np.array(rows, dtype=np.int64))
-    return np.concatenate(blocks, axis=1)
-
-
-def _orbit_labels(space, clean):
-    """For each position in `clean` (the sorted scan-clean indices of an
-    exhaustive scan of P^n, a GL-stable set), the least position of its
-    GL_{n+1}(F_q)-orbit: label = min(label, label[image]) over the
-    generators' images, with pointer jumping, until nothing changes."""
-    spec = space.problem.field
-    action = _gl_action(spec, space.problem.nvars, space.d)
-    width = len(action)  # digits per index
-    weights = spec.p ** np.arange(width, dtype=np.int64)
-    images = np.empty((action.shape[1] // width, len(clean)), dtype=np.intp)
-    step = max(1, _ORBIT_ENTRIES // max(action.shape[1], 1))
-    for lo in range(0, len(clean), step):
-        chunk = clean[lo:lo + step]
-        digits = chunk[:, None] // weights % spec.p @ action % spec.p
-        moved = (digits.reshape(len(chunk), -1, width) @ weights).T
-        images[:, lo:lo + step] = np.searchsorted(clean, moved)
-        if not np.array_equal(clean.take(images[:, lo:lo + step],
-                                         mode="clip"), moved):
-            raise AssertionError("the scan-clean set is not GL-stable")
-    label = np.arange(len(clean))
-    while True:
-        new = label
-        for image in images:
-            new = np.minimum(new, new[image])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
-def _orbit_groups(space, clean):
-    """(representatives, sizes): the GL_{n+1}(F_q)-orbits of the scan-clean
-    indices, each as its least index and its size."""
-    roots, sizes = np.unique(_orbit_labels(space, clean), return_counts=True)
-    return clean[roots], sizes
-
-
-# ---------------------------------------------------------------------------
 # The shared scan: per candidate f, the total degree of singular points of
-# X cap H_f found at degree <= B, plus (exact mode) the smoothness
-# certificate for scan-clean candidates, or on P^2 the scan on to the
-# degree bound of `_degree_route`.
+# X cap H_f found at degree <= B.  Exact mode then decides the scan-clean
+# candidates by one of two routes: on a free P^n, the scan on to the proven
+# degree bound of `_degree_bound` when `_degree_route` finds it cheaper than
+# the forms; otherwise the smoothness certificate of each one.
 
 _INFINITE = -1  # sentinel ell value for f = 0
 
@@ -912,18 +820,12 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
         _scan_all(space, conds[len(low):], ell)
         smooth = _tally(ell[1:]).get(0, 0)
         unresolved = clean - smooth
-    elif exact:  # resolve scan-clean candidates, one certificate per group
-        clean = np.flatnonzero(ell == 0)  # positions in indices
-        del ell  # freed before the orbit step's temporaries
-        if exhaustive and problem.Z is None and X.is_free_ambient():
-            clean, sizes = _orbit_groups(space, clean)  # positions = indices
-        else:
-            sizes = np.ones(len(clean), dtype=np.int64)
+    elif exact:  # resolve scan-clean candidates, one certificate each
+        clean = np.flatnonzero(ell == 0)  # positions = indices if exhaustive
         candidates = (_index_digits(clean, spec.p, spec.k * space.rank)
                       if exhaustive else digits[clean])
-        certified = _certify_smooth(problem, d, candidates)
-        smooth = int(sizes[certified].sum())
-        unresolved = int(sizes.sum()) - smooth
+        smooth = int(_certify_smooth(problem, d, candidates).sum())
+        unresolved = len(clean) - smooth
     else:
         smooth = clean
     flags.append("exact-certificates" if exact
@@ -932,24 +834,82 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
                       unresolved, tuple(dict.fromkeys(flags)))
 
 
-def _degree_route(problem, d, sing_bound, total):
-    """B* = max(B, d(d-1)/2) when an exhaustive exact scan of X = P^2
-    decides smoothness by scanning on to B*, None when it certifies.
+def _degree_bound(n, d):
+    """B*(n, d): every singular hypersurface of degree d in P^n has a singular
+    closed point of degree <= B*; None where no bound is proven.  Forms
+    through any Z are still hypersurfaces of P^n, so the bound holds for them.
+    Throughout, a closed point lying in a Frobenius-stable set of N geometric
+    points, or in an F_q-scheme of degree N, has degree <= N.
 
-    A reduced plane curve of degree d has at most d(d-1)/2 singular
-    geometric points (Fulton, Algebraic Curves), so every singular closed
-    point has degree <= d(d-1)/2; a non-reduced g^2 h is singular along
-    V(g), which meets a rational line in degree deg g or contains it, so it
-    has a singular closed point of degree <= d/2.  A nonzero f is thus
-    clean at B* exactly when V(f) is smooth.  The scan goes on when the
-    jet-condition rows of the closed points of degree B+1..B*, counted from
-    |P^2(F_{q^e})| before anything is enumerated, are fewer than the |I_d|
-    forms; past the point cap they never are."""
-    if problem.nvars != 3 or not problem.X.is_free_ambient():
+    - d = 1, or n = 0: 0.  A nonzero linear form has a nonzero partial, and
+      on P^0 a nonzero form has no zeros.
+    - n = 1: floor(d/2).  A singular binary form has a repeated factor g^2,
+      defined over F_q because its roots are a stable set, and the roots of
+      g have degree <= deg g <= d/2.
+    - d = 2: 1.  The singular locus of a quadric Q is an F_q-linear
+      subspace: P(rad B) of its polar form B for odd p; for p = 2 the zero
+      set on rad B of Q, which is additive there with Q(cv) = c^2 Q(v), so
+      the square of a linear form (F_q is perfect).  A nonempty linear subspace defined over
+      F_q has a rational point.
+    - n = 2: the largest of four cases of a singular curve V(f).
+      Non-reduced, f = g^2 h with g over F_q: V(f) is singular along V(g),
+      which meets a rational line in an F_q-scheme of degree deg g <= d/2,
+      or contains it.
+      Two coprime F_q-factors of degrees a + b = d: they meet, in singular
+      points forming an F_q-scheme of degree ab <= d^2/4 (Bezout).
+      Geometrically irreducible: at most (d-1)(d-2)/2 singular points
+      (Fulton, Algebraic Curves).  F_q-irreducible with e >= 2 conjugate
+      components C_i = Frob^i(C_0) of degree d/e: any two meet, in at most
+      (d/e)^2 singular points.  For even e the pairs {i, i + e/2} form one
+      Frobenius orbit of e/2 pairs, a stable set of at most d^2/(2e) points;
+      for odd e the pairs {i, i + 1} form one of e pairs, at most d^2/e.
+    - n = 3, d = 3: 4.  (a) f = l g with l linear over F_q: V(l) cap V(g)
+      is the plane V(l) or a conic in it, with a rational point by
+      Chevalley-Warning.  (b) F_q-irreducible but geometrically reducible:
+      three conjugate planes, whose pairwise lines are defined over F_{q^3}
+      and have points of degree <= 3.  (c) Geometrically irreducible: the
+      line through two singular points meets S = V(f) with multiplicity
+      >= 4, so it lies in S.  If Sing S is infinite, this leaves it one
+      line (two lines, a line and a point, or a curve not a line would put
+      a plane or all of P^3 in S), which is stable, so defined over F_q.
+      Otherwise let P = (1:0:0:0) be singular, f = x_0 f_2 + f_3.  With
+      f_2 = 0, S is a cone over a smooth plane cubic, singular only at P.
+      Otherwise f_2 and f_3 share no factor, and another singular point
+      (t : v) has f_2(v) = f_3(v) = 0 and t grad f_2(v) = -grad f_3(v)
+      with grad f_2(v) != 0 (else the line Pv is singular): V(f_2) and
+      V(f_3) meet at v with multiplicity >= 2, and v fixes t.  Their
+      intersection has degree 6 (Bezout), so |Sing S| <= 1 + 3.
+    """
+    if d <= 1 or n == 0:
+        return 0
+    if n == 1:
+        return d // 2
+    if d == 2:
+        return 1
+    if n == 2:
+        conjugate = [d * d // (2 * e if e % 2 == 0 else e)
+                     for e in range(2, d + 1) if d % e == 0]
+        return max([d // 2, d * d // 4, (d - 1) * (d - 2) // 2] + conjugate)
+    if (n, d) == (3, 3):
+        return 4
+    return None
+
+
+def _degree_route(problem, d, sing_bound, total):
+    """B* = max(B, `_degree_bound`) when an exhaustive exact scan of a free
+    P^n decides smoothness by scanning on to B*, None when it certifies.
+
+    A nonzero f is clean at B* exactly when V(f) is smooth.  The scan goes
+    on when the jet-condition rows of the closed points of degree B+1..B*,
+    (n + 1 + [p | d]) k e a_e at degree e, counted from |P^n(F_{q^e})|
+    before anything is enumerated, are fewer than the |I_d| forms; past the
+    point cap they never are."""
+    bound = _degree_bound(problem.nvars - 1, d)
+    if bound is None or not problem.X.is_free_ambient():
         return None
     spec = problem.field
-    top = max(sing_bound, d * (d - 1) // 2)
-    per_digit = 3 + int(d % spec.p == 0)  # the partials, f(P) when p | d
+    top = max(sing_bound, bound)
+    per_digit = problem.nvars + int(d % spec.p == 0)  # f(P) when p | d
     a = zeta.profile_from_scheme(problem.X, top).a
     rows = sum(per_digit * spec.k * e * a[e - 1]
                for e in range(max(sing_bound, 0) + 1, top + 1))

@@ -18,15 +18,15 @@ from .graded import GradedIdeal, poly_to_vector
 from .mpoly import projective_point_count
 
 
-class EnumerationCapExceeded(ValueError):
+class EnumerationCapExceeded(gf.SmoothsieveError):
     pass
 
 
-class PointNotOnScheme(ValueError):
+class PointNotOnScheme(gf.SmoothsieveError):
     pass
 
 
-class SchemeFileError(ValueError):
+class SchemeFileError(gf.SmoothsieveError):
     pass
 
 
@@ -388,21 +388,25 @@ def parse_problem(text: str, q_override: int | None = None) -> SchemeProblem:
                 aliases = tuple(apart.replace(",", " ").split())
             else:
                 npart, aliases = body, None
-            n = int(npart.strip())
+            n = _integer(npart)
+            if n < 0:
+                raise SchemeFileError(f"P {n}: the dimension must be >= 0")
             nvars = n + 1
             if aliases is None:
                 aliases = mpoly.default_aliases(nvars)
             if len(aliases) != nvars:
                 raise SchemeFileError(
                     f"expected {nvars} variable aliases, got {len(aliases)}")
+            if len(set(aliases)) != nvars:
+                raise SchemeFileError(f"repeated variable alias in {aliases}")
             current = None
         elif low.startswith("dimX="):
-            dim_x = int(line.split("=", 1)[1])
+            dim_x = _integer(line.split("=", 1)[1])
             current = None
         elif low.startswith("dimV_"):
             head, val = low.split("=", 1)
-            e = int(head[len("dimV_"):])
-            stratum_dims[e] = int(val)
+            e = _integer(head[len("dimV_"):])
+            stratum_dims[e] = _integer(val)
             current = None
         elif ":" in line and line.split(":", 1)[0].strip() in sections:
             current, rest = (part.strip() for part in line.split(":", 1))
@@ -436,6 +440,14 @@ def parse_problem(text: str, q_override: int | None = None) -> SchemeProblem:
                          tuple(sorted(stratum_dims.items())))
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemeFileError(
+            f"expected an integer, got {text.strip()!r}") from None
+
+
 def _validate_declared_dim(X: SchemePresentation, e: int = 2):
     """Warn (never error) when the declared dimension disagrees with the
     point-count growth rate; skipped when the check itself would be big."""
@@ -466,10 +478,10 @@ def _parse_field_line(line: str, q_override: int | None) -> FieldSpec:
     else:
         modpart = None
     if "^" in body:
-        p_s, k_s = body.split("^")
-        p, k = int(p_s), int(k_s)
+        p_s, _, k_s = body.partition("^")
+        p, k = _integer(p_s), _integer(k_s)
     else:
-        q = int(body)
+        q = _integer(body)
         p, k = _factor_prime_power(q)
     if q_override is not None:
         p, k = _factor_prime_power(q_override)
@@ -516,7 +528,7 @@ def _parse_modulus(text: str, p: int, k: int):
             elif fac == "g" or fac == "x":
                 power += 1
             elif fac.startswith(("g^", "x^")):
-                power += int(fac.split("^")[1])
+                power += _integer(fac.split("^")[1])
             else:
                 raise SchemeFileError(f"bad modulus term {fac!r}")
         if power > k:

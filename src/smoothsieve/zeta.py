@@ -11,16 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import variety
+from . import gf, variety
 from .variety import (SchemePresentation, closed_point_counts,
                       dimension_guess, point_counts)
 
 
-class DivergentArgument(ValueError):
+class DivergentArgument(gf.SmoothsieveError):
     """Special value requested at or below the dimension pole."""
 
 
-class InsufficientProfile(ValueError):
+class InsufficientProfile(gf.SmoothsieveError):
     """Profile lacks exact degree counts needed for the request."""
 
 

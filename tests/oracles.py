@@ -1,10 +1,12 @@
 """Independent oracles for the test suite.
 
-These deliberately avoid the library's linear-algebra and orbit-grouping
-paths: dense per-entry elimination, per-point scans of P^n(F_{q^e}) with
-scalar `MPoly.evaluate_codes`, explicit zero-cycle enumeration,
-brute-force matrix groups, the former point-search smoothness
-certificate and closed-form point counts.  The former per-point jet
+These deliberately avoid the library's linear-algebra paths: dense
+per-entry elimination, per-point scans of P^n(F_{q^e}) with scalar
+`MPoly.evaluate_codes`, explicit zero-cycle enumeration, brute-force
+matrix groups, the former point-search smoothness certificate and
+closed-form point counts.  The former orbit route of exact scans of P^n,
+one certificate per GL_{n+1}(F_q)-orbit of scan-clean forms, is the
+oracle of the library's degree bounds.  The former per-point jet
 conditions and per-point kernel scan are kept too; those use `linalg`'s
 row reduction, one closed point at a time.  So is the sampled classifier's
 product of functionals and digits, one closed point at a time, and the
@@ -613,6 +615,151 @@ def orbit_minima_f2(nvars, d, indices):
 
 
 # ---------------------------------------------------------------------------
+# The former orbit route of exact scans of P^n with Z empty.  A linear
+# change of coordinates f -> f(Ax) maps closed points to closed points of the
+# same degree and V(f, grad f) to its image, so it preserves ell(f) and the
+# certificate's answer: one certificate per GL_{n+1}(F_q)-orbit of
+# scan-clean forms decides them all.  The library scans on to proven degree
+# bounds instead (`sieve._degree_bound`); this route is what they are
+# checked against.
+
+def substitute(poly, matrix):
+    """poly(Ax) for A a matrix of codes (x_i -> sum_j A[i][j] x_j), by MPoly
+    products, factor by factor."""
+    spec, nvars = poly.spec, poly.nvars
+    forms = [MPoly(spec, nvars, {
+        tuple(int(t == j) for t in range(nvars)): c
+        for j, c in enumerate(row)}) for row in matrix]
+    out = MPoly.zero(spec, nvars)
+    for expo, c in poly.terms.items():
+        image = MPoly.constant(spec, nvars, c)
+        for form, e in zip(forms, expo):
+            for _ in range(e):
+                image = image * form
+        out = out + image
+    return out
+
+
+def gl_generators(spec, nvars):
+    """Matrices A (x_i -> sum_j A[i][j] x_j, rows of codes) generating
+    GL_nvars(F_q): the swap x_0 <-> x_1, the cycle x_i -> x_{i+1}, the
+    transvection x_0 -> x_0 + x_1 and, for q > 2, the scaling x_0 -> w x_0
+    by a generator w of F_q^*."""
+    eye = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    gens = []
+    if nvars > 1:
+        gens.append([eye[1], eye[0]] + eye[2:])
+        gens.append([eye[(i + 1) % nvars] for i in range(nvars)])
+        gens.append([eye[0][:1] + (1,) + eye[0][2:]] + eye[1:])
+    if spec.q > 2:
+        gens.append([(spec.primitive,) + eye[0][1:]] + eye[1:])
+    return tuple(tuple(g) for g in gens)
+
+
+ORBIT_ENTRIES = 1 << 14  # image digits per chunk in `orbit_labels`
+
+
+@lru_cache(maxsize=16)
+def gl_action(spec, nvars, d):
+    """The F_p-linear maps f -> f(Ax) on the base-p digits of the indices
+    of S_d, one block of columns per generator A: the digits of an index
+    times this matrix are the digits of its images, generator by
+    generator."""
+    monos = monomials_of_degree(nvars, d)
+    index = monomial_index(nvars, d)
+    k = spec.k
+    scalars = [spec.from_digits([0] * j + [1]) for j in range(k)]
+    blocks = [np.zeros((len(monos) * k, 0), dtype=np.int64)]  # F_2, P^0: none
+    for A in gl_generators(spec, nvars):
+        rows = []  # the image of each candidate digit, as digits
+        for m in monos:
+            for s in scalars:
+                row = [0] * (len(monos) * k)
+                image = substitute(MPoly(spec, nvars, {m: s}), A)
+                for expo, c in image.terms.items():
+                    row[index[expo] * k:(index[expo] + 1) * k] = spec.digits(c)
+                rows.append(row)
+        blocks.append(np.array(rows, dtype=np.int64))
+    return np.concatenate(blocks, axis=1)
+
+
+def orbit_labels(space, clean):
+    """For each position in `clean` (the sorted scan-clean indices of an
+    exhaustive scan of P^n, a GL-stable set), the least position of its
+    GL_{n+1}(F_q)-orbit: label = min(label, label[image]) over the
+    generators' images, with pointer jumping, until nothing changes."""
+    spec = space.problem.field
+    action = gl_action(spec, space.problem.nvars, space.d)
+    width = len(action)  # digits per index
+    weights = spec.p ** np.arange(width, dtype=np.int64)
+    images = np.empty((action.shape[1] // width, len(clean)), dtype=np.intp)
+    step = max(1, ORBIT_ENTRIES // max(action.shape[1], 1))
+    for lo in range(0, len(clean), step):
+        chunk = clean[lo:lo + step]
+        digits = chunk[:, None] // weights % spec.p @ action % spec.p
+        moved = (digits.reshape(len(chunk), -1, width) @ weights).T
+        images[:, lo:lo + step] = np.searchsorted(clean, moved)
+        if not np.array_equal(clean.take(images[:, lo:lo + step],
+                                         mode="clip"), moved):
+            raise AssertionError("the scan-clean set is not GL-stable")
+    label = np.arange(len(clean))
+    while True:
+        new = label
+        for image in images:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def orbit_groups(space, clean):
+    """(representatives, sizes): the GL_{n+1}(F_q)-orbits of the scan-clean
+    indices, each as its least index and its size."""
+    roots, sizes = np.unique(orbit_labels(space, clean), return_counts=True)
+    return clean[roots], sizes
+
+
+def scan_clean(problem, d, bound):
+    """(candidate space, sorted scan-clean indices) of an exhaustive scan."""
+    space = sieve.candidate_space(problem, d)
+    groups = variety.closed_point_arrays(problem.X, bound)
+    ell = sieve._scan_all(space, sieve._conditions(problem.X, space, groups))
+    ell[0] = sieve._INFINITE
+    return space, np.flatnonzero(ell == 0)
+
+
+def _exact_result(problem, d, bound, clean, smooth):
+    """The exact ScanResult of an exhaustive scan at B whose scan-clean
+    candidates number `clean`, `smooth` of them smooth."""
+    bounded = sieve._run_scan(problem, d, ("exhaustive",), bound, False, 0,
+                              sieve.DEFAULT_CAP)
+    flags = bounded.flags[:-1] + ("exact-certificates",)
+    return sieve.ScanResult(d, bounded.count_total, bounded.ell_counts,
+                            smooth, clean - smooth, flags)
+
+
+def orbit_scan(problem, d, bound):
+    """The exact ScanResult of an exhaustive scan of P^n with Z empty by the
+    orbit route: `sieve._certify_smooth` on the least form of each orbit of
+    scan-clean forms, weighted by the orbit's size."""
+    space, clean = scan_clean(problem, d, bound)
+    reps, sizes = orbit_groups(space, clean)
+    certified = sieve._certify_smooth(problem, d,
+                                      index_digits(space, reps.tolist()))
+    return _exact_result(problem, d, bound, len(clean),
+                         int(sizes[certified].sum()))
+
+
+def per_candidate_scan(problem, d, bound):
+    """The exact ScanResult of an exhaustive scan with one certificate per
+    scan-clean candidate, by `certify_per_candidate`."""
+    _, clean = scan_clean(problem, d, bound)
+    return _exact_result(problem, d, bound, len(clean), int(
+        certify_per_candidate(problem, d, clean.tolist()).sum()))
+
+
+# ---------------------------------------------------------------------------
 # The former library smoothness certificate: search P^n(F_{q^e}), e <= e_max,
 # for a common zero of J = (X's equations, f, the maximal minors of their
 # Jacobian), then look for a degree k with J_k = S_k up to the graded
@@ -900,6 +1047,15 @@ def gl_order(n, q):
 def smooth_plane_cubics(q):
     """Smooth ternary cubic forms over F_q: q |GL_3(F_q)|."""
     return q * gl_order(3, q)
+
+
+def smooth_binary_forms(q, d):
+    """Smooth binary forms of degree d >= 3 over F_q, the squarefree ones:
+    (q - 1)(q^d - q^(d-2)).  Each is c g(x, y) with g(x, 1) monic and
+    squarefree of degree d or d - 1 (a simple root at infinity), and monic
+    squarefree polynomials of degree m >= 2 number q^m - q^(m-1) (Rosen,
+    "Number Theory in Function Fields", Prop. 2.3)."""
+    return (q - 1) * (q ** d - q ** (d - 2))
 
 
 def smooth_cubic_surfaces(q):

@@ -116,10 +116,11 @@ def test_empty_index_list_and_rank_0_space(q):
         oracles.certify_per_candidate(ambient, 3, [0]).tolist() == [False]
 
 
-@pytest.mark.parametrize("q,count", [(2, 448), (3, 37908), (4, 774144)])
+@pytest.mark.parametrize("q,count", [(2, 448), (3, 37908), (4, 774144),
+                                     (5, 7750000)])
 def test_exact_quadric_surface_count_closed_form(q, count):
-    # the orbit route: GL_4-orbits of the quadrics clean at B = 1, one
-    # certificate per orbit
+    # the degree route: a singular quadric has a singular rational point, so
+    # the scan at B = 1 decides every form
     assert oracles.smooth_quadric_surfaces(q) == count
     res = sieve._run_scan(projective(3, q), 2, ("exhaustive",), 1, True, 0,
                           sieve.DEFAULT_CAP)

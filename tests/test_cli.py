@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from smoothsieve import cli, sieve
+from smoothsieve import cli, gf, graded, linalg, mpoly, sieve, variety, zeta
 from smoothsieve.cli import UsageError, parse_args, render, run
 
 
@@ -220,3 +221,49 @@ def test_main_renders_json(schemes_dir, capsys):
     out = capsys.readouterr().out
     data = json.loads(out)
     assert data["result"]["entries"]["1"]["value"] == "21/64"
+
+
+@pytest.mark.parametrize("text,argv,kind", [
+    ("q = 2\nP 2 : x y z\nX:\n  x + y^2\n", [], "HomogeneityError"),
+    ("q = 2\nP 2 : x y z\nZ:\n  x*u\n", [], "ParseError"),
+    ("q = 2\nP 2 : x y z\nX:\n  x^a\n", [], "ParseError"),
+    ("q = 6\nP 2 : x y z\n", [], "SchemeFileError"),
+    ("q = two\nP 2 : x y z\n", [], "SchemeFileError"),
+    ("q = 2\nP 2 : x x z\n", [], "SchemeFileError"),
+    ("q = 2\nP -1 :\n", [], "SchemeFileError"),
+    ("q = 2\nP 2 : x y z\nX:\n  x\ndim X = a\n", [], "SchemeFileError"),
+    ("q = 9 [x^2 + 2]\nP 2 : x y z\n", [], "ReducibleModulusError"),
+    ("q = 4^2\nP 2 : x y z\n", [], "NonPrimeError"),
+    ("q = 2\nP 2 : x y z\nX:\n  x\n", [], "MissingProfile"),
+    (None, [], "FileNotFoundError"),
+    ("q = 2\nP 2 : x y z\n", ["estimate", "-d", "6"],
+     "EnumerationCapExceeded"),
+    ("q = 2\nP 2 : x y z\nX:\nX.remove:\n  x\n",
+     ["estimate", "-d", "2", "--exact"], "UnsupportedPresentation")])
+def test_bad_input_fails_closed(tmp_path, capsys, text, argv, kind):
+    # one `error [Type]` line on stderr, nothing on stdout, exit code 1
+    path = tmp_path / "bad.scm"
+    if text is not None:
+        path.write_text(text)
+    command = argv[:1] or ["predict"]
+    assert cli.main(command + ["--scheme", str(path)] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error [{kind}]: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_library_errors_share_one_base():
+    # every exception class of the library but the two the command line
+    # reports on their own derives from gf.SmoothsieveError, which main
+    # catches once
+    own = {cli.UsageError, sieve.NoSmoothHypersurfaceFound}
+    found = [cls for module in (gf, graded, linalg, mpoly, sieve, variety,
+                                zeta, cli)
+             for _, cls in inspect.getmembers(module, inspect.isclass)
+             if issubclass(cls, BaseException)
+             and cls.__module__ == module.__name__]
+    assert own <= set(found) and len(found) > len(own) + 10
+    assert [cls for cls in found if cls not in own
+            and not issubclass(cls, gf.SmoothsieveError)] == []
+    assert issubclass(gf.SmoothsieveError, ValueError)

@@ -1,8 +1,8 @@
-"""The smoothness certificate and its orbit grouping on P^n: the
+"""The smoothness certificate and the orbit route of `oracles`: the
 certificate against the former point-search certificate, the generators
 against a brute-force closure, the labels against every element of
-GL_3(F_2), and grouped scans against one certificate per scan-clean
-candidate."""
+GL_3(F_2), and exact scans, the library's and the orbit route's, against
+one certificate per scan-clean candidate."""
 
 from collections import Counter
 from functools import lru_cache
@@ -10,10 +10,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import (certify_per_candidate, index_digits,
-                     invertible_matrices_f2, matrix_closure_size,
-                     orbit_minima_f2, point_search_certificate)
-from smoothsieve import gf, sieve, variety
+import oracles
+from oracles import (index_digits, invertible_matrices_f2,
+                     matrix_closure_size, orbit_minima_f2,
+                     per_candidate_scan, point_search_certificate,
+                     scan_clean)
+from smoothsieve import gf, sieve
 from smoothsieve.variety import load_problem, parse_problem
 
 QUADRIC = "q = 2\nP 3 : x y z w\nX:\n  x*y + z*w\ndim X = 2\n"
@@ -28,27 +30,6 @@ def plane(schemes_dir, q):
 def projective(n, q):
     """P^n over F_q with no equations and Z empty."""
     return parse_problem(f"q = {q}\nP {n} : {' '.join('xyzw'[:n + 1])}\n")
-
-
-def clean_indices(problem, d, bound):
-    """(candidate space, sorted scan-clean indices) of an exhaustive scan."""
-    space = sieve.candidate_space(problem, d)
-    groups = variety.closed_point_arrays(problem.X, bound)
-    ell = sieve._scan_all(space, sieve._conditions(problem.X, space, groups))
-    ell[0] = sieve._INFINITE
-    return space, np.flatnonzero(ell == 0)
-
-
-def per_candidate_result(problem, d, bound):
-    """The exact ScanResult with one certificate per scan-clean candidate,
-    by the former per-candidate certificate."""
-    bounded = sieve._run_scan(problem, d, ("exhaustive",), bound, False, 0,
-                              sieve.DEFAULT_CAP)
-    _, clean = clean_indices(problem, d, bound)
-    smooth = int(certify_per_candidate(problem, d, clean.tolist()).sum())
-    return sieve.ScanResult(d, bounded.count_total, bounded.ell_counts,
-                            smooth, len(clean) - smooth,
-                            ("exact-certificates",))
 
 
 @pytest.mark.parametrize("case", ["p2_q2_d4", "p2_q3_d3", "p2_q4_d3",
@@ -68,9 +49,9 @@ def test_certificate_agrees_with_point_search(schemes_dir, case):
         "conic_q3_d2": (parse_problem(CONIC), 2, 1),
         "nodal_d3": (load_problem(schemes_dir / "nodal_cubic.scm"), 3, 2),
     }[case]
-    space, clean = clean_indices(problem, d, bound)
+    space, clean = scan_clean(problem, d, bound)
     if problem.Z is None and problem.X.is_free_ambient():
-        clean, _ = sieve._orbit_groups(space, clean)
+        clean, _ = oracles.orbit_groups(space, clean)
     certified = sieve._certify_smooth(
         problem, d, index_digits(space, clean.tolist())).tolist()
     seen = Counter()
@@ -87,34 +68,41 @@ def test_generators_close_to_gl3(p, k):
     spec = gf.make_field(p, k)
     q = spec.q
     order = (q ** 3 - 1) * (q ** 3 - q) * (q ** 3 - q * q)
-    assert matrix_closure_size(spec, sieve._gl_generators(spec, 3)) == order
+    assert matrix_closure_size(spec, oracles.gl_generators(spec, 3)) == order
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_labels_are_orbit_minima_over_gl3_f2(schemes_dir, d):
     assert len(invertible_matrices_f2(3)) == 168
-    space, clean = clean_indices(plane(schemes_dir, 2), d, 1)
-    labels = sieve._orbit_labels(space, clean)
+    space, clean = scan_clean(plane(schemes_dir, 2), d, 1)
+    labels = oracles.orbit_labels(space, clean)
     assert np.array_equal(clean[labels], orbit_minima_f2(3, d, clean))
 
 
 @pytest.mark.parametrize("q,d", [(2, 4), (3, 2)])
 def test_groups_are_orbits(schemes_dir, q, d):
-    space, clean = clean_indices(plane(schemes_dir, q), d, 1)
-    orbits = Counter(sieve._orbit_labels(space, clean).tolist())
-    reps, sizes = sieve._orbit_groups(space, clean)
+    space, clean = scan_clean(plane(schemes_dir, q), d, 1)
+    orbits = Counter(oracles.orbit_labels(space, clean).tolist())
+    reps, sizes = oracles.orbit_groups(space, clean)
     assert reps.tolist() == clean[sorted(orbits)].tolist()
     assert sizes.tolist() == [orbits[label] for label in sorted(orbits)]
+
+
+def exact_scans(problem, d, bound):
+    """The library's exact scan and the orbit route, each of which must
+    equal one certificate per scan-clean candidate."""
+    expected = per_candidate_scan(problem, d, bound)
+    assert oracles.orbit_scan(problem, d, bound) == expected
+    return sieve._run_scan(problem, d, ("exhaustive",), bound, True, 0,
+                           sieve.DEFAULT_CAP), expected
 
 
 @pytest.mark.parametrize("q,d,bound", [
     (2, 3, 1), (2, 3, 2), (2, 3, 6), (2, 4, 1), (2, 4, 2), (2, 4, 6),
     (3, 2, 1), (3, 2, 2)])
 def test_grouped_scan_equals_per_candidate(schemes_dir, q, d, bound):
-    problem = plane(schemes_dir, q)
-    grouped = sieve._run_scan(problem, d, ("exhaustive",), bound, True, 0,
-                              sieve.DEFAULT_CAP)
-    assert grouped == per_candidate_result(problem, d, bound)
+    library, expected = exact_scans(plane(schemes_dir, q), d, bound)
+    assert library == expected
 
 
 @pytest.mark.parametrize("n,q,d", [(0, 2, 2), (0, 3, 2), (1, 3, 3),
@@ -122,10 +110,8 @@ def test_grouped_scan_equals_per_candidate(schemes_dir, q, d, bound):
 def test_grouped_scan_equals_per_candidate_off_the_plane(n, q, d):
     # GL_1(F_2) is trivial and GL_1(F_3) is the scaling alone; on P^1 the
     # swap and the cycle coincide; P^3 has four variables
-    problem = projective(n, q)
-    grouped = sieve._run_scan(problem, d, ("exhaustive",), 1, True, 0,
-                              sieve.DEFAULT_CAP)
-    assert grouped == per_candidate_result(problem, d, 1)
+    library, expected = exact_scans(projective(n, q), d, 1)
+    assert library == expected
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])

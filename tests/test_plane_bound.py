@@ -1,7 +1,8 @@
-"""Exact scans of P^2 by the degree bound d(d-1)/2: the degree route
-against the orbit-and-certificate route, the rule that picks one, smooth
-counts against closed forms, and non-reduced counts against the
-squarefree generating function."""
+"""Exact scans of a free P^n by the proven degree bounds of
+`sieve._degree_bound`: the table's values, the degree route against the
+orbit route and one certificate per candidate, each bound's tightness, the
+rule that picks the route, smooth counts against closed forms, and
+non-reduced counts against the squarefree generating function."""
 
 from collections import Counter
 from functools import lru_cache
@@ -14,9 +15,19 @@ from smoothsieve import sieve
 from smoothsieve.variety import load_problem, parse_problem
 
 # P^2 over F_2 through the point (0:0:1), and through the conjugate pair of
-# points of degree 2 on the line x = 0
+# points of degree 2 on the line x = 0; P^3 over F_3 through the point
+# (0:0:0:1), and through the line x = y = 0; P^3 over F_2 through the plane
+# x = 0
 THROUGH_POINT = "q = 2\nP 2 : x y z\nX:\nZ:\n  x\n  y\n"
 THROUGH_PAIR = "q = 2\nP 2 : x y z\nX:\nZ:\n  x\n  y^2 + y*z + z^2\n"
+THROUGH = {"point": THROUGH_POINT, "pair": THROUGH_PAIR,
+           "p3point": "q = 3\nP 3 : x y z w\nX:\nZ:\n  x\n  y\n  z\n",
+           "p3line": "q = 3\nP 3 : x y z w\nX:\nZ:\n  x\n  y\n"}
+THROUGH_PLANE = "q = 2\nP 3 : x y z w\nX:\nZ:\n  x\n"
+
+# B*(2, d) for d = 2..8: the largest of floor(d/2), floor(d^2/4),
+# (d-1)(d-2)/2 and the conjugate-component bounds
+PLANE_BOUND = {2: 1, 3: 3, 4: 4, 5: 6, 6: 12, 7: 15, 8: 21}
 
 
 @lru_cache(maxsize=None)
@@ -24,63 +35,113 @@ def plane(schemes_dir, q):
     return load_problem(schemes_dir / "p2.scm", q_override=q)
 
 
+def projective(n, q):
+    """P^n over F_q with no equations and Z empty."""
+    return parse_problem(f"q = {q}\nP {n} : {' '.join('xyzwv'[:n + 1])}\n")
+
+
 def exact_scan(problem, d, bound):
     return sieve._run_scan(problem, d, ("exhaustive",), bound, True, 0,
                            sieve.DEFAULT_CAP)
 
 
+def bounded_scan(problem, d, bound):
+    return sieve._run_scan(problem, d, ("exhaustive",), bound, False, 0,
+                           sieve.DEFAULT_CAP)
+
+
 def refuse(*args):
-    raise AssertionError("the degree route runs no orbits or certificates")
+    raise AssertionError("the degree route runs no certificates")
 
 
 class Enumerated(Exception):
     """Stops a scan at its first point enumeration."""
 
 
+def test_degree_bound_table():
+    assert [sieve._degree_bound(2, d) for d in PLANE_BOUND] == list(
+        PLANE_BOUND.values())
+    assert [sieve._degree_bound(1, d) for d in range(1, 10)] == [
+        0, 1, 1, 2, 2, 3, 3, 4, 4]
+    assert [sieve._degree_bound(0, d) for d in range(1, 5)] == [0] * 4
+    assert [sieve._degree_bound(n, 1) for n in range(6)] == [0] * 6
+    assert [sieve._degree_bound(n, 2) for n in range(2, 8)] == [1] * 6
+    assert sieve._degree_bound(3, 3) == 4
+    assert sieve._degree_bound(3, 4) is None
+    assert sieve._degree_bound(4, 3) is None
+
+
 # Every exhaustive exact scan of P^2 the suite runs, as (q, d, B), except
 # F_5 cubics and F_3 quartics, where the orbit route takes 23 s and 54 s;
-# there the closed forms below check the degree route.
+# there the closed forms below check the degree route.  Off the plane, one
+# case per row of the table: P^0, P^1, d = 1, quadrics in P^3 and P^4,
+# cubic surfaces.
 PLANE_CASES = [(2, 3, 1), (2, 3, 2), (2, 3, 4), (2, 3, 6), (2, 4, 1),
                (2, 4, 2), (2, 4, 6), (2, 5, 6), (3, 2, 1), (3, 2, 2),
                (3, 2, 3), (3, 3, 1), (3, 3, 3), (4, 2, 2), (4, 3, 1),
                (5, 2, 2)]
+FREE_CASES = [(2, q, d, b) for q, d, b in PLANE_CASES] + [
+    (0, 3, 2, 1), (0, 2, 3, 1), (1, 3, 8, 1), (1, 2, 9, 2), (1, 4, 3, 1),
+    (2, 3, 1, 1), (3, 2, 1, 1), (3, 2, 2, 1), (3, 3, 2, 1), (4, 2, 2, 1),
+    (3, 2, 3, 1)]
 
 
-@pytest.mark.parametrize("case", [f"p2_q{q}_d{d}_b{b}"
-                                  for q, d, b in PLANE_CASES]
+@pytest.mark.parametrize("case", [f"p{n}_q{q}_d{d}_b{b}"
+                                  for n, q, d, b in FREE_CASES]
                          + ["point_d3_b1", "point_d4_b1", "pair_d3_b1",
-                            "pair_d4_b2"])
-def test_degree_route_equals_orbit_route(schemes_dir, monkeypatch, case):
-    if case.startswith("p2"):
-        q, d, bound = (int(part[1:]) for part in case.split("_")[1:])
-        problem = plane(schemes_dir, q)
+                            "pair_d4_b2", "p3point_d2_b1", "p3line_d2_b1"])
+def test_degree_route_equals_orbit_route(monkeypatch, case):
+    # Z empty: the orbit route of `oracles`; through Z, where the orbits of
+    # GL_{n+1}(F_q) do not preserve I_d, one certificate per candidate
+    name, *rest = case.split("_")
+    if name in THROUGH:
+        problem = parse_problem(THROUGH[name])
+        d, bound = (int(part[1:]) for part in rest)
+        oracle = oracles.per_candidate_scan
     else:
-        name, d, bound = case.split("_")
-        problem = parse_problem(THROUGH_POINT if name == "point"
-                                else THROUGH_PAIR)
-        d, bound = int(d[1:]), int(bound[1:])
-    top = max(bound, d * (d - 1) // 2)
+        q, d, bound = (int(part[1:]) for part in rest)
+        problem = projective(int(name[1:]), q)
+        oracle = oracles.orbit_scan
     with monkeypatch.context() as m:
-        m.setattr(sieve, "_degree_route", lambda *args: top)
-        m.setattr(sieve, "_orbit_groups", refuse)
         m.setattr(sieve, "_certify_smooth", refuse)
         by_degree = exact_scan(problem, d, bound)
-    with monkeypatch.context() as m:
-        m.setattr(sieve, "_degree_route", lambda *args: None)
-        by_orbits = exact_scan(problem, d, bound)
-    assert by_degree == by_orbits
-    if bound >= d * (d - 1) // 2:
+    expected = oracle(problem, d, bound)
+    assert by_degree == expected
+    if bound >= sieve._degree_bound(problem.nvars - 1, d):
         # every form clean at B is certified smooth
-        assert by_orbits.unresolved == 0
+        assert expected.unresolved == 0
+
+
+@pytest.mark.parametrize("n,q,d,too_high,smooth", [
+    (2, 2, 3, 344, 336), (2, 2, 4, 10962, 10920), (2, 2, 5, 690536, 688128),
+    (1, 3, 8, 11700, 11664), (3, 2, 3, 327600, 322560),
+    (2, 3, 4, 8213400, 8199360)])
+def test_bound_is_tight(n, q, d, too_high, smooth):
+    # a scan to B* - 1 counts forms singular only at a point of degree B*
+    # as smooth, so a row of the table one too small gives a wrong count
+    problem = projective(n, q)
+    top = sieve._degree_bound(n, d)
+    assert bounded_scan(problem, d, top - 1).smooth_count == too_high
+    assert bounded_scan(problem, d, top).smooth_count == smooth
+    assert smooth == {(1, 3, 8): oracles.smooth_binary_forms(3, 8),
+                      (2, 2, 3): oracles.smooth_plane_cubics(2),
+                      (2, 2, 4): oracles.smooth_plane_quartics(2),
+                      (2, 2, 5): 688128,  # the orbit route, above
+                      (3, 2, 3): oracles.smooth_cubic_surfaces(2),
+                      (2, 3, 4): oracles.smooth_plane_quartics(3)}[n, q, d]
 
 
 @pytest.mark.parametrize("q,d,bound,route", [
-    (2, 5, 6, "orbits"), (2, 4, 1, "degree"), (2, 4, 2, "degree"),
-    (3, 4, 2, "degree"), (2, 3, 1, "degree"), (5, 3, 1, "degree")])
+    (2, 5, 6, "degree"), (2, 4, 1, "degree"), (2, 4, 2, "degree"),
+    (3, 4, 2, "degree"), (2, 3, 1, "degree"), (5, 3, 1, "degree"),
+    (2, 4, 1, "certificate")])
 def test_route_rule_picks_before_enumerating(schemes_dir, monkeypatch, q, d,
                                              bound, route):
-    # F_2, d = 5, B = 6: 4,179,420 rows at degrees 7..10 against 2^21
-    # forms; F_2, d = 4, B = 1: 21,824 rows at degrees 2..6 against 2^15
+    # the plane over F_2 at d = 4, B = 1: 1,328 rows at degrees 2..4
+    # against 2^15 forms; quartics through the plane x = 0 in P^3 over F_2:
+    # no bound, 2^20 forms to certify
+    problem = (plane(schemes_dir, q) if route == "degree"
+               else parse_problem(THROUGH_PLANE))
     calls = []
 
     def stop(scheme, max_degree, cap):
@@ -89,18 +150,23 @@ def test_route_rule_picks_before_enumerating(schemes_dir, monkeypatch, q, d,
 
     monkeypatch.setattr(sieve, "closed_point_arrays", stop)
     with pytest.raises(Enumerated):
-        exact_scan(plane(schemes_dir, q), d, bound)
-    top = max(bound, d * (d - 1) // 2)
+        exact_scan(problem, d, bound)
+    top = max(bound, PLANE_BOUND[d])
     assert calls == [top if route == "degree" else bound]
 
 
 def test_route_rule_leaves_the_rest_to_certificates(schemes_dir):
-    # P^n with n != 2, X != P^n: no degree bound applies
-    problem = parse_problem("q = 2\nP 3 : x y z w\n")
-    assert sieve._degree_route(problem, 2, 1, 2 ** 10) is None
+    # no bound for P^3 at d = 4 or P^4 at d = 3, none for X != P^n, and
+    # none when the rows past B are as many as the forms: 16,368 rows at
+    # degrees 2..6 on P^2 over F_2 at d = 5, against 2^10 or 2^21
+    assert sieve._degree_route(projective(3, 2), 4, 1, 2 ** 24) is None
+    assert sieve._degree_route(projective(4, 2), 3, 1, 2 ** 24) is None
     conic = parse_problem("q = 3\nP 2 : x y z\nX:\n  x*z - y^2\ndim X = 1\n")
     assert sieve._degree_route(conic, 2, 1, 3 ** 6) is None
+    assert sieve._degree_route(plane(schemes_dir, 2), 5, 1, 2 ** 10) is None
+    assert sieve._degree_route(plane(schemes_dir, 2), 5, 1, 2 ** 21) == 6
     assert sieve._degree_route(plane(schemes_dir, 2), 2, 1, 2 ** 6) == 1
+    assert sieve._degree_route(projective(3, 2), 2, 1, 2 ** 10) == 1
 
 
 @pytest.mark.parametrize("q,d,bound", [
@@ -115,14 +181,13 @@ def test_exact_plane_counts_closed_form(schemes_dir, monkeypatch, q, d,
     assert smooth == {(2, 3): 336, (3, 3): 33696, (4, 3): 725760,
                       (5, 3): 7440000, (2, 4): 10920,
                       (3, 4): 8199360}[q, d]
-    monkeypatch.setattr(sieve, "_orbit_groups", refuse)
     monkeypatch.setattr(sieve, "_certify_smooth", refuse)
     res = exact_scan(plane(schemes_dir, q), d, bound)
     assert res.smooth_count == smooth
     assert res.count_total == q ** ((d + 1) * (d + 2) // 2)
     assert (sum(c for _, c in res.ell_counts) + res.smooth_count
             + res.unresolved) == res.count_total
-    if bound >= d * (d - 1) // 2:
+    if bound >= PLANE_BOUND[d]:
         assert res.unresolved == 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,6 +22,23 @@ SCHEMA_VERSION = 1
 
 class UsageError(ValueError):
     pass
+
+
+class ValueTooLarge(gf.SmoothsieveError):
+    """An exact value with more digits than Python prints an integer with
+    (`sys.get_int_max_str_digits`)."""
+
+
+def _exact_string(value):
+    try:
+        return str(value)
+    except ValueError as exc:
+        bits = max(value.numerator.bit_length(),
+                   value.denominator.bit_length())
+        digits = int(bits * math.log10(2)) + 1
+        raise ValueTooLarge(
+            f"the exact value has about {digits} digits, over the limit of "
+            f"{sys.get_int_max_str_digits()} for printing an integer") from exc
 
 
 @dataclass
@@ -252,7 +270,7 @@ def run(config: RunConfig):
         report["result"] = rep.to_json_dict()
     elif config.subcommand == "lowdeg":
         value = sieve.low_degree_predictor(problem, config.r, config.cap)
-        result = {"r": config.r, "predicted": str(value),
+        result = {"r": config.r, "predicted": _exact_string(value),
                   "approx": float(value)}
         if config.samples:
             est = sieve.estimate_low_degree(problem, config.r,

@@ -355,6 +355,11 @@ def parse_poly(text: str, spec: FieldSpec, nvars: int, aliases=None) -> MPoly:
                     j += 1
                 if depth:
                     raise ParseError("unbalanced parentheses")
+                if any(mj.group(2) in var_index and mj.group(2) != "g"
+                       for mj in inner):
+                    raise ParseError(
+                        "parentheses hold field literals in 'g' only; "
+                        f"expand {text.strip()!r} into a sum of terms")
                 code = _parse_gexpr(inner, spec)
                 coeff = spec.mul(coeff, code) if code else 0
                 saw_factor = True

@@ -5,11 +5,12 @@ constructive curve embedder.
 
 The estimators share one scan engine for every q = p^k: the conditions for
 a section to be singular at a closed point P are F_p-linear in the
-candidate's F_p-coordinates.  They are built for all closed points of one
-degree at once, from the representatives' code array.  Exhaustive scans
-bring the functionals of every point of a degree to echelon form in one
-batched elimination mod p and enumerate the F_p-kernels together as index
-arrays; sampled scans evaluate the functionals in numpy batches.
+candidate's F_p-coordinates.  The conditions of all closed points of a
+scan are one stack, sorted by degree and padded with zero rows, built a
+degree at a time from the representatives' code array.  Exhaustive scans
+bring each block of the stack to echelon form in one batched elimination
+mod p and enumerate the F_p-kernels together as index arrays; sampled
+scans evaluate the functionals in numpy batches.
 """
 
 from __future__ import annotations
@@ -489,14 +490,18 @@ def _lift(space: CandidateSpace):
 
 
 def _conditions(X: SchemePresentation, space: CandidateSpace, groups):
-    """(e, functionals) per degree e of closed points given as
-    `closed_point_arrays` groups (e, kappa, orbits), degrees without points
-    left out: the jet conditions as an int array over F_p of shape (points
-    of degree e, rows, candidate digits), one row per digit of each
-    kappa(P)-valued condition; a candidate is singular at P exactly when
-    all of P's rows vanish on it.  The points of one degree are handled in
-    blocks of at most `_BLOCK_ENTRIES` jet-vector or functional entries, or
-    one point."""
+    """(degrees, funcs): the jet conditions at the closed points given as
+    `closed_point_arrays` groups (e, kappa, orbits), as one stack in the
+    groups' order of degree.  funcs is an int array over F_p of shape
+    (points, rows, candidate digits), one row per digit of each
+    kappa(P)-valued condition, and degrees[i] is the degree of point i; a
+    candidate is singular at P exactly when all of P's rows vanish on it.
+    A point of degree e fills its first (conditions) * k * e rows; the rest,
+    up to the most of any point, are zero, and a zero row changes no rank,
+    no reduced echelon form and no all-rows-vanish test.  The points of one
+    degree are handled in chunks whose temporaries (codes of the jet
+    vectors, functionals, their lift) each stay within 8 * `_BLOCK_ENTRIES`
+    bytes, or one point."""
     spec = X.spec
     size = len(space.monomials)
     width = size * spec.k
@@ -505,24 +510,32 @@ def _conditions(X: SchemePresentation, space: CandidateSpace, groups):
         lift = lift.astype(np.float64)  # exact, and far faster than int64
     # Euler: f(P) = 0 follows from the gradient conditions unless p | d
     skip = int(space.d % spec.p != 0)
-    out = []
-    for degree, ext, orbits in groups:
-        if not len(orbits):
-            continue
+    groups = [group for group in groups if len(group[2])]
+    per_digit = 1 + X.nvars - skip
+    degrees = np.repeat(np.array([e for e, _, _ in groups], dtype=np.intp),
+                        [len(orbits) for _, _, orbits in groups])
+    funcs = np.zeros((len(degrees),
+                      max([per_digit * ext.k for _, ext, _ in groups],
+                          default=0),
+                      spec.k * space.rank), np.min_scalar_type(spec.p))
+    lo = 0
+    for _, ext, orbits in groups:
         reps = np.ascontiguousarray(orbits[:, 0])
         table = _fp_table(spec, ext)
-        rows = (1 + X.nvars - skip) * table.shape[2]
-        funcs = np.empty((len(reps), rows, spec.k * space.rank), table.dtype)
-        chunk = max(1, _BLOCK_ENTRIES // max(rows * width,
-                                             (1 + X.nvars) * size))
+        rows = per_digit * ext.k
+        point_bytes = max(8 * (1 + X.nvars) * size,
+                          table.itemsize * rows * width,
+                          0 if lift is None else 8 * rows * funcs.shape[2])
+        chunk = max(1, 8 * _BLOCK_ENTRIES // point_bytes)
         for i in range(0, len(reps), chunk):
             vecs = _jet_vectors(X, ext, reps[i:i + chunk], space.d)[:, skip:]
-            f = (table[vecs].transpose(0, 1, 4, 2, 3)
-                 .reshape(-1, rows, width))
-            funcs[i:i + chunk] = (f if lift is None else
-                                  (f @ lift).astype(np.int64) % spec.p)
-        out.append((degree, funcs))
-    return out
+            f = (np.take(table.reshape(ext.q, -1), vecs, axis=0)
+                 .reshape(vecs.shape + table.shape[1:])
+                 .transpose(0, 1, 4, 2, 3).reshape(-1, rows, width))
+            funcs[lo + i:lo + i + len(f), :rows] = (
+                f if lift is None else (f @ lift).astype(np.int64) % spec.p)
+        lo += len(reps)
+    return degrees, funcs
 
 
 # ---------------------------------------------------------------------------
@@ -803,21 +816,22 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     flags = list(space.flags)
     top = (_degree_route(problem, d, sing_bound, total)
            if exact and exhaustive else None)
-    conds = _conditions(X, space, closed_point_arrays(
+    degrees, funcs = _conditions(X, space, closed_point_arrays(
         X, sing_bound if top is None else top, cap))
-    low = [(e, group) for e, group in conds if e <= sing_bound]
+    split = int(np.searchsorted(degrees, sing_bound, side="right"))
+    low = degrees[:split], funcs[:split]
     if exhaustive:
         ell = _scan_all(space, low)
         ell[0] = _INFINITE   # f = 0
     else:
         digits = _draws(random.Random(seed), spec.q, space.rank, total)
-        ell = _ells(space, conds, digits)
+        ell = _ells(space, low, digits)
         ell[~digits.any(axis=1)] = _INFINITE
     counter = _tally(ell)
     clean = counter.pop(0, 0)
     unresolved = 0
     if top is not None:  # the degree route: scan on to B*
-        _scan_all(space, conds[len(low):], ell)
+        _scan_all(space, (degrees[split:], funcs[split:]), ell)
         smooth = _tally(ell[1:]).get(0, 0)
         unresolved = clean - smooth
     elif exact:  # resolve scan-clean candidates, one certificate each
@@ -930,37 +944,40 @@ def _tally(ell):
 
 
 def _scan_all(space, conds, ell=None):
-    """ell for every candidate index, in the narrowest signed dtype holding
-    every ell + 1; given `ell`, the candidates singular at a point of
-    `conds` are marked 1 there instead.  Per degree, one elimination brings
-    a block of points' functionals to reduced echelon form, and the
-    F_p-kernels of its points of each rank are enumerated as index arrays."""
+    """ell for every candidate index, from a `_conditions` stack, in the
+    narrowest signed dtype holding every ell + 1; given `ell`, the
+    candidates singular at a point of the stack are marked 1 there instead.
+    One elimination brings each block of the stack to reduced echelon form,
+    and the F_p-kernels of its points of each (rank, degree) are enumerated
+    as index arrays."""
     p = space.problem.field.p
+    degrees, funcs = conds
     mark = ell is not None
     if not mark:
-        total = sum(degree * len(group) for degree, group in conds)
+        total = int(degrees.sum())
         ell = np.zeros(space.problem.field.q ** space.rank, dtype=next(
             t for t in (np.int8, np.int16, np.int32, np.int64)
             if np.iinfo(t).max > total))
     dtype = ell.dtype.type
-    for degree, group in conds:
-        _, rows, width = group.shape
-        step = max(1, _DIGIT_ENTRIES // max(rows * width, 1))
-        for lo in range(0, len(group), step):
-            rank, pivots, mats = linalg.echelon_stack(group[lo:lo + step], p)
-            for r in np.flatnonzero(np.bincount(rank)).tolist():
-                sel = np.flatnonzero(rank == r)
-                if r == 0 and mark:  # vacuous: singular everywhere
-                    ell[:] = 1
-                elif r == 0:
-                    ell += dtype(degree * len(sel))
-                elif r < width:               # a full rank leaves only f = 0
-                    for members in _kernel_indices(p, mats[sel], pivots[sel],
-                                                   r):
-                        if mark:
-                            ell[members.ravel()] = 1
-                        else:  # a dtype scalar keeps np.add.at's fast loop
-                            np.add.at(ell, members.ravel(), dtype(degree))
+    points, rows, width = funcs.shape
+    keys = int(degrees.max(initial=0)) + 1
+    step = max(1, _DIGIT_ENTRIES // max(rows * width, 1))
+    for lo in range(0, points, step):
+        rank, pivots, mats = linalg.echelon_stack(funcs[lo:lo + step], p)
+        key = rank * keys + degrees[lo:lo + step]
+        for k in np.flatnonzero(np.bincount(key)).tolist():
+            r, degree = divmod(k, keys)
+            sel = np.flatnonzero(key == k)
+            if r == 0 and mark:  # vacuous: singular everywhere
+                ell[:] = 1
+            elif r == 0:
+                ell += dtype(degree * len(sel))
+            elif r < width:               # a full rank leaves only f = 0
+                for members in _kernel_indices(p, mats[sel], pivots[sel], r):
+                    if mark:
+                        ell[members.ravel()] = 1
+                    else:  # a dtype scalar keeps np.add.at's fast loop
+                        np.add.at(ell, members.ravel(), dtype(degree))
     return ell
 
 
@@ -1008,106 +1025,141 @@ def _kernel_indices(p, mats, pivots, rank):
         yield members + np.einsum("ist,it->is", digits % p, weights[part])
 
 
-# Entries per block of numpy work, bounding the temporaries.
-# _DIGIT_ENTRIES (512 KB as float64): entries of the candidate digit array
-# per batch in the sampled classifier (index bytes of 8 digits over F_2,
-# read as table offsets) and image entries per batch in the certificate
-# over odd p; matrix entries per block of points eliminated, and kernel
-# indices per block, in `_scan_all`; ell entries per count in `_tally`.
-# _BLOCK_ENTRIES (128 KB as float64): per block of points in the sampled
-# classifier, functionals or their values over odd p, and 64-bit words of
-# the XOR tables or of the candidates' images over F_2; jet vectors or
-# functionals per block of points in `_conditions`.
+# Entries per block of numpy work.  Each bounds temporaries counted as
+# 8-byte entries, so it limits them to the bytes below, and narrower
+# entries to fewer bytes.
+# _DIGIT_ENTRIES, 512 KB: in `_scan_all`, a block of the stack to eliminate
+# (its uint8 entries take 64 KB; their int64 bitsets and unpacked echelon
+# forms over F_2, 512 KB) and the kernel indices per block; the intp copy
+# per count in `_tally`; the float64 digits per batch of candidates in the
+# sampled classifier over odd p; the certificate's float64 images per
+# batch over odd p.
+# _BLOCK_ENTRIES, 128 KB: in `_conditions`, each temporary of a chunk of
+# points (int64 codes of the jet vectors, the functionals, their float64
+# lift); in the sampled classifier, per block of points, their float64
+# functionals and values over odd p, and over F_2 the 64-bit words of the
+# block's XOR tables and of a batch of its candidates' images; the
+# certificate's XOR tables and images over F_2.
 _DIGIT_ENTRIES = 1 << 16
 _BLOCK_ENTRIES = 1 << 14
 
 
 def _ells(space, conds, digits):
-    """ell for each candidate (a row of the digit array): per batch of
-    candidates and per degree, the number of points whose jet conditions
-    all vanish on the candidate, by XOR tables over F_2 and by products
-    mod p otherwise."""
+    """ell for each candidate (a row of the digit array): the total degree
+    of the points of a `_conditions` stack whose jet conditions all vanish
+    on it, by XOR tables over F_2 and by products mod p otherwise."""
     p = space.problem.field.p
+    if p == 2:
+        return _ells_f2(digits, *conds)
+    degrees, funcs = conds
     out = np.zeros(len(digits), dtype=np.int64)
     step = max(1, _DIGIT_ENTRIES // max(digits.shape[1], 1))
     for lo in range(0, len(digits), step):
-        batch = digits[lo:lo + step]
-        batch = (batch.T.astype(np.intp) if p == 2
-                 else batch.astype(np.float64))
-        for degree, group in conds:
-            hits = (_hits_f2(batch, group) if p == 2
-                    else _hits_mod_p(batch, group, p))
-            out[lo:lo + step] += degree * hits
+        out[lo:lo + step] = _hits_mod_p(digits[lo:lo + step].astype(
+            np.float64), degrees, funcs, p)
     return out
 
 
-def _hits_mod_p(digits, group, p):
-    """Per row of float64 digits, the points of the group whose functionals
-    all vanish mod p on it; sums stay far below 2^53, so float64 tells
-    multiples of p."""
+def _hits_mod_p(digits, degrees, funcs, p):
+    """Per row of float64 digits, the total degree of the points whose
+    functionals all vanish mod p on it; sums stay far below 2^53, so
+    float64 tells multiples of p."""
     n, width = digits.shape
-    rows = group.shape[1]
+    rows = funcs.shape[1]
     hits = np.zeros(n, dtype=np.int64)
-    per_block = max(1, _BLOCK_ENTRIES // rows // max(width, n))
-    for i in range(0, len(group), per_block):
-        block = group[i:i + per_block]
-        prod = digits @ np.concatenate(block, dtype=np.float64).T
+    per_block = max(1, _BLOCK_ENTRIES // max(rows, 1) // max(width, n))
+    for i in range(0, len(funcs), per_block):
+        block = funcs[i:i + per_block]
+        prod = digits @ block.reshape(-1, width).T.astype(np.float64)
         prod /= p
-        hit = (prod != np.floor(prod)).reshape(n, -1, rows)
-        hits += (~hit.any(axis=2)).sum(axis=1)
+        hit = (prod != np.floor(prod)).reshape(n, len(block), rows)
+        hits += ~hit.any(axis=2) @ degrees[i:i + per_block]
     return hits
 
 
-def _hits_f2(octets, group):
-    """Per column of candidate bytes (byte j of every candidate in row j),
-    the points of the group whose functionals all vanish on the candidate,
-    by the method of Four Russians.
+def _ells_f2(digits, degrees, funcs):
+    """`_ells` over F_2, on candidate bytes (a row per candidate), by the
+    method of Four Russians.
 
-    Each point's rows are packed into one lane, the narrowest of uint8 to
-    uint64 that holds them, or into several 64-bit words.  Row c of a
-    packed block is the image of candidate bit c, and `_xor_images` sums
-    a candidate's images.  A block is padded with empty lanes to whole
-    64-bit words, the unit of all XORs."""
-    nbytes, n = octets.shape
-    points, rows, width = group.shape
-    lane = np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                         if np.iinfo(t).bits >= min(rows, 64)))
-    words = -(-rows // 64)
-    size = lane.itemsize * words                    # bytes per point
-    per_block = max(1, 8 * _BLOCK_ENTRIES // max(256 * nbytes, n) // size)
-    hits = np.zeros(n, dtype=np.int64)
-    for i in range(0, points, per_block):
-        block = group[i:i + per_block]
-        slots = -(-len(block) * size // 8) * 8 // size
-        packed = np.zeros((8 * nbytes, slots, size), dtype=np.uint8)
-        packed[:width, :len(block), :-(-rows // 8)] = np.packbits(
-            block, axis=1, bitorder="little").transpose(2, 0, 1)
-        image = _xor_images(octets, packed.reshape(8 * nbytes, slots * size)
-                            .view(np.uint64))
-        lanes = image.view(lane).reshape(n, slots, words)[:, :len(block)]
-        zero = ~lanes.any(axis=2)
-        # row sums; einsum beats sum(axis=1) on short rows
-        hits += np.einsum("ij->i", zero.view(np.uint8), dtype=np.int64)
-    return hits
+    A point of degree e has rows * e / (the top degree) rows of its own
+    (see `_conditions`); they are packed into one lane, the narrowest of
+    uint8 to uint64 that holds them, or into several 64-bit words, and
+    the points of one lane width are taken in blocks.  Row c of a packed
+    block is the image of candidate bit c, a block is padded with empty
+    lanes to whole 64-bit words, the unit of all XORs, and its XOR tables
+    are built once; every candidate then reads its images there, a batch
+    at a time."""
+    n, nbytes = digits.shape
+    points, rows, width = funcs.shape
+    out = np.zeros(n, dtype=np.float64)  # exact sums of float32 counts
+    if not points:
+        return out.astype(np.int64)
+    own = rows * degrees // degrees.max()
+    size = np.where(own > 64, -(-own // 64) * 8,
+                    1 << np.searchsorted([8, 16, 32], own))  # lane bytes
+    words = max(1, _BLOCK_ENTRIES // (256 * max(nbytes, 1)))  # per table
+    if 2 * (_BLOCK_ENTRIES // max(n, 1)) >= words:
+        # half-width tables that take every candidate at once cost fewer
+        # calls than full ones that take two batches
+        words = max(1, min(words, _BLOCK_ENTRIES // max(n, 1)))
+    batch = _BLOCK_ENTRIES // words
+    counts = np.bincount(size)
+    for s in np.flatnonzero(counts).tolist():
+        lane = np.dtype(f"<u{min(s, 8)}")
+        powers = (np.uint64(1) << np.arange(64, dtype=np.uint64)).astype(lane)
+        start = int(np.searchsorted(size, s))
+        step = max(1, 8 * words // s)
+        for i in range(start, start + counts[s], step):
+            block = funcs[i:min(i + step, start + counts[s])]
+            slots = -(-len(block) * s // 8) * 8 // s
+            packed = np.zeros((8 * nbytes, slots, max(1, s // 8)), lane)
+            span = min(8 * s, 64)
+            for w in range(packed.shape[2]):
+                part = block[:, w * span:(w + 1) * span]
+                packed[:width, :len(block), w] = np.einsum(
+                    "irc,r->ci", part, powers[:part.shape[1]])
+            tables = _xor_tables(packed.reshape(
+                8 * nbytes, slots * packed.shape[2]).view(np.uint64))
+            weights = degrees[i:i + len(block)].astype(np.float32)
+            for lo in range(0, n, batch):
+                lanes = _xor_read(tables, digits[lo:lo + batch]).view(
+                    lane).reshape(-1, slots, packed.shape[2])
+                zero = np.bitwise_or.reduce(lanes[:, :len(block)],
+                                            axis=2) == 0
+                out[lo:lo + batch] += np.dot(zero, weights)
+    return out.astype(np.int64)
+
+
+def _xor_tables(bits):
+    """T_j[v], the XOR of the images (uint64 rows of `bits`, 8 per byte j of
+    the candidates) of the set bits of v at byte j, built by doubling."""
+    nbytes = len(bits) // 8
+    bits = bits.reshape(nbytes, 8, bits.shape[1])
+    tables = np.zeros((nbytes, 256, bits.shape[2]), dtype=np.uint64)
+    for b in range(8):
+        np.bitwise_xor(tables[:, :1 << b], bits[:, b, None],
+                       out=tables[:, 1 << b:2 << b])
+    return tables
+
+
+def _xor_read(tables, octets):
+    """Per candidate (a row of bytes), the XOR of T_j at its byte j."""
+    image = np.zeros((len(octets), tables.shape[2]), dtype=np.uint64)
+    for j, table in enumerate(tables):
+        image ^= np.take(table, octets[:, j], axis=0)
+    return image
 
 
 def _xor_images(octets, bits):
     """Per column of candidate bytes, the XOR of the images (uint64 rows of
-    `bits`) of its set bits, by the method of Four Russians: T_j[v], the
-    XOR of the images of the set bits of v at byte j, is built by doubling
-    in tables of about `_BLOCK_ENTRIES` words, and read at byte j."""
+    `bits`) of its set bits, by the method of Four Russians: `_xor_tables`
+    in blocks of about `_BLOCK_ENTRIES` words, read at byte j."""
     nbytes, n = octets.shape
-    bits = bits.reshape(nbytes, 8, bits.shape[1])
-    image = np.zeros((n, bits.shape[2]), dtype=np.uint64)
+    image = np.empty((n, bits.shape[1]), dtype=np.uint64)
     step = -(-_BLOCK_ENTRIES // (256 * max(nbytes, 1)))
-    for lo in range(0, bits.shape[2], step):
-        cols = bits[:, :, lo:lo + step]
-        table = np.zeros((nbytes, 256, cols.shape[2]), dtype=np.uint64)
-        for b in range(8):
-            np.bitwise_xor(table[:, :1 << b], cols[:, b, None],
-                           out=table[:, 1 << b:2 << b])
-        for j in range(nbytes):
-            image[:, lo:lo + step] ^= np.take(table[j], octets[j], axis=0)
+    for lo in range(0, bits.shape[1], step):
+        image[:, lo:lo + step] = _xor_read(_xor_tables(bits[:, lo:lo + step]),
+                                           octets.T)
     return image
 
 

@@ -8,7 +8,9 @@ closed-form point counts.  The former orbit route of exact scans of P^n,
 one certificate per GL_{n+1}(F_q)-orbit of scan-clean forms, is the
 oracle of the library's degree bounds.  The former per-point jet
 conditions and per-point kernel scan are kept too; those use `linalg`'s
-row reduction, one closed point at a time.  So is the sampled classifier's
+row reduction, one closed point at a time.  So is the former per-degree
+scan, one array of conditions per degree, eliminated and classified one
+degree at a time.  So is the sampled classifier's
 product of functionals and digits, one closed point at a time, and the
 former rank certificate, one candidate at a time over F_q with its own
 elimination, and its former row build, one polynomial product and one
@@ -325,38 +327,162 @@ def point_functionals(X, space, point):
 
 
 def scan_all_per_point(space, conds):
-    """ell for every candidate index: per closed point, the F_p-kernel of
-    its functionals by linalg.kernel, enumerated as an index array."""
+    """ell for every candidate index of a `sieve._conditions` stack
+    (degrees, funcs): per closed point, the F_p-kernel of its functionals
+    by linalg.kernel, enumerated as an index array."""
     spec = space.problem.field
     fp = gf.make_field(spec.p)
     width = spec.k * space.rank
     ell = np.zeros(spec.q ** space.rank, dtype=np.int64)
-    for degree, group in conds:
-        for funcs in group:
-            basis = linalg.kernel(fp, [linalg.row(fp, width, enumerate(r))
-                                       for r in funcs.tolist()], width)
-            if len(basis) == width:
-                ell += degree    # vacuous conditions: singular everywhere
-            elif basis:          # an empty basis leaves only f = 0
-                ell[_span_indices(fp, basis)] += degree  # distinct indices
+    for degree, funcs in zip(*conds):
+        basis = linalg.kernel(fp, [linalg.row(fp, width, enumerate(r))
+                                   for r in funcs.tolist()], width)
+        if len(basis) == width:
+            ell += degree    # vacuous conditions: singular everywhere
+        elif basis:          # an empty basis leaves only f = 0
+            ell[_span_indices(fp, basis)] += degree  # distinct indices
     return ell
 
 
 def ells_by_products(space, conds, indices):
-    """ell for each candidate index: per closed point, its functionals'
-    values on the index's base-p digits, as one float64 product mod p (the
-    sums stay far below 2^53), and an all-zero test."""
+    """ell for each candidate index, on a `sieve._conditions` stack: per
+    closed point, its functionals' values on the index's base-p digits, as
+    one float64 product mod p (the sums stay far below 2^53), and an
+    all-zero test."""
     p = space.problem.field.p
     width = space.problem.field.k * space.rank
     digits = np.array([[index // p ** t % p for t in range(width)]
                        for index in indices], dtype=np.float64)
     digits = digits.reshape(len(indices), width)
     ell = np.zeros(len(indices), dtype=np.int64)
-    for degree, group in conds:
-        for funcs in group:
-            values = digits @ funcs.T.astype(np.float64) % p
-            ell += degree * ~values.any(axis=1)
+    for degree, funcs in zip(*conds):
+        values = digits @ funcs.T.astype(np.float64) % p
+        ell += degree * ~values.any(axis=1)
     return ell
+
+
+# ---------------------------------------------------------------------------
+# The former per-degree scan: the jet conditions as one array per degree
+# of closed points, without padding rows, one elimination per block of a
+# degree's points and XOR tables rebuilt for every batch of candidates.
+
+def per_degree_conditions(X, space, groups):
+    """[(e, funcs)] per degree e with points, funcs of shape (points of
+    degree e, rows of degree e, candidate digits): `sieve._conditions` of
+    each degree's group alone, so no row is padding."""
+    return [(e, sieve._conditions(X, space, [(e, ext, orbits)])[1])
+            for e, ext, orbits in groups if len(orbits)]
+
+
+# entries per block, as the library's budgets were when this path ran
+DIGIT_ENTRIES, BLOCK_ENTRIES = 1 << 16, 1 << 14
+
+
+def scan_all_per_degree(space, conds, ell=None):
+    """ell for every candidate index, or the marks of `ell` set to 1, from
+    per-degree conditions: per degree, one elimination brings a block of
+    points' functionals to reduced echelon form, and the F_p-kernels of its
+    points of each rank are enumerated as index arrays."""
+    p = space.problem.field.p
+    mark = ell is not None
+    if not mark:
+        ell = np.zeros(space.problem.field.q ** space.rank, dtype=np.int64)
+    for degree, group in conds:
+        _, rows, width = group.shape
+        step = max(1, DIGIT_ENTRIES // max(rows * width, 1))
+        for lo in range(0, len(group), step):
+            rank, pivots, mats = linalg.echelon_stack(group[lo:lo + step], p)
+            for r in np.flatnonzero(np.bincount(rank)).tolist():
+                sel = np.flatnonzero(rank == r)
+                if r == 0 and mark:  # vacuous: singular everywhere
+                    ell[:] = 1
+                elif r == 0:
+                    ell += degree * len(sel)
+                elif r < width:               # a full rank leaves only f = 0
+                    for members in sieve._kernel_indices(
+                            p, mats[sel], pivots[sel], r):
+                        if mark:
+                            ell[members.ravel()] = 1
+                        else:
+                            np.add.at(ell, members.ravel(), degree)
+    return ell
+
+
+def ells_per_degree(space, conds, digits):
+    """ell for each candidate (a row of the digit array): per batch of
+    candidates and per degree, the number of points whose conditions all
+    vanish on it, by XOR tables over F_2 and by products mod p otherwise."""
+    p = space.problem.field.p
+    out = np.zeros(len(digits), dtype=np.int64)
+    step = max(1, DIGIT_ENTRIES // max(digits.shape[1], 1))
+    for lo in range(0, len(digits), step):
+        batch = digits[lo:lo + step]
+        batch = (batch.T.astype(np.intp) if p == 2
+                 else batch.astype(np.float64))
+        for degree, group in conds:
+            hits = (_hits_f2(batch, group) if p == 2
+                    else _hits_mod_p(batch, group, p))
+            out[lo:lo + step] += degree * hits
+    return out
+
+
+def _hits_mod_p(digits, group, p):
+    n, width = digits.shape
+    rows = group.shape[1]
+    hits = np.zeros(n, dtype=np.int64)
+    per_block = max(1, BLOCK_ENTRIES // rows // max(width, n))
+    for i in range(0, len(group), per_block):
+        block = group[i:i + per_block]
+        prod = digits @ np.concatenate(block, dtype=np.float64).T
+        prod /= p
+        hit = (prod != np.floor(prod)).reshape(n, -1, rows)
+        hits += (~hit.any(axis=2)).sum(axis=1)
+    return hits
+
+
+def _hits_f2(octets, group):
+    """Per column of candidate bytes, the points of the group whose
+    functionals all vanish on it: each point's rows packed into the
+    narrowest lane that holds them, `_xor_images` per block."""
+    nbytes, n = octets.shape
+    points, rows, width = group.shape
+    lane = np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                         if np.iinfo(t).bits >= min(rows, 64)))
+    words = -(-rows // 64)
+    size = lane.itemsize * words                    # bytes per point
+    per_block = max(1, 8 * BLOCK_ENTRIES // max(256 * nbytes, n) // size)
+    hits = np.zeros(n, dtype=np.int64)
+    for i in range(0, points, per_block):
+        block = group[i:i + per_block]
+        slots = -(-len(block) * size // 8) * 8 // size
+        packed = np.zeros((8 * nbytes, slots, size), dtype=np.uint8)
+        packed[:width, :len(block), :-(-rows // 8)] = np.packbits(
+            block, axis=1, bitorder="little").transpose(2, 0, 1)
+        image = _xor_images(octets, packed.reshape(
+            8 * nbytes, slots * size).view(np.uint64))
+        lanes = image.view(lane).reshape(n, slots, words)[:, :len(block)]
+        hits += (~lanes.any(axis=2)).sum(axis=1)
+    return hits
+
+
+def _xor_images(octets, bits):
+    """Per column of candidate bytes, the XOR of the images (uint64 rows of
+    `bits`) of its set bits: T_j[v], the XOR of the images of the set bits
+    of v at byte j, built by doubling in tables of about `BLOCK_ENTRIES`
+    words, and read at byte j."""
+    nbytes, n = octets.shape
+    bits = bits.reshape(nbytes, 8, bits.shape[1])
+    image = np.zeros((n, bits.shape[2]), dtype=np.uint64)
+    step = -(-BLOCK_ENTRIES // (256 * max(nbytes, 1)))
+    for lo in range(0, bits.shape[2], step):
+        cols = bits[:, :, lo:lo + step]
+        table = np.zeros((nbytes, 256, cols.shape[2]), dtype=np.uint64)
+        for b in range(8):
+            np.bitwise_xor(table[:, :1 << b], cols[:, b, None],
+                           out=table[:, 1 << b:2 << b])
+        for j in range(nbytes):
+            image[:, lo:lo + step] ^= np.take(table[j], octets[j], axis=0)
+    return image
 
 
 def _span_indices(fp, basis):

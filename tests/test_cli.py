@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import SCHEMES
 from smoothsieve import cli, gf, graded, linalg, mpoly, sieve, variety, zeta
 from smoothsieve.cli import UsageError, parse_args, render, run
 
@@ -239,7 +240,16 @@ def test_main_renders_json(schemes_dir, capsys):
     ("q = 2\nP 2 : x y z\n", ["estimate", "-d", "6"],
      "EnumerationCapExceeded"),
     ("q = 2\nP 2 : x y z\nX:\nX.remove:\n  x\n",
-     ["estimate", "-d", "2", "--exact"], "UnsupportedPresentation")])
+     ["estimate", "-d", "2", "--exact"], "UnsupportedPresentation"),
+    ("q = 2\nP 2 : x y z\nX:\n  (x+y)^2\n", [], "ParseError"),
+    ("q = 2\nP 2 : x y z\nX:\n  (x+y)*z\n", [], "ParseError"),
+    ("q = 4\nP 2 : x y z\nX:\n  (x+y)^2\n", [], "ParseError"),
+    ("q = 4\nP 2 : x y z\nX:\n  (x+y)*z\n", [], "ParseError"),
+    # exact values past Python's 4,300-digit limit on printing an integer
+    ((SCHEMES / "nodal_cubic.scm").read_text(), ["lowdeg", "--r", "5"],
+     "ValueTooLarge"),
+    ((SCHEMES / "cuspidal_cubic.scm").read_text(),
+     ["lowdeg", "--q", "3", "--r", "4"], "ValueTooLarge")])
 def test_bad_input_fails_closed(tmp_path, capsys, text, argv, kind):
     # one `error [Type]` line on stderr, nothing on stdout, exit code 1
     path = tmp_path / "bad.scm"

@@ -1,15 +1,17 @@
 """Reports that do not depend on a choice of coordinates: exhaustive
 `--bounded` singular-point histograms under a linear change of coordinates
-of X and Z, and exact counts and histograms under the choice of modulus for
-F_9.  Exact scans of P^n no longer group forms by GL_{n+1}(F_q)-orbits, so
-these pin the invariance the degree bounds rely on nowhere else."""
+of X and Z, and exact counts, histograms and `lowdeg` reports under the
+choice of modulus for F_9.  Exact scans of P^n no longer group forms by
+GL_{n+1}(F_q)-orbits, so these pin the invariance the degree bounds rely
+on nowhere else."""
 
 from dataclasses import replace
 
 import pytest
 
+from conftest import SCHEMES
 from oracles import substitute
-from smoothsieve import sieve
+from smoothsieve import cli, sieve
 from smoothsieve.variety import parse_problem
 
 THROUGH_PAIR = "q = 2\nP 2 : x y z\nX:\nZ:\n  x\n  y^2 + y*z + z^2\n"
@@ -58,3 +60,20 @@ def test_modulus_of_f9_changes_no_count():
         assert density.value.count_smooth == 471744  # (q - 1)(q^5 - q^2)
         reports.append((density.to_json_dict(), histograms(problem, [2])))
     assert reports[0] == reports[1]
+
+
+def test_modulus_of_f9_changes_no_lowdeg_report(tmp_path):
+    # the Euler-factor product of the cuspidal cubic at r = 2 counts closed
+    # points, which no choice of modulus changes
+    text = (SCHEMES / "cuspidal_cubic.scm").read_text()
+    results = []
+    for i, modulus in enumerate(("x^2 + 1", "x^2 + x + 2", "x^2 + 2*x + 2")):
+        path = tmp_path / f"cusp_{i}.scm"
+        path.write_text(text.replace("q = 2\n", f"q = 9 [{modulus}]\n"))
+        code, report = cli.run(cli.parse_args(
+            ["lowdeg", "--scheme", str(path), "--r", "2"]))
+        assert code == 0
+        results.append(report["result"])
+    assert results[0] == results[1] == results[2]
+    assert results[0]["predicted"].count("/") == 1
+    assert 0.71 < results[0]["approx"] < 0.72

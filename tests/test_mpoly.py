@@ -191,6 +191,22 @@ def test_parser_rejects_garbage():
         P("x^")
 
 
+@pytest.mark.parametrize("spec", [F2, F4])
+@pytest.mark.parametrize("text", ["(x+y)^2", "(x+y)*z", "(g*x + 1)*y"])
+def test_parser_names_parentheses_around_variables(spec, text):
+    # parentheses hold field literals only; the equation must be expanded
+    with pytest.raises(ParseError) as info:
+        P(text, spec=spec)
+    assert str(info.value) == ("parentheses hold field literals in 'g' "
+                               f"only; expand {text!r} into a sum of terms")
+    # a literal without a variable keeps its own messages
+    with pytest.raises(ParseError) as info:
+        P("(h+1)*x", spec=spec)
+    assert str(info.value) == ("generator literals need an extension field"
+                               if spec is F2 else
+                               "field literals use the symbol 'g'")
+
+
 def test_homogeneity_enforcement():
     with pytest.raises(HomogeneityError):
         parse_homogeneous("x^2 + y", F2, 3, XYZ)

@@ -10,7 +10,8 @@ import pytest
 
 from oracles import (dense_rref_mod_p, digit_indices, draw,
                      ell_histogram_oracle, ells_by_products, index_digits,
-                     point_functionals, scan_all_per_point)
+                     per_degree_conditions, point_functionals,
+                     scan_all_per_point)
 from smoothsieve import sieve, variety
 from smoothsieve.mpoly import MPoly, monomials_of_degree
 from smoothsieve.variety import load_problem, parse_problem
@@ -131,12 +132,10 @@ def batch_case(schemes_dir, case):
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batched_functionals_span_the_per_point_rows(schemes_dir, case):
-    space, points, conds = batch_case(schemes_dir, case)
+    space, points, (degrees, stack) = batch_case(schemes_dir, case)
     X, p = space.problem.X, space.problem.field.p
-    batched = [funcs for _, group in conds for funcs in group]
-    assert [e for e, group in conds for _ in group] == [P.degree
-                                                        for P in points]
-    for P, funcs in zip(points, batched):
+    assert degrees.tolist() == [P.degree for P in points]
+    for P, funcs in zip(points, stack):
         expected = point_functionals(X, space, P).tolist()
         assert (dense_rref_mod_p(funcs.tolist(), p)
                 == dense_rref_mod_p(expected, p))
@@ -151,8 +150,9 @@ def test_functionals_through_z_over_a_large_prime():
     [(e, ext, orbits)] = variety.closed_point_arrays(prob.X, 1)
     points = variety.enumerate_closed_points(prob.X, 1)
     picks = list(range(0, len(points), 4099)) + [len(points) - 1]
-    [(_, group)] = sieve._conditions(prob.X, space,
-                                     [(e, ext, orbits[picks])])
+    degrees, group = sieve._conditions(prob.X, space,
+                                       [(e, ext, orbits[picks])])
+    assert degrees.tolist() == [1] * len(picks)
     assert group.shape == (len(picks), 2, 3)
     for i, funcs in zip(picks, group):
         expected = point_functionals(prob.X, space, points[i]).tolist()
@@ -192,9 +192,11 @@ def test_ells_equal_per_point_products(schemes_dir, case):
     scheme, q, d, bound, n, rows = ELL_CASES[case]
     prob = load_case(schemes_dir, scheme, q)
     space = sieve.candidate_space(prob, d)
-    conds = sieve._conditions(prob.X, space,
-                              variety.closed_point_arrays(prob.X, bound))
-    assert [group.shape[1] for _, group in conds] == rows
+    groups = variety.closed_point_arrays(prob.X, bound)
+    conds = sieve._conditions(prob.X, space, groups)
+    assert [group.shape[1] for _, group in per_degree_conditions(
+        prob.X, space, groups)] == rows
+    assert conds[1].shape[1] == rows[-1]
     indices = drawn_indices(space, n)
     assert np.array_equal(sieve._ells(space, conds,
                                       index_digits(space, indices)),
@@ -213,8 +215,8 @@ def test_ells_more_than_64_rows_and_a_vacuous_point(schemes_dir):
         first = rng.integers(0, 2, (64, 2)) @ rng.integers(0, 2, (2, width))
         last = rng.integers(0, 2, (6, 2)) @ rng.integers(0, 2, (2, width))
         funcs.append(np.concatenate([first, last]) % 2)
-    conds = [(3, np.array(funcs, dtype=np.uint8)),
-             (2, np.zeros((1, 70, width), dtype=np.uint8))]
+    conds = (np.array([2] + [3] * 9),
+             np.array([np.zeros((70, width))] + funcs, dtype=np.uint8))
     indices = drawn_indices(space, 700)
     ell = sieve._ells(space, conds, index_digits(space, indices))
     assert np.array_equal(ell, ells_by_products(space, conds, indices))
@@ -224,8 +226,7 @@ def test_ells_more_than_64_rows_and_a_vacuous_point(schemes_dir):
 def test_ells_on_a_rank_0_candidate_space(schemes_dir):
     space = sieve.CandidateSpace(load_problem(schemes_dir / "p2.scm"), 3, 0,
                                  ())
-    conds = [(1, np.ones((4, 3, 0), dtype=np.uint8)),
-             (2, np.ones((2, 6, 0), dtype=np.uint8))]
+    conds = (np.array([1] * 4 + [2] * 2), np.ones((6, 6, 0), dtype=np.uint8))
     assert sieve._ells(space, conds,
                        index_digits(space, [0] * 5)).tolist() == [8] * 5
 

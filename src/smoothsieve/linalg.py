@@ -6,12 +6,11 @@ with `row`, read them with `entries`, and pass the field to every call.
 
 - Format: the field picks it.  Over F_2 a row is an int bitset (bit j
   holds column j); over any other field it is a tuple of element codes.
-- Pivot rule: `echelon` returns the reduced row-echelon form whose pivot
-  is the lowest nonzero column of each row, scaled to 1, with the rows
-  sorted by pivot.  That form is unique, so stored bases (and everything
-  derived from them, such as candidate indices) are canonical.  `rank`
-  needs no particular rows; over F_2 it pivots on the highest set bit,
-  because int.bit_length finds it fastest.
+- Pivot rule: every elimination pivots on the lowest nonzero column of
+  each row (over F_2 the lowest set bit), scaled to 1.  `echelon` returns
+  the reduced row-echelon form, with the rows sorted by pivot.  That form
+  is unique, so stored bases (and everything derived from them, such as
+  candidate indices) are canonical.
 
 Two kernels work on numpy stacks of many small matrices over F_p at once.
 `echelon_stack` applies `echelon`'s pivot rule to all of them.
@@ -80,14 +79,13 @@ def combine(spec, coeffs, rows, ncols):
 
 
 def _pivots(spec, rows):
-    """Pivot column -> basis row, one row of `rows` at a time.  Over F_2
-    the pivot is the highest set bit; otherwise it is the lowest nonzero
-    column, scaled to 1."""
+    """Pivot column -> basis row, one row of `rows` at a time: the pivot is
+    the lowest nonzero column, scaled to 1."""
     pivots = {}
     if spec.q == 2:
         for r in rows:
             while r:
-                c = r.bit_length() - 1
+                c = (r & -r).bit_length() - 1
                 p = pivots.get(c)
                 if p is None:
                     pivots[c] = r
@@ -116,23 +114,14 @@ def rank(spec, rows) -> int:
 def echelon(spec, rows) -> tuple:
     """The reduced row-echelon form of the row space (see the module
     docstring for the pivot rule)."""
+    pivots = _pivots(spec, rows)
     if spec.q == 2:
-        pivots = {}
-        for r in rows:
-            while r:
-                c = (r & -r).bit_length() - 1
-                p = pivots.get(c)
-                if p is None:
-                    pivots[c] = r
-                    break
-                r ^= p
         for c in sorted(pivots, reverse=True):
             r = pivots[c]
             for c2, r2 in pivots.items():
                 if c2 < c and (r2 >> c) & 1:
                     pivots[c2] = r2 ^ r
     else:
-        pivots = _pivots(spec, rows)
         for c in sorted(pivots, reverse=True):
             r = pivots[c]
             for c2, r2 in pivots.items():

@@ -295,8 +295,10 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(\
 def parse_poly(text: str, spec: FieldSpec, nvars: int, aliases=None) -> MPoly:
     """Parse `+`/`-` separated terms; `*` optional between factors, `^` powers.
 
-    Coefficients are integers, or parenthesised expressions in the field
-    generator symbol `g` for non-prime fields, e.g. `(g^2+1)*x*y`.
+    Coefficients are integers, or, over non-prime fields, the generator
+    symbol `g` and parenthesised field literals such as `(g^2+1)*x*y`: a
+    literal is read by this same grammar as a polynomial in `g` over F_p
+    and evaluated at the generator.
     """
     aliases = list(aliases or default_aliases(nvars))
     var_index = {a: i for i, a in enumerate(aliases)}
@@ -339,7 +341,7 @@ def parse_poly(text: str, spec: FieldSpec, nvars: int, aliases=None) -> MPoly:
                 coeff = spec.mul(coeff, c) if c else 0
                 saw_factor = True
                 i += 1
-            elif m.group(7):  # ( g-expression )
+            elif m.group(7):  # ( field literal: a polynomial in g over F_p )
                 depth = 1
                 j = i + 1
                 inner = []
@@ -360,7 +362,15 @@ def parse_poly(text: str, spec: FieldSpec, nvars: int, aliases=None) -> MPoly:
                     raise ParseError(
                         "parentheses hold field literals in 'g' only; "
                         f"expand {text.strip()!r} into a sum of terms")
-                code = _parse_gexpr(inner, spec)
+                if spec.k == 1:
+                    raise ParseError("generator literals need an extension field")
+                if any(mj.group(2) not in (None, "g") for mj in inner):
+                    raise ParseError("field literals use the symbol 'g'")
+                if any(mj.group(7) for mj in inner):
+                    raise ParseError("field literals take no nested parentheses")
+                code = parse_poly(text[m.end():tk(j).start()],
+                                  gf.make_field(spec.p), 1, ("g",)
+                                  ).evaluate_codes((spec.gen.code,), spec)
                 coeff = spec.mul(coeff, code) if code else 0
                 saw_factor = True
                 i = j + 1
@@ -398,60 +408,6 @@ def parse_poly(text: str, spec: FieldSpec, nvars: int, aliases=None) -> MPoly:
                 terms.pop(e, None)
         sign = 1
     return MPoly(spec, nvars, terms)
-
-
-def _parse_gexpr(tokens, spec: FieldSpec) -> int:
-    """Integer combination of powers of the generator symbol g."""
-    if spec.k == 1:
-        raise ParseError("generator literals need an extension field")
-    acc = 0
-    sign = 1
-    i = 0
-    n = len(tokens)
-    while i < n:
-        m = tokens[i]
-        if m.group(5):
-            sign = 1
-            i += 1
-            continue
-        if m.group(6):
-            sign = -1
-            i += 1
-            continue
-        c = 1
-        power = 0
-        saw = False
-        while i < n:
-            m = tokens[i]
-            if m.group(1):
-                c = (c * int(m.group(1))) % spec.p
-                saw = True
-                i += 1
-            elif m.group(2):
-                if m.group(2) != "g":
-                    raise ParseError("field literals use the symbol 'g'")
-                power_this = 1
-                i += 1
-                if i < n and tokens[i].group(3):
-                    i += 1
-                    if not (i < n and tokens[i].group(1)):
-                        raise ParseError("expected exponent after '^'")
-                    power_this = int(tokens[i].group(1))
-                    i += 1
-                power += power_this
-                saw = True
-            elif m.group(4):
-                i += 1
-            else:
-                break
-        if not saw:
-            raise ParseError("empty term in field literal")
-        code = spec.mul(spec.pow(spec.gen.code, power), c) if c else 0
-        if sign < 0:
-            code = spec.neg(code)
-        acc = spec.add(acc, code)
-        sign = 1
-    return acc
 
 
 def parse_homogeneous(text, spec, nvars, aliases=None) -> MPoly:

@@ -336,8 +336,7 @@ class CandidateSpace:
                       for t, c in linalg.entries(spec, self.row_of(index))})
 
 
-def candidate_space(problem: SchemeProblem, d: int,
-                    cap: int = DEFAULT_CAP) -> CandidateSpace:
+def candidate_space(problem: SchemeProblem, d: int) -> CandidateSpace:
     """Basis of the degree-d forms through Z (all of S_d when Z is empty)."""
     monos = monomials_of_degree(problem.nvars, d)
     if problem.Z is None or not problem.Z.equations:
@@ -594,9 +593,10 @@ def _certificate_rows(problem, d):
     of f: codes[m * k + j, row, column] for f = x^j m, with x^j in F_q's
     power basis.
 
-    The multiples of X's equations are a fixed block, so the other rows are
-    taken modulo it: J_t = S_t exactly when they span the ncols-dimensional
-    quotient, read on the non-pivot columns of the block's echelon form.
+    The multiples of X's equations, X's graded piece of degree t, are a
+    fixed block, so the other rows are taken modulo it: J_t = S_t exactly
+    when they span the ncols-dimensional quotient, read on the non-pivot
+    columns of the block's echelon form.
     Each other generator, f or a minor by cofactor expansion along f's row,
     is F_q-linear in f.  t counts every generator slot, zero or not: a zero
     generator can only lower the degree f needs, and J_t = S_t carries over
@@ -649,15 +649,7 @@ def _certificate_rows(problem, d):
         return (np.array(list(g.terms), dtype=np.int64).reshape(-1, nvars),
                 list(g.terms.values()))
 
-    block = []
-    for g in eqs:
-        if g.homogeneous_degree() <= t:
-            expo, coeffs = terms(g)
-            shifted = column(monomials(t - g.homogeneous_degree())[:, None]
-                             + expo)
-            block += [linalg.row(spec, size, zip(cols, coeffs))
-                      for cols in shifted.tolist()]
-    echelon = linalg.echelon(spec, block)
+    echelon = GradedIdeal(spec, nvars, eqs).piece(t).rows
     fixed = np.zeros((len(echelon), size), dtype=np.int64)
     for row, out in zip(echelon, fixed):
         for c, a in linalg.entries(spec, row):
@@ -804,7 +796,7 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
         raise UnsupportedPresentation(
             "exact mode supports X = P^n or a complete intersection "
             "presentation, with no removed locus")
-    space = candidate_space(problem, d, cap)
+    space = candidate_space(problem, d)
     exhaustive = budget[0] == "exhaustive"
     if exhaustive:
         total = spec.q ** space.rank
@@ -1256,7 +1248,7 @@ def estimate_low_degree(problem: SchemeProblem, r: int, d: int,
                         n_samples: int, seed: int = 0,
                         cap: int = DEFAULT_CAP) -> EstimateValue:
     """Sampled fraction of f in I_d smooth at every point of degree < r."""
-    space = candidate_space(problem, d, cap)
+    space = candidate_space(problem, d)
     conds = _conditions(problem.X, space,
                         closed_point_arrays(problem.X, r - 1, cap))
     digits = _draws(random.Random(seed), problem.field.q, space.rank,
@@ -1359,7 +1351,7 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
 
         found = None
         for d in range(d_min, d_max + 1):
-            space = candidate_space(cur, d, cap)
+            space = candidate_space(cur, d)
             if space.rank == 0:
                 tries_log.append((step_index, d, 0))
                 continue
@@ -1426,7 +1418,7 @@ def _walk(problem, space, budget, rng, jet_conditions, e_max):
 
 
 def verify_chain(problem: SchemeProblem, result: EmbedResult,
-                 e_max: int = 4, cap: int = DEFAULT_CAP) -> bool:
+                 e_max: int = 4) -> bool:
     """Re-verify an embedding chain from scratch: ideal containment of the
     curve in every hypersurface, plus a fresh emptiness certificate and an
     independent point search for singular points of each partial chain."""

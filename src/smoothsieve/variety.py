@@ -293,16 +293,12 @@ def effective_generators(V: SchemePresentation):
     return tuple(gens), flag
 
 
-def embedding_dimension(V: SchemePresentation, point: ClosedPoint,
-                        chart: int | None = None,
-                        with_flag: bool = False):
+def embedding_dimension(V: SchemePresentation, point: ClosedPoint) -> int:
     """e(P) = n - rank of the Jacobian of the (saturation-augmented)
     presentation of V at P; the dimension of the Zariski tangent space."""
-    gens, flag = effective_generators(V)
+    gens, _ = effective_generators(V)
     _require_on_scheme(V.equations, V.removed, point)
-    rank = _jacobian_rank_at(gens, point, chart)
-    e = V.ambient_dim - rank
-    return (e, flag) if with_flag else e
+    return V.ambient_dim - _jacobian_rank_at(gens, point)
 
 
 def stratify(V: SchemePresentation, max_degree: int,
@@ -310,12 +306,12 @@ def stratify(V: SchemePresentation, max_degree: int,
              cap: int = DEFAULT_CAP) -> StratumTable:
     """Count the closed points of degree <= B in each stratum V_e."""
     declared_dims = declared_dims or {}
-    flags = []
+    points = enumerate_closed_points(V, max_degree, cap)
+    flags = (["saturation-capped"]
+             if points and effective_generators(V)[1] == "capped" else [])
     grouped: dict[int, dict] = {}
-    for P in enumerate_closed_points(V, max_degree, cap):
-        e, fl = embedding_dimension(V, P, with_flag=True)
-        if fl == "capped" and "saturation-capped" not in flags:
-            flags.append("saturation-capped")
+    for P in points:
+        e = embedding_dimension(V, P)
         counts = grouped.setdefault(e, {})
         counts[P.degree] = counts.get(P.degree, 0) + 1
     strata = {}
@@ -338,7 +334,7 @@ def stratify(V: SchemePresentation, max_degree: int,
 # Scheme problem files.
 #
 #   # comment
-#   q = 2              (or q = p^k, optionally followed by [modulus in g])
+#   q = 2              (or q = p^k, optionally followed by [modulus in g or x])
 #   P 3 : x y z w
 #   X:
 #     <polynomial per line>
@@ -508,32 +504,18 @@ def _factor_prime_power(q: int):
 
 
 def _parse_modulus(text: str, p: int, k: int):
-    spec1 = gf.make_field(p, 1)
+    """The coefficients, constant first, of a modulus written as a
+    polynomial over F_p in `g` or `x` (either, or both): each term counts at
+    its total degree."""
+    try:
+        f = mpoly.parse_poly(text, gf.make_field(p), 2, ("g", "x"))
+    except mpoly.ParseError as err:
+        raise SchemeFileError(f"bad modulus {text!r}: {err}") from None
     coeffs = [0] * (k + 1)
-    for sign_term in text.replace("-", "+-").split("+"):
-        t = sign_term.strip()
-        if not t:
-            continue
-        neg = t.startswith("-")
-        if neg:
-            t = t[1:].strip()
-        c = 1
-        power = 0
-        for fac in t.split("*"):
-            fac = fac.strip()
-            if not fac:
-                continue
-            if fac.isdigit():
-                c = (c * int(fac)) % p
-            elif fac == "g" or fac == "x":
-                power += 1
-            elif fac.startswith(("g^", "x^")):
-                power += _integer(fac.split("^")[1])
-            else:
-                raise SchemeFileError(f"bad modulus term {fac!r}")
-        if power > k:
+    for (i, j), c in f.terms.items():
+        if i + j > k:
             raise SchemeFileError("modulus degree too large")
-        coeffs[power] = (coeffs[power] + (-c if neg else c)) % p
+        coeffs[i + j] = (coeffs[i + j] + c) % p
     return tuple(coeffs)
 
 

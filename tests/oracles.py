@@ -987,7 +987,7 @@ def embed_per_draw(problem, target_dim, d_max, seed=0, d_min=1,
         budget_per_degree = (int(try_factor / density) + 1) if density else 200
         found = None
         for d in range(d_min, d_max + 1):
-            space = sieve.candidate_space(cur, d, cap)
+            space = sieve.candidate_space(cur, d)
             if space.rank == 0:
                 tries_log.append((step_index, d, 0))
                 continue

@@ -249,7 +249,12 @@ def test_main_renders_json(schemes_dir, capsys):
     ((SCHEMES / "nodal_cubic.scm").read_text(), ["lowdeg", "--r", "5"],
      "ValueTooLarge"),
     ((SCHEMES / "cuspidal_cubic.scm").read_text(),
-     ["lowdeg", "--q", "3", "--r", "4"], "ValueTooLarge")])
+     ["lowdeg", "--q", "3", "--r", "4"], "ValueTooLarge"),
+    # moduli and field literals, read by the grammar of the equations
+    ("q = 9 [x^2 + y]\nP 2 : x y z\n", [], "SchemeFileError"),
+    ("q = 9 [x^a + 1]\nP 2 : x y z\n", [], "SchemeFileError"),
+    ("q = 4\nP 2 : x y z\nX:\n  (g^)*x\n", [], "ParseError"),
+    ("q = 4\nP 2 : x y z\nX:\n  ((g))*x\n", [], "ParseError")])
 def test_bad_input_fails_closed(tmp_path, capsys, text, argv, kind):
     # one `error [Type]` line on stderr, nothing on stdout, exit code 1
     path = tmp_path / "bad.scm"

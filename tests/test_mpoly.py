@@ -207,6 +207,27 @@ def test_parser_names_parentheses_around_variables(spec, text):
                                "field literals use the symbol 'g'")
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3),
+                                 (2, 8)])
+def test_every_field_literal_reads_back(p, k):
+    # element_string prints a polynomial in g; read back as a literal it
+    # gives the same code
+    spec = gf.make_field(p, k)
+    for code in range(spec.q):
+        f = parse_poly(f"({spec.element_string(code)})*x", spec, 1, ("x",))
+        assert f.terms.get((1,), 0) == code
+
+
+@pytest.mark.parametrize("text,message", [
+    ("((g))*x", "field literals take no nested parentheses"),
+    ("(g^)*x", "expected integer exponent after '^'"),
+    ("(*)x", "dangling operator in '*'")])
+def test_literals_share_the_equation_grammar(text, message):
+    with pytest.raises(ParseError) as info:
+        P(text, spec=F4)
+    assert str(info.value) == message
+
+
 def test_homogeneity_enforcement():
     with pytest.raises(HomogeneityError):
         parse_homogeneous("x^2 + y", F2, 3, XYZ)

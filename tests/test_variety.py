@@ -202,7 +202,8 @@ def test_chart_independence(schemes_dir):
     w = poly("w")
     for P in enumerate_closed_points(C, 3):
         charts = [i for i, c in enumerate(P.representative) if c]
-        values = {embedding_dimension(C, P, chart=ch) for ch in charts}
+        gens, _ = variety.effective_generators(C)
+        values = {variety._jacobian_rank_at(gens, P, ch) for ch in charts}
         assert len(values) == 1
         plane = SchemePresentation(F2, 4, (w,), declared_dim=2)
         cubic = C.equations[1]
@@ -240,6 +241,16 @@ def test_q_override(schemes_dir):
 def test_field_line_with_modulus():
     prob = parse_problem("q = 2^2 [g^2+g+1]\nP 1 : x y\nX:\n")
     assert prob.field.q == 4 and prob.field.modulus == (1, 1, 1)
+
+
+@pytest.mark.parametrize("modulus", [
+    "x^2 + 2*x + 2", "g^2 + 2*g + 2", "2 + 2*g + x^2", "g*x + 2*x + 2",
+    "x^2 + 2 x + 2", "x x + 2x + 2", "-2*x^2 - x - 1", "0*x^3 + x^2 + 2*x + 2"])
+def test_spellings_of_one_modulus_give_one_field(modulus):
+    # a modulus is a polynomial over F_p in g or x, read term by term at its
+    # total degree; a zero term counts at no degree
+    prob = parse_problem(f"q = 9 [{modulus}]\nP 1 : x y\n")
+    assert prob.field == gf.make_field(3, 2, (2, 2, 1))
 
 
 def test_declared_dim_mismatch_warns_not_errors():

@@ -12,12 +12,16 @@ with `row`, read them with `entries`, and pass the field to every call.
   is unique, so stored bases (and everything derived from them, such as
   candidate indices) are canonical.
 
-Two kernels work on numpy stacks of many small matrices over F_p at once.
-`echelon_stack` applies `echelon`'s pivot rule to all of them.
-`rank_stack_f2` only counts ranks over F_2, on rows packed into uint64
-words of any number: for each column, the first row holding the bit is
-XORed into every row holding it, itself included.  That needs no row
-swaps, no mask of used rows and no unpacking.
+The stack routines eliminate numpy stacks of many small matrices at once.
+Over F_2 one forward step, `_leads_f2`, works on rows packed into words:
+for each column, the first row holding the bit is XORed into every row
+holding it, itself included.  That needs no row swaps, no mask of used
+rows and no unpacking.  Behind it, `rank_stack_f2` counts the columns
+that found such a lead row, on rows of any number of words, and
+`pivot_rows_f2` stores each lead row at its column and back-substitutes,
+giving `echelon`'s reduced forms of rows of one word; `kernel_f2` reads
+the kernel vectors off those.  Over odd p, `echelon_stack` applies
+`echelon`'s pivot rule to a stack with row swaps.
 """
 
 from __future__ import annotations
@@ -191,14 +195,8 @@ def echelon_stack(mats, p):
 
     A matrix with no pivot in a column gets an all-zero lead row, which
     leaves it as it is.  Entries are reduced mod p only where a pivot is
-    sought and at the end, so the dtype holds columns * p^2.  Over F_2 each
-    row is packed into an int64 bitset instead and eliminated by XOR, so
-    more than 64 columns are refused."""
-    if p == 2:
-        if mats.shape[2] > 64:
-            raise ValueError(f"{mats.shape[2]} columns do not fit one int64 "
-                             "bitset")
-        return _echelon_stack_f2(mats)
+    sought and at the end, so the dtype holds columns * p^2.  This serves
+    odd p; over F_2, `pivot_rows_f2` needs no row swaps."""
     n, rows, width = mats.shape
     mats = mats.astype(np.min_scalar_type(-width * p * p))
     rank = np.zeros(n, dtype=np.intp)
@@ -222,49 +220,79 @@ def echelon_stack(mats, p):
     return rank, pivots, mats
 
 
-def _echelon_stack_f2(mats):
-    n, rows, width = mats.shape
-    bits = 1 << np.arange(width, dtype=np.int64)
-    packed = mats @ bits
-    rank = np.zeros(n, dtype=np.intp)
-    pivots = np.full((n, rows), -1, dtype=np.intp)
-    below = np.arange(rows)
-    at = np.arange(n)
-    for c in range(width):
-        live = (((packed >> c) & 1) != 0) & (below >= rank[:, None])
-        hit = live.any(axis=1)
-        src, dst = live.argmax(axis=1), np.minimum(rank, rows - 1)
-        lead = packed[at, src] * hit
-        packed[at, src] = np.where(hit, packed[at, dst], packed[at, src])
-        packed ^= ((packed >> c) & 1) * lead[:, None]
-        packed[at, dst] = np.where(hit, lead, packed[at, dst])
-        pivots[at[hit], dst[hit]] = c
-        rank += hit
-    return rank, pivots, ((packed[:, :, None] & bits) != 0).astype(np.uint8)
-
-
-def rank_stack_f2(rows):
-    """The rank over F_2 of each matrix of a stack of bit-packed rows: a
-    uint64 array of shape (n, rows, words), column c at bit c % 64 of word
-    c // 64.  Column by column, the first row holding the bit is XORed into
-    every row holding it, itself included, so each pivot row leaves the
-    matrix as it is used and the rank is the number of columns that found
-    one.  The words before the column's word are zero by then, so only the
-    words from it onward are XORed; they are eliminated as one contiguous
-    block of shape (words, n, rows)."""
+def _leads_f2(rows):
+    """The forward step over F_2 on a stack of bit-packed rows: an unsigned
+    array of shape (n, rows, words), column c at bit c % b of word c // b
+    for words of b bits.  Column by column, the first row holding the bit
+    is XORed into every row holding it, itself included, so each lead row
+    leaves the matrix as it is used.  Yields that lead row of each matrix
+    per column, from the column's word on (shape (words from it, n)), and
+    0 where no row holds the bit; columns past the highest bit of the last
+    word are not visited.  The words before the column's word are zero by
+    then, so only the words from it onward are XORed; they are eliminated
+    as one contiguous block of shape (words, n, rows)."""
     n, _, words = rows.shape
+    one = rows.dtype.type(1)
     rows = rows.transpose(2, 0, 1).copy()
-    rank = np.zeros(n, dtype=np.intp)
     at = np.arange(n)
     last = int(np.bitwise_or.reduce(rows[-1], axis=None)) if words else 0
     for w in range(words):
         tail = rows[w:]
-        for b in range(64 if w < words - 1 else last.bit_length()):
-            has = tail[0] >> np.uint64(b) & np.uint64(1)
+        for b in range(8 * rows.itemsize if w < words - 1
+                       else last.bit_length()):
+            has = (tail[0] & one << b) != 0
             first = has.argmax(axis=1)
-            tail ^= has * tail[:, at, first][:, :, None]
-            rank += has[at, first].astype(bool)
+            lead = tail[:, at, first] * has[at, first]
+            tail ^= has * lead[:, :, None]
+            yield lead
+
+
+def rank_stack_f2(rows):
+    """The rank over F_2 of each matrix of a stack of bit-packed rows (see
+    `_leads_f2`): the number of columns that found a lead row."""
+    rank = np.zeros(len(rows), dtype=np.intp)
+    for lead in _leads_f2(rows):
+        rank += lead[0] != 0
     return rank
+
+
+def pivot_rows_f2(mats):
+    """The reduced row-echelon forms over F_2 of a stack of 0/1 matrices of
+    shape (n, rows, columns), at most 64 columns: (the rank of each, and
+    basis of shape (n, columns), basis[:, c] the row whose pivot is column
+    c as a bitset, 0 where column c is free).
+
+    Each row is packed into one word, the narrowest unsigned type that
+    holds it; `_leads_f2` stores each column's lead row at that column, and
+    a back-substitution over the columns, highest first, clears every pivot
+    column from the rows of the lower ones.  The rows are `echelon`'s."""
+    width = mats.shape[2]
+    if width > 64:
+        raise ValueError(f"{width} columns do not fit one 64-bit word")
+    lane = np.min_scalar_type((1 << width) - 1)
+    powers = (1 << np.arange(width)).astype(lane)
+    packed = np.einsum("irc,c->ir", mats, powers)
+    basis = np.zeros((width, len(mats)), dtype=lane)
+    for c, lead in enumerate(_leads_f2(packed[:, :, None])):
+        basis[c] = lead[0]
+    one = lane.type(1)
+    for c in range(width - 1, 0, -1):
+        lower = basis[:c]
+        lower ^= ((lower & one << c) != 0) * basis[c]
+    return np.count_nonzero(basis, axis=0), basis.T
+
+
+def kernel_f2(basis):
+    """The kernel vectors of reduced forms over F_2 given by their pivot rows
+    (`pivot_rows_f2`), as bitsets at their free columns: at free column f,
+    `kernel`'s vector with a 1 at f and bit f of each pivot row at that
+    row's column.  Entries at pivot columns are no kernel vectors."""
+    cols = np.arange(basis.shape[1], dtype=basis.dtype)
+    one = basis.dtype.type(1)
+    out = np.broadcast_to(one << cols, basis.shape).copy()
+    for c in cols:
+        out |= (basis[:, c, None] >> cols & one) << c
+    return out
 
 
 def _inverse_mod_p(a, p):

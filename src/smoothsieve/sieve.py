@@ -803,6 +803,10 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
         if total > cap:
             raise variety.EnumerationCapExceeded(
                 f"|I_d| = {total} exceeds cap {cap}")
+        if total >= 1 << 63:  # candidate indices are int64
+            raise variety.EnumerationCapExceeded(
+                f"|I_d| = {total} reaches 2^63, past the int64 candidate "
+                "indices")
     else:
         total = budget[1]
     flags = list(space.flags)
@@ -941,7 +945,7 @@ def _scan_all(space, conds, ell=None):
     candidates singular at a point of the stack are marked 1 there instead.
     One elimination brings each block of the stack to reduced echelon form,
     and the F_p-kernels of its points of each (rank, degree) are enumerated
-    as index arrays."""
+    as index arrays; over F_2 a kernel vector's bits are its index's."""
     p = space.problem.field.p
     degrees, funcs = conds
     mark = ell is not None
@@ -953,9 +957,14 @@ def _scan_all(space, conds, ell=None):
     dtype = ell.dtype.type
     points, rows, width = funcs.shape
     keys = int(degrees.max(initial=0)) + 1
-    step = max(1, _DIGIT_ENTRIES // max(rows * width, 1))
+    per_point = max(rows, width) if p == 2 else rows * width  # words, entries
+    step = max(1, _DIGIT_ENTRIES // max(per_point, 1))
     for lo in range(0, points, step):
-        rank, pivots, mats = linalg.echelon_stack(funcs[lo:lo + step], p)
+        if p == 2:
+            rank, basis = linalg.pivot_rows_f2(funcs[lo:lo + step])
+            kernel = linalg.kernel_f2(basis)
+        else:
+            rank, pivots, mats = linalg.echelon_stack(funcs[lo:lo + step], p)
         key = rank * keys + degrees[lo:lo + step]
         for k in np.flatnonzero(np.bincount(key)).tolist():
             r, degree = divmod(k, keys)
@@ -965,7 +974,10 @@ def _scan_all(space, conds, ell=None):
             elif r == 0:
                 ell += dtype(degree * len(sel))
             elif r < width:               # a full rank leaves only f = 0
-                for members in _kernel_indices(p, mats[sel], pivots[sel], r):
+                kernels = (_span_f2(kernel[sel][basis[sel] == 0].reshape(
+                    len(sel), -1)) if p == 2 else
+                    _kernel_indices(p, mats[sel], pivots[sel], r))
+                for members in kernels:
                     if mark:
                         ell[members.ravel()] = 1
                     else:  # a dtype scalar keeps np.add.at's fast loop
@@ -973,15 +985,31 @@ def _scan_all(space, conds, ell=None):
     return ell
 
 
+def _span_f2(basis):
+    """Every XOR of a subset of each row of a kernel basis over F_2 (shape
+    (points, dim)), as blocks of shape (points, 2^dim) of at most
+    `_DIGIT_ENTRIES` entries or one point."""
+    n, dim = basis.shape
+    block = max(1, _DIGIT_ENTRIES >> dim)
+    for lo in range(0, n, block):
+        part = basis[lo:lo + block].astype(np.int64)
+        members = np.zeros((len(part), 1 << dim), dtype=np.int64)
+        for j, s in enumerate(part.T):
+            np.bitwise_xor(members[:, :1 << j], s[:, None],
+                           out=members[:, 1 << j:2 << j])
+        yield members
+
+
 def _kernel_indices(p, mats, pivots, rank):
     """The candidate index of every element of each point's F_p-kernel, from
-    reduced echelon forms of one rank below their width, as blocks of
-    shape (points, p^dim) of at most `_DIGIT_ENTRIES` entries or one point.
+    reduced echelon forms over odd p of one rank below their width, as
+    blocks of shape (points, p^dim) of at most `_DIGIT_ENTRIES` entries or
+    one point.
 
     The kernel vector of free column f has a 1 there and -R[t, f] at the
     pivot column of row t.  Free columns are lone, so a combination's index
     adds a * p^f over them, and its digits at the pivot columns are summed
-    and reduced mod p; over F_2 digit addition is XOR of whole indices."""
+    and reduced mod p."""
     n, _, width = mats.shape
     dim = width - rank
     pivots = pivots[:, :rank]
@@ -992,19 +1020,11 @@ def _kernel_indices(p, mats, pivots, rank):
                                free[:, None, :], axis=2) % p
     weights = np.int64(p) ** pivots                         # (n, rank)
     steps = np.int64(p) ** free                             # (n, dim)
-    if p == 2:
-        steps += np.einsum("itj,it->ij", coef, weights)
     size = p ** dim
-    block = max(1, _DIGIT_ENTRIES // (size * (1 if p == 2 else rank + 1)))
+    block = max(1, _DIGIT_ENTRIES // (size * (rank + 1)))
     for lo in range(0, n, block):
         part = slice(lo, lo + block)
         members = np.zeros((len(steps[part]), size), dtype=np.int64)
-        if p == 2:
-            for j, s in enumerate(steps[part].T):
-                np.bitwise_xor(members[:, :1 << j], s[:, None],
-                               out=members[:, 1 << j:2 << j])
-            yield members
-            continue
         digits = np.zeros((len(members), size, rank), dtype=np.int64)
         vecs = coef[part].transpose(2, 0, 1)   # (dim, points, rank)
         for j, (s, v) in enumerate(zip(steps[part].T, vecs)):
@@ -1021,11 +1041,12 @@ def _kernel_indices(p, mats, pivots, rank):
 # 8-byte entries, so it limits them to the bytes below, and narrower
 # entries to fewer bytes.
 # _DIGIT_ENTRIES, 512 KB: in `_scan_all`, a block of the stack to eliminate
-# (its uint8 entries take 64 KB; their int64 bitsets and unpacked echelon
-# forms over F_2, 512 KB) and the kernel indices per block; the intp copy
-# per count in `_tally`; the float64 digits per batch of candidates in the
-# sampled classifier over odd p; the certificate's float64 images per
-# batch over odd p.
+# (over odd p its entries, 64 KB as uint8; over F_2 its rows, pivot rows
+# and kernel vectors, a word of at most 8 bytes each, 512 KB, while its
+# uint8 entries are read in place) and the kernel indices per block; the
+# intp copy per count in `_tally`; the float64 digits per batch of
+# candidates in the sampled classifier over odd p; the certificate's
+# float64 images per batch over odd p.
 # _BLOCK_ENTRIES, 128 KB: in `_conditions`, each temporary of a chunk of
 # points (int64 codes of the jet vectors, the functionals, their float64
 # lift); in the sampled classifier, per block of points, their float64

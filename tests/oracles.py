@@ -10,7 +10,8 @@ oracle of the library's degree bounds.  The former per-point jet
 conditions and per-point kernel scan are kept too; those use `linalg`'s
 row reduction, one closed point at a time.  So is the former per-degree
 scan, one array of conditions per degree, eliminated and classified one
-degree at a time.  So is the sampled classifier's
+degree at a time, over F_2 by the former swap-based elimination and its
+kernel indices.  So is the sampled classifier's
 product of functionals and digits, one closed point at a time, and the
 former rank certificate, one candidate at a time over F_q with its own
 elimination, and its former row build, one polynomial product and one
@@ -391,7 +392,9 @@ def scan_all_per_degree(space, conds, ell=None):
         _, rows, width = group.shape
         step = max(1, DIGIT_ENTRIES // max(rows * width, 1))
         for lo in range(0, len(group), step):
-            rank, pivots, mats = linalg.echelon_stack(group[lo:lo + step], p)
+            rank, pivots, mats = (
+                echelon_stack_f2_by_swaps(group[lo:lo + step]) if p == 2
+                else linalg.echelon_stack(group[lo:lo + step], p))
             for r in np.flatnonzero(np.bincount(rank)).tolist():
                 sel = np.flatnonzero(rank == r)
                 if r == 0 and mark:  # vacuous: singular everywhere
@@ -399,13 +402,68 @@ def scan_all_per_degree(space, conds, ell=None):
                 elif r == 0:
                     ell += degree * len(sel)
                 elif r < width:               # a full rank leaves only f = 0
-                    for members in sieve._kernel_indices(
-                            p, mats[sel], pivots[sel], r):
+                    for members in (
+                            kernel_indices_f2(mats[sel], pivots[sel], r)
+                            if p == 2 else sieve._kernel_indices(
+                                p, mats[sel], pivots[sel], r)):
                         if mark:
                             ell[members.ravel()] = 1
                         else:
                             np.add.at(ell, members.ravel(), degree)
     return ell
+
+
+def echelon_stack_f2_by_swaps(mats):
+    """`linalg.echelon_stack` over F_2 as it was: each row packed into an
+    int64 bitset, and per column the first unused row holding the bit
+    swapped into place below the rank and XORed into the rest, with the
+    pivot columns per row and the reduced stack unpacked to int64 0/1."""
+    n, rows, width = mats.shape
+    if width > 64:
+        raise ValueError(f"{width} columns do not fit one int64 bitset")
+    bits = 1 << np.arange(width, dtype=np.int64)
+    packed = mats @ bits
+    rank = np.zeros(n, dtype=np.intp)
+    pivots = np.full((n, rows), -1, dtype=np.intp)
+    below = np.arange(rows)
+    at = np.arange(n)
+    for c in range(width):
+        live = (((packed >> c) & 1) != 0) & (below >= rank[:, None])
+        hit = live.any(axis=1)
+        src, dst = live.argmax(axis=1), np.minimum(rank, rows - 1)
+        lead = packed[at, src] * hit
+        packed[at, src] = np.where(hit, packed[at, dst], packed[at, src])
+        packed ^= ((packed >> c) & 1) * lead[:, None]
+        packed[at, dst] = np.where(hit, lead, packed[at, dst])
+        pivots[at[hit], dst[hit]] = c
+        rank += hit
+    return rank, pivots, ((packed[:, :, None] & bits) != 0).astype(np.uint8)
+
+
+def kernel_indices_f2(mats, pivots, rank):
+    """`sieve._kernel_indices` over F_2 as it was: from the swap-based
+    reduced forms, the kernel vector of free column f is 2^f plus the
+    entries R[t, f] times 2^(pivot of row t), and every XOR of a subset of
+    a point's kernel vectors is a member, in blocks of at most
+    DIGIT_ENTRIES entries or one point."""
+    n, _, width = mats.shape
+    dim = width - rank
+    pivots = pivots[:, :rank]
+    free = np.ones((n, width), dtype=bool)
+    free[np.arange(n)[:, None], pivots] = False
+    free = np.nonzero(free)[1].reshape(n, dim)
+    coef = np.take_along_axis(mats[:, :rank].astype(np.int64),
+                              free[:, None, :], axis=2)
+    steps = np.int64(2) ** free + np.einsum("itj,it->ij", coef,
+                                             np.int64(2) ** pivots)
+    block = max(1, DIGIT_ENTRIES // 2 ** dim)
+    for lo in range(0, n, block):
+        part = steps[lo:lo + block]
+        members = np.zeros((len(part), 2 ** dim), dtype=np.int64)
+        for j, s in enumerate(part.T):
+            np.bitwise_xor(members[:, :1 << j], s[:, None],
+                           out=members[:, 1 << j:2 << j])
+        yield members
 
 
 def ells_per_degree(space, conds, digits):

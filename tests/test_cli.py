@@ -254,7 +254,12 @@ def test_main_renders_json(schemes_dir, capsys):
     ("q = 9 [x^2 + y]\nP 2 : x y z\n", [], "SchemeFileError"),
     ("q = 9 [x^a + 1]\nP 2 : x y z\n", [], "SchemeFileError"),
     ("q = 4\nP 2 : x y z\nX:\n  (g^)*x\n", [], "ParseError"),
-    ("q = 4\nP 2 : x y z\nX:\n  ((g))*x\n", [], "ParseError")])
+    ("q = 4\nP 2 : x y z\nX:\n  ((g))*x\n", [], "ParseError"),
+    # 2^66 forms pass this cap but not the int64 candidate indices
+    ((SCHEMES / "p2.scm").read_text(),
+     ["estimate", "--q", "2", "-d", "10", "--budget", "exhaustive",
+      "--sing-bound", "1", "--bounded",
+      "--cap", "100000000000000000000000"], "EnumerationCapExceeded")])
 def test_bad_input_fails_closed(tmp_path, capsys, text, argv, kind):
     # one `error [Type]` line on stderr, nothing on stdout, exit code 1
     path = tmp_path / "bad.scm"

@@ -1,18 +1,20 @@
 """Reports that do not depend on a choice of coordinates: exhaustive
 `--bounded` singular-point histograms under a linear change of coordinates
-of X and Z, and exact counts, histograms and `lowdeg` reports under the
+of X and Z, exact counts and histograms under a permutation of the
+variables, and exact counts, histograms and `lowdeg` reports under the
 choice of modulus for F_9.  Exact scans of P^n no longer group forms by
 GL_{n+1}(F_q)-orbits, so these pin the invariance the degree bounds rely
 on nowhere else."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import SCHEMES
 from oracles import substitute
-from smoothsieve import cli, sieve
-from smoothsieve.variety import parse_problem
+from smoothsieve import cli, sieve, variety
+from smoothsieve.variety import load_problem, parse_problem
 
 THROUGH_PAIR = "q = 2\nP 2 : x y z\nX:\nZ:\n  x\n  y^2 + y*z + z^2\n"
 PAIR_F3 = "q = 3\nP 2 : x y z\nX:\nZ:\n  x\n  y^2 + z^2\n"
@@ -20,6 +22,10 @@ CONIC_F3 = "q = 3\nP 2 : x y z\nX:\n  x*z - y^2\ndim X = 1\n"
 # invertible over F_2 (determinant 1) and over F_3 (determinant 2)
 A2 = ((1, 1, 0), (0, 1, 1), (1, 0, 0))
 A3 = ((2, 1, 0), (0, 1, 1), (1, 0, 2))
+# the smooth quadric surface of the benchmark's exact scans, and the cycle
+# x -> y -> z -> w -> x of its variables, which makes it y*z + w*x
+QUADRIC = "q = 2\nP 3 : x y z w\nX:\n  x*y + z*w\ndim X = 2\n"
+CYCLE4 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
 
 
 def moved(problem, matrix):
@@ -49,6 +55,50 @@ def test_bounded_histograms_are_gl_invariant(text, matrix, degrees):
     # more than one bin is filled at every degree
     assert all(sum(bin["count"] > 0 for bin in hist.values()) > 2
                for hist in before["per_degree"].values())
+
+
+def permuted_points(groups):
+    """`closed_point_arrays` groups with every point's coordinates cycled
+    (x, y, z) -> (z, x, y): a permutation of the variables maps P^2 to
+    itself, so each closed point becomes another, with its own jet
+    conditions and pivot pattern, and the set of points stays the same."""
+    return [(e, ext, orbits[..., [2, 0, 1]]) for e, ext, orbits in groups]
+
+
+def scan_reports(p2, quadric):
+    sieve._scan_cached.cache_clear()
+    out = []
+    for problem, degrees, bound in ((p2, [4, 5], 3), (quadric, [2], 3)):
+        out.append(sieve.estimate_sing_dist(
+            problem, degrees, ("exhaustive",), sing_bound=bound, ell_max=4,
+            exact=False).to_json_dict())
+    for problem, d in ((p2, 4), (quadric, 2)):
+        out.append(sieve.estimate_density(problem, [d], ("exhaustive",),
+                                          sing_bound=1, exact=True)
+                   .value.count_smooth)
+    sieve._scan_cached.cache_clear()
+    return out
+
+
+def test_permuted_variables_change_no_scan(schemes_dir, monkeypatch):
+    # exhaustive histograms at B = 3 and exact counts over F_2: of P^2 at
+    # d = 4, 5 with the variables permuted on its points, and of the
+    # quadric surface with them permuted in its equation
+    p2 = load_problem(schemes_dir / "p2.scm")
+    quadric = parse_problem(QUADRIC)
+    before = scan_reports(p2, quadric)
+    assert before[2:] == [10920, 288]  # as at the parent, by certificates
+    space = sieve.candidate_space(p2, 4)
+    groups = variety.closed_point_arrays(p2.X, 3)
+    assert not np.array_equal(
+        sieve._conditions(p2.X, space, groups)[1],
+        sieve._conditions(p2.X, space, permuted_points(groups))[1])
+    arrays = sieve.closed_point_arrays
+    monkeypatch.setattr(sieve, "closed_point_arrays", lambda X, *args: (
+        permuted_points(arrays(X, *args)) if X == p2.X else arrays(X, *args)))
+    image = moved(quadric, CYCLE4)
+    assert image.X.equations != quadric.X.equations
+    assert scan_reports(p2, image) == before
 
 
 def test_modulus_of_f9_changes_no_count():

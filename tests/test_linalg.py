@@ -151,29 +151,83 @@ def test_echelon_stack_matches_dense_oracle(p):
                                  for row in expected] + [-1] * (6 - r))
 
 
+def pivot_rows(basis):
+    """The nonzero rows of `pivot_rows_f2`'s basis, by pivot column, as
+    0/1 lists."""
+    return [[[int(x) >> j & 1 for j in range(len(row))] for x in row if x]
+            for row in basis.tolist()]
+
+
 @pytest.mark.parametrize("width", [63, 64])
 def test_echelon_stack_f2_up_to_one_word(width):
-    # the last columns of a 64-bit bitset, bit 63 the int64 sign bit
+    # the last columns of a 64-bit word, bit 63 the int64 sign bit, against
+    # the swap-based elimination the pivot rows replaced
     rng = np.random.default_rng(width)
     dense_part = rng.integers(0, 2, size=(10, 8, width))
     edge = np.zeros((10, 8, width), dtype=np.int64)
     edge[:, :, width - 6:] = rng.integers(0, 2, size=(10, 8, 6))
-    mats = np.concatenate([dense_part, edge])
-    rank, pivots, reduced = linalg.echelon_stack(mats.astype(np.uint8), 2)
-    for m, r, red in zip(mats.tolist(), rank, reduced.tolist()):
-        assert r == oracles.dense_rank_mod_p(m, 2)
-        assert red[:r] == oracles.dense_rref_mod_p(m, 2)
+    mats = np.concatenate([dense_part, edge]).astype(np.uint8)
+    rank, basis = linalg.pivot_rows_f2(mats)
+    want, pivots, reduced = oracles.echelon_stack_f2_by_swaps(mats)
+    assert rank.tolist() == want.tolist()
+    for r, piv, row, rows, red, m in zip(want, pivots, basis.tolist(),
+                                         pivot_rows(basis), reduced.tolist(),
+                                         mats.tolist()):
+        assert rows == red[:r] == oracles.dense_rref_mod_p(m, 2)
+        assert [c for c, x in enumerate(row) if x] == piv[:r].tolist()
 
 
 @pytest.mark.parametrize("width", [65, 70])
 def test_echelon_stack_f2_refuses_more_than_64_columns(width):
-    # columns from 64 on would be dropped from the int64 bitsets, and the
+    # columns from 64 on would be dropped from the one-word rows, and the
     # rank read from column 3 alone
     mats = np.zeros((1, 3, width), dtype=np.uint8)
     mats[0, 0, 3] = mats[0, 1, 64] = mats[0, 2, width - 1] = 1
     with pytest.raises(ValueError, match="columns"):
-        linalg.echelon_stack(mats, 2)
+        linalg.pivot_rows_f2(mats)
+    with pytest.raises(ValueError, match="columns"):
+        oracles.echelon_stack_f2_by_swaps(mats)
     linalg.echelon_stack(mats, 3)  # odd p has no word limit
+
+
+@pytest.mark.parametrize("width", [1, 9, 63, 64])
+def test_pivot_rows_f2_match_dense_oracle(width):
+    # dense, sparse, rank-deficient and all-zero stacks, rows padded with
+    # zero rows as `sieve._conditions` pads the points of lower degree, and
+    # tall stacks of more rows than columns
+    rng = np.random.default_rng(200 + width)
+    rows = 10
+    dense_part = rng.integers(0, 2, size=(12, rows, width))
+    sparse = rng.integers(0, 2, size=(12, rows, width)) * (
+        rng.random((12, rows, width)) < 0.1)
+    low = rng.integers(0, 2, size=(12, rows, 2)) @ rng.integers(
+        0, 2, (2, width)) % 2
+    padded = rng.integers(0, 2, size=(12, rows, width))
+    padded[:, rng.integers(1, rows):] = 0
+    padded[:6, ::3] = 0
+    tall = rng.integers(0, 2, size=(4, width + 8, width))
+    for mats in (np.concatenate([dense_part, sparse, low, padded]),
+                 np.zeros((3, rows, width), int), tall):
+        rank, basis = linalg.pivot_rows_f2(mats.astype(np.uint8))
+        assert basis.shape == (len(mats), width)
+        want = [oracles.dense_rref_mod_p(m, 2) for m in mats.tolist()]
+        assert pivot_rows(basis) == want
+        # each row sits at its pivot column, and a free column holds 0
+        for row in basis.tolist():
+            assert all((x & -x).bit_length() - 1 == c
+                       for c, x in enumerate(row) if x)
+        assert rank.tolist() == [oracles.dense_rank_mod_p(m, 2)
+                                 for m in mats.tolist()]
+        assert rank.tolist() == linalg.rank_stack_f2(
+            pack_rows(mats)).tolist()
+        # the kernel vectors at the free columns are `kernel`'s
+        f2 = gf.make_field(2)
+        for m, row, kern in zip(mats.tolist(), basis.tolist(),
+                                linalg.kernel_f2(basis).tolist()):
+            rows_f2 = [linalg.row(f2, width, enumerate(r)) for r in m]
+            assert [v for v, x in zip(kern, row) if not x] == linalg.kernel(
+                f2, rows_f2, width)
+    assert max(rank) == width  # the tall stacks reach full column rank
 
 
 def pack_rows(mats):

@@ -110,6 +110,38 @@ def test_small_budgets_equal_per_degree(schemes_dir, monkeypatch, case):
                           scan_all_per_degree(space, per_degree))
 
 
+# F_2 stacks of the exhaustive scans the benchmark times: (scheme, d, B)
+F2_STACKS = {"p2_d4_b6": ("p2", 4, 6), "p2_d5_b6": ("p2", 5, 6),
+             "nodal_d3_b4": ("nodal_cubic", 3, 4)}
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 3000])
+@pytest.mark.parametrize("case", sorted(F2_STACKS))
+def test_f2_pivot_rows_equal_swap_elimination(schemes_dir, monkeypatch, case,
+                                              budget):
+    # the pivot rows and the kernel steps read off them, against the
+    # oracle's swap-based elimination and kernels, on whole stacks and on
+    # blocks of about 130 points, counting ell and marking
+    monkeypatch.setattr(sieve, "_DIGIT_ENTRIES", budget)
+    scheme, d, bound = F2_STACKS[case]
+    problem = load_problem(schemes_dir / f"{scheme}.scm")
+    space = sieve.candidate_space(problem, d)
+    groups = variety.closed_point_arrays(problem.X, bound)
+    degrees, funcs = sieve._conditions(problem.X, space, groups)
+    per_degree = per_degree_conditions(problem.X, space, groups)
+    assert np.array_equal(sieve._scan_all(space, (degrees, funcs)),
+                          scan_all_per_degree(space, per_degree))
+    split = int(np.searchsorted(degrees, 2, side="right"))
+    ell = sieve._scan_all(space, (degrees[:split], funcs[:split]))
+    expected = scan_all_per_degree(space, [g for g in per_degree
+                                           if g[0] <= 2])
+    sieve._scan_all(space, (degrees[split:], funcs[split:]), ell)
+    scan_all_per_degree(space, [g for g in per_degree if g[0] > 2],
+                        expected)
+    assert np.array_equal(ell, expected)
+    assert 0 < np.count_nonzero(ell == 0) < len(ell)
+
+
 @pytest.mark.parametrize("bound", [1, 2])
 def test_degree_route_equals_per_degree(schemes_dir, bound):
     # p2 over F_2 at d = 4 scans on to B* = 4: the forms clean there are

@@ -202,6 +202,9 @@ def parse_args(argv) -> RunConfig:
     cfg = RunConfig(subcommand=ns.subcommand, scheme=ns.scheme, q=ns.q,
                     seed=ns.seed, out=ns.out, cap=ns.cap,
                     max_degree=ns.max_degree)
+    if ns.max_degree is not None and ns.max_degree < 1:
+        raise UsageError(f"--max-degree {ns.max_degree}: the bound must be a "
+                         f"positive integer")
     if ns.subcommand in ("estimate", "singdist", "lowdeg"):
         deg = getattr(ns, "degree", None)
         if deg is not None:
@@ -216,6 +219,9 @@ def parse_args(argv) -> RunConfig:
     if ns.subcommand == "singdist":
         cfg.ell_max = ns.ell_max
         cfg.mode = ns.mode
+        if ns.ell_max < 0:
+            raise UsageError(f"--ell-max {ns.ell_max}: ell must be a "
+                             f"nonnegative integer")
         if ns.mode == "estimate" and not cfg.degrees:
             raise UsageError("singdist estimate needs --degree")
     if ns.subcommand == "estimate" and not cfg.degrees:
@@ -235,10 +241,19 @@ def parse_args(argv) -> RunConfig:
     if ns.subcommand == "zeta":
         cfg.s_values = tuple(ns.s)
         cfg.ell = ns.ell
+        if ns.ell is not None and ns.ell < 0:
+            raise UsageError(f"--ell {ns.ell}: ell must be a nonnegative "
+                             f"integer")
     if ns.subcommand == "embed":
         cfg.target_dim = ns.target_dim
         cfg.d_max = ns.d_max
         cfg.d_min = ns.d_min
+        if ns.d_min < 1:
+            raise UsageError(f"--d-min {ns.d_min}: the degree must be a "
+                             f"positive integer")
+        if ns.d_min > ns.d_max:
+            raise UsageError(f"--d-min {ns.d_min} exceeds --d-max {ns.d_max}: "
+                             f"no degree to try")
     return cfg
 
 

@@ -713,9 +713,9 @@ def _certificate_context(problem, d):
 def _certify_smooth(problem, d, digits):
     """For each candidate of I_d (a row of the digit array), whether X cap
     H_f is smooth of dimension dim X - 1: J_t = S_t, by one stacked
-    F_p-rank per batch, its rows from byte tables over F_2 (a batch fills a
-    table: building costs no more than reading) and from one float64
-    product mod p otherwise."""
+    F_p-rank per batch, its rows from XOR tables over F_2 (`_xor_images`;
+    a batch of at least 256 candidates reads 8-bit chunks, a shorter last
+    one narrower ones) and from one float64 product mod p otherwise."""
     p = problem.field.p
     out = np.zeros(len(digits), dtype=bool)
     ncols, images = _certificate_context(problem, d)
@@ -726,8 +726,8 @@ def _certify_smooth(problem, d, digits):
     for lo in range(0, len(digits), step):
         batch = digits[lo:lo + step]
         if p == 2:
-            rank = linalg.rank_stack_f2(_xor_images(
-                batch.T.astype(np.intp), flat).reshape(-1, rows, cols))
+            rank = linalg.rank_stack_f2(_xor_images(batch, flat).reshape(
+                -1, rows, cols))
         else:
             image = batch.astype(np.float64) @ flat
             image -= p * np.floor(image / p)  # float % is slow
@@ -1050,9 +1050,11 @@ def _kernel_indices(p, mats, pivots, rank):
 # _BLOCK_ENTRIES, 128 KB: in `_conditions`, each temporary of a chunk of
 # points (int64 codes of the jet vectors, the functionals, their float64
 # lift); in the sampled classifier, per block of points, their float64
-# functionals and values over odd p, and over F_2 the 64-bit words of the
-# block's XOR tables and of a batch of its candidates' images; the
-# certificate's XOR tables and images over F_2.
+# functionals and values and float32 nonzero mask over odd p, and over F_2
+# the block's XOR tables (2^c uint64 entries per c-bit chunk of the
+# candidates and per word of lanes, c fitted to the batch) and a batch of
+# its candidates' images; the certificate's XOR tables and images over
+# F_2.
 _DIGIT_ENTRIES = 1 << 16
 _BLOCK_ENTRIES = 1 << 14
 
@@ -1076,17 +1078,20 @@ def _ells(space, conds, digits):
 def _hits_mod_p(digits, degrees, funcs, p):
     """Per row of float64 digits, the total degree of the points whose
     functionals all vanish mod p on it; sums stay far below 2^53, so
-    float64 tells multiples of p."""
+    float64 tells multiples of p.  A point's nonzero rows are counted by
+    one float32 product with a ones vector, exact below 2^24 rows."""
     n, width = digits.shape
     rows = funcs.shape[1]
     hits = np.zeros(n, dtype=np.int64)
+    ones = np.ones(rows, dtype=np.float32)
     per_block = max(1, _BLOCK_ENTRIES // max(rows, 1) // max(width, n))
     for i in range(0, len(funcs), per_block):
         block = funcs[i:i + per_block]
         prod = digits @ block.reshape(-1, width).T.astype(np.float64)
         prod /= p
-        hit = (prod != np.floor(prod)).reshape(n, len(block), rows)
-        hits += ~hit.any(axis=2) @ degrees[i:i + per_block]
+        nonzero = (prod != np.floor(prod)).astype(np.float32)
+        count = nonzero.reshape(n, len(block), rows) @ ones
+        hits += (count == 0) @ degrees[i:i + per_block]
     return hits
 
 
@@ -1097,20 +1102,24 @@ def _ells_f2(digits, degrees, funcs):
     A point of degree e has rows * e / (the top degree) rows of its own
     (see `_conditions`); they are packed into one lane, the narrowest of
     uint8 to uint64 that holds them, or into several 64-bit words, and
-    the points of one lane width are taken in blocks.  Row c of a packed
-    block is the image of candidate bit c, a block is padded with empty
+    the points of one lane width are taken in blocks.  Row b of a packed
+    block is the image of candidate bit b, a block is padded with empty
     lanes to whole 64-bit words, the unit of all XORs, and its XOR tables
-    are built once; every candidate then reads its images there, a batch
-    at a time."""
+    are built once: 2^c entries per c-bit chunk of the candidates and
+    word, at most `_BLOCK_ENTRIES` words (128 KB) in all, c fitted to the
+    batch by `_chunk_width`.  Every candidate then reads its images there,
+    a batch at a time."""
     n, nbytes = digits.shape
     points, rows, width = funcs.shape
     out = np.zeros(n, dtype=np.float64)  # exact sums of float32 counts
     if not points:
         return out.astype(np.int64)
+    c = _chunk_width(n, width)
+    chunks = _chunks(digits, c, width)
     own = rows * degrees // degrees.max()
     size = np.where(own > 64, -(-own // 64) * 8,
                     1 << np.searchsorted([8, 16, 32], own))  # lane bytes
-    words = max(1, _BLOCK_ENTRIES // (256 * max(nbytes, 1)))  # per table
+    words = max(1, _BLOCK_ENTRIES // ((1 << c) * max(chunks.shape[1], 1)))
     if 2 * (_BLOCK_ENTRIES // max(n, 1)) >= words:
         # half-width tables that take every candidate at once cost fewer
         # calls than full ones that take two batches
@@ -1125,17 +1134,18 @@ def _ells_f2(digits, degrees, funcs):
         for i in range(start, start + counts[s], step):
             block = funcs[i:min(i + step, start + counts[s])]
             slots = -(-len(block) * s // 8) * 8 // s
-            packed = np.zeros((8 * nbytes, slots, max(1, s // 8)), lane)
+            packed = np.zeros((c * chunks.shape[1], slots, max(1, s // 8)),
+                              lane)
             span = min(8 * s, 64)
             for w in range(packed.shape[2]):
                 part = block[:, w * span:(w + 1) * span]
                 packed[:width, :len(block), w] = np.einsum(
                     "irc,r->ci", part, powers[:part.shape[1]])
             tables = _xor_tables(packed.reshape(
-                8 * nbytes, slots * packed.shape[2]).view(np.uint64))
+                len(packed), slots * packed.shape[2]).view(np.uint64), c)
             weights = degrees[i:i + len(block)].astype(np.float32)
             for lo in range(0, n, batch):
-                lanes = _xor_read(tables, digits[lo:lo + batch]).view(
+                lanes = _xor_read(tables, chunks[lo:lo + batch]).view(
                     lane).reshape(-1, slots, packed.shape[2])
                 zero = np.bitwise_or.reduce(lanes[:, :len(block)],
                                             axis=2) == 0
@@ -1143,36 +1153,56 @@ def _ells_f2(digits, degrees, funcs):
     return out.astype(np.int64)
 
 
-def _xor_tables(bits):
-    """T_j[v], the XOR of the images (uint64 rows of `bits`, 8 per byte j of
-    the candidates) of the set bits of v at byte j, built by doubling."""
-    nbytes = len(bits) // 8
-    bits = bits.reshape(nbytes, 8, bits.shape[1])
-    tables = np.zeros((nbytes, 256, bits.shape[2]), dtype=np.uint64)
-    for b in range(8):
+def _chunk_width(n, bits):
+    """The chunk width c in {8, 4, 2, 1} for n candidates of `bits` bits
+    that builds and reads the fewest table entries per word,
+    ceil(bits / c) * (2^c + n); ties go to the larger c.  About log2 n, as
+    in the method of Four Russians (Albrecht, Bard and Hart, ACM TOMS
+    2010)."""
+    return min((8, 4, 2, 1), key=lambda c: -(-bits // c) * ((1 << c) + n))
+
+
+def _chunks(octets, c, bits):
+    """Per candidate (a row of bytes), its ceil(bits / c) chunks of c bits,
+    the least significant first."""
+    if c < 8:
+        octets = (octets[:, :, None] >> np.arange(0, 8, c, dtype=np.uint8)
+                  & (1 << c) - 1).reshape(len(octets), -1)
+    return octets[:, :-(-bits // c)]
+
+
+def _xor_tables(bits, c):
+    """T_j[v], the XOR of the images (uint64 rows of `bits`, c per chunk j
+    of the candidates) of the set bits of v at chunk j, built by
+    doubling."""
+    bits = bits.reshape(len(bits) // c, c, bits.shape[1])
+    tables = np.zeros((len(bits), 1 << c, bits.shape[2]), dtype=np.uint64)
+    for b in range(c):
         np.bitwise_xor(tables[:, :1 << b], bits[:, b, None],
                        out=tables[:, 1 << b:2 << b])
     return tables
 
 
-def _xor_read(tables, octets):
-    """Per candidate (a row of bytes), the XOR of T_j at its byte j."""
-    image = np.zeros((len(octets), tables.shape[2]), dtype=np.uint64)
+def _xor_read(tables, chunks):
+    """Per candidate (a row of chunks), the XOR of T_j at its chunk j."""
+    image = np.zeros((len(chunks), tables.shape[2]), dtype=np.uint64)
     for j, table in enumerate(tables):
-        image ^= np.take(table, octets[:, j], axis=0)
+        image ^= np.take(table, chunks[:, j], axis=0)
     return image
 
 
 def _xor_images(octets, bits):
-    """Per column of candidate bytes, the XOR of the images (uint64 rows of
-    `bits`) of its set bits, by the method of Four Russians: `_xor_tables`
-    in blocks of about `_BLOCK_ENTRIES` words, read at byte j."""
-    nbytes, n = octets.shape
-    image = np.empty((n, bits.shape[1]), dtype=np.uint64)
-    step = -(-_BLOCK_ENTRIES // (256 * max(nbytes, 1)))
+    """Per candidate (a row of bytes), the XOR of the images (uint64 rows
+    of `bits`, 8 per byte) of its set bits, by the method of Four Russians:
+    `_xor_tables` in blocks of at most `_BLOCK_ENTRIES` words, read at each
+    chunk."""
+    c = _chunk_width(len(octets), len(bits))
+    chunks = _chunks(octets, c, len(bits))
+    image = np.empty((len(octets), bits.shape[1]), dtype=np.uint64)
+    step = max(1, _BLOCK_ENTRIES // ((1 << c) * max(chunks.shape[1], 1)))
     for lo in range(0, bits.shape[1], step):
-        image[:, lo:lo + step] = _xor_read(_xor_tables(bits[:, lo:lo + step]),
-                                           octets.T)
+        image[:, lo:lo + step] = _xor_read(
+            _xor_tables(bits[:, lo:lo + step], c), chunks)
     return image
 
 

@@ -89,6 +89,46 @@ def test_sing_bound_below_one_refused_before_loading(schemes_dir, capsys,
     assert loaded == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--scheme", "nodal_cubic.scm", "--max-degree", "0"],
+    ["predict", "--scheme", "nodal_cubic.scm", "--max-degree", "-1"],
+    ["points", "--scheme", "nodal_cubic.scm", "--max-degree", "-3"]])
+def test_max_degree_below_one_refused_before_loading(schemes_dir, capsys,
+                                                     monkeypatch, argv):
+    # a bound of 0 saw no point at all and reported the density 1
+    loaded = []
+    monkeypatch.setattr(cli.variety, "load_problem",
+                        lambda *args: loaded.append(args))
+    argv[2] = s(schemes_dir, argv[2])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: --max-degree {argv[-1]}: the bound must be a "
+            f"positive integer\n")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["zeta", "--scheme", "p2.scm", "--s", "3", "--ell", "-1"],
+     "--ell -1: ell must be a nonnegative integer"),
+    (["singdist", "predict", "--scheme", "p2.scm", "--q", "2", "--ell-max",
+      "-1"], "--ell-max -1: ell must be a nonnegative integer"),
+    (["embed", "--scheme", "nodal_cubic.scm", "--d-min", "5", "--d-max", "3"],
+     "--d-min 5 exceeds --d-max 3: no degree to try"),
+    (["embed", "--scheme", "nodal_cubic.scm", "--d-min", "-4", "--d-max",
+      "1"], "--d-min -4: the degree must be a positive integer")])
+def test_out_of_range_integers_refused_before_loading(schemes_dir, capsys,
+                                                      monkeypatch, argv,
+                                                      message):
+    loaded = []
+    monkeypatch.setattr(cli.variety, "load_problem",
+                        lambda *args: loaded.append(args))
+    at = argv.index("--scheme") + 1
+    argv[at] = s(schemes_dir, argv[at])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert loaded == []
+
+
 def test_parse_args_missing_required():
     with pytest.raises(UsageError):
         parse_args(["predict"])

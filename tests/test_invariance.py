@@ -1,7 +1,8 @@
 """Reports that do not depend on a choice of coordinates: exhaustive
 `--bounded` singular-point histograms under a linear change of coordinates
 of X and Z, exact counts and histograms under a permutation of the
-variables, and exact counts, histograms and `lowdeg` reports under the
+variables, every report of the nodal cubic under a permutation of its
+equations, and exact counts, histograms and `lowdeg` reports under the
 choice of modulus for F_9.  Exact scans of P^n no longer group forms by
 GL_{n+1}(F_q)-orbits, so these pin the invariance the degree bounds rely
 on nowhere else."""
@@ -127,3 +128,23 @@ def test_modulus_of_f9_changes_no_lowdeg_report(tmp_path):
     assert results[0] == results[1] == results[2]
     assert results[0]["predicted"].count("/") == 1
     assert 0.71 < results[0]["approx"] < 0.72
+
+
+def test_permuted_equations_change_no_report():
+    # Z = V(w, y^2 z + x y z - x^3) and V(y^2 z + x y z - x^3, w): the same
+    # scheme, so the same density, low-degree product and histogram
+    text = (SCHEMES / "nodal_cubic.scm").read_text()
+    swapped = text.replace("  w\n  y^2*z + x*y*z - x^3\n",
+                           "  y^2*z + x*y*z - x^3\n  w\n")
+    problems = [parse_problem(text), parse_problem(swapped)]
+    assert problems[0].Z.equations == problems[1].Z.equations[::-1]
+    reports = []
+    for problem in problems:
+        hist = sieve.estimate_sing_dist(problem, [3], ("exhaustive",),
+                                        sing_bound=4, ell_max=4,
+                                        exact=False).to_json_dict()
+        reports.append((sieve.predict_density(problem).to_json_dict(),
+                        sieve.low_degree_predictor(problem, 3), hist))
+    assert reports[0][0]["value"] == "15/128"
+    assert reports[0][2]["per_degree"]["3"]["0"]["count"] == 248
+    assert reports[0] == reports[1]

@@ -3,14 +3,15 @@ against the per-point paths it batches, closed forms for plane conics, and
 caps that refuse before any work."""
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
 
-from oracles import (dense_rref_mod_p, digit_indices, draw,
-                     ell_histogram_oracle, ells_by_products, index_digits,
-                     per_degree_conditions, point_functionals,
+from oracles import (certify_per_candidate, dense_rref_mod_p, digit_indices,
+                     draw, ell_histogram_oracle, ells_by_products,
+                     index_digits, per_degree_conditions, point_functionals,
                      scan_all_per_point)
 from smoothsieve import sieve, variety
 from smoothsieve.mpoly import MPoly, monomials_of_degree
@@ -312,3 +313,114 @@ def test_poly_of_replays_the_drawn_forms(schemes_dir):
     digits = sieve._draws(random.Random(5), 4, space.rank, 30)
     indices = [sieve._index_of(row, 2) for row in digits]
     assert [space.poly_of(i) for i in indices] == drawn_forms(space, 30, 5)
+
+
+# (scheme, q override, d, B) for the fitted chunk width: 55, 22, 30 and 3
+# candidate bits, none a multiple of 4 or 8, and 3 bits take c = 1 for one
+# draw
+FIT_CASES = {"p2_q2_d9": ("p2", 2, 9, 4),
+             "nodal_q4_d3": ("nodal_cubic", 4, 3, 1),
+             "p2_q8_d3": ("p2", 8, 3, 1),
+             "p1_q2_d2": ("p1", 2, 2, 3)}
+FIT_DRAWS = (1, 2, 5, 17, 50, 63, 64, 65, 223, 224, 225, 2000)
+
+
+def with_wide_points(conds, width, rng):
+    """The stack and three points of one degree more with 70 rows each,
+    two words per lane: 64 rows of rank 2 and 6 more of rank 2, so a
+    candidate can clear the first word and not the second."""
+    degrees, funcs = conds
+    top = int(degrees.max()) + 1
+    wide = [np.concatenate([rng.integers(0, 2, (64, 2))
+                            @ rng.integers(0, 2, (2, width)),
+                            rng.integers(0, 2, (6, 2))
+                            @ rng.integers(0, 2, (2, width))]) % 2
+            for _ in range(3)]
+    stack = np.zeros((len(funcs) + 3, 70, width), dtype=np.uint8)
+    stack[:len(funcs), :funcs.shape[1]] = funcs
+    stack[len(funcs):] = wide
+    return np.append(degrees, [top] * 3), stack
+
+
+@lru_cache(maxsize=None)
+def fit_case(schemes_dir, case):
+    """(space, stack with wide points, digit array, oracle ells) of a case,
+    for 2000 draws."""
+    scheme, q, d, bound = FIT_CASES[case]
+    prob = load_case(schemes_dir, scheme, q)
+    space = sieve.candidate_space(prob, d)
+    conds = with_wide_points(sieve._conditions(
+        prob.X, space, variety.closed_point_arrays(prob.X, bound)),
+        prob.field.k * space.rank, np.random.default_rng(q))
+    indices = drawn_indices(space, max(FIT_DRAWS), seed=q)
+    return (space, conds, index_digits(space, indices),
+            ells_by_products(space, conds, indices))
+
+
+@pytest.mark.parametrize("budget", [None, (40, 64)],
+                         ids=["default", "small_blocks"])
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_fitted_chunks_equal_per_point_products(schemes_dir, monkeypatch,
+                                                case, budget):
+    # every batch size around the chunk widths' crossovers (c = 2 below 8
+    # draws, 4 below 224, 8 from 224 on), on real stacks with wide points
+    if budget is not None:
+        monkeypatch.setattr(sieve, "_DIGIT_ENTRIES", budget[0])
+        monkeypatch.setattr(sieve, "_BLOCK_ENTRIES", budget[1])
+    space, conds, digits, expected = fit_case(schemes_dir, case)
+    assert len(set(expected.tolist())) > 2
+    for n in FIT_DRAWS:
+        assert np.array_equal(sieve._ells(space, conds, digits[:n]),
+                              expected[:n]), n
+
+
+def test_chunk_width_rule():
+    # ceil(bits / c) * (2^c + n) entries built and read, ties to the larger c
+    assert sieve._chunk_width(50, 12) == 4
+    assert sieve._chunk_width(2000, 55) == 8
+    assert sieve._chunk_width(223, 16) == 4
+    assert sieve._chunk_width(224, 16) == 8      # 960 entries either way
+    assert sieve._chunk_width(7, 16) == 2
+    assert sieve._chunk_width(1, 3) == 1
+    assert sieve._chunk_width(2, 3) == 2         # 12 entries either way
+    assert sieve._chunk_width(5, 0) == 8
+
+
+# (scheme text, d): the F_2 certificate's rows from c-bit chunks of short
+# batches, over F_2 with two words per row and over F_4
+CERT_CASES = {"p2_q2_d5": ("q = 2\nP 2 : x y z\nX:\n", 5),
+              "p2_q4_d3": ("q = 4\nP 2 : x y z\nX:\n", 3)}
+
+
+@pytest.mark.parametrize("case", sorted(CERT_CASES))
+def test_short_certificate_batches_equal_per_candidate(case):
+    text, d = CERT_CASES[case]
+    prob = parse_problem(text)
+    space = sieve.candidate_space(prob, d)
+    indices = drawn_indices(space, 223, seed=9)
+    expected = certify_per_candidate(prob, d, indices)
+    assert expected.any() and not expected.all()
+    digits = index_digits(space, indices)
+    for n in (1, 5, 17, 100, 223):
+        assert np.array_equal(sieve._certify_smooth(prob, d, digits[:n]),
+                              expected[:n]), n
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("rows", [1, 40])
+def test_hits_mod_p_counts_rows_per_point(p, rows):
+    # points of one row and of 40 rows of rank 2 (so that candidates clear
+    # them), against one product per point
+    rng = np.random.default_rng(p * rows)
+    n, width = 300, 7
+    rank = min(rows, 2)
+    funcs = np.stack([rng.integers(0, p, (rows, rank))
+                      @ rng.integers(0, p, (rank, width)) % p
+                      for _ in range(25)] + [np.zeros((rows, width))])
+    degrees = rng.integers(1, 4, len(funcs))
+    digits = rng.integers(0, p, (n, width)).astype(np.float64)
+    expected = sum(degree * ~(digits @ f.T % p).any(axis=1)
+                   for degree, f in zip(degrees, funcs))
+    hits = sieve._hits_mod_p(digits, degrees, funcs.astype(np.uint8), p)
+    assert np.array_equal(hits, expected)
+    assert len(set(hits.tolist())) > 3

@@ -229,6 +229,9 @@ def parse_args(argv) -> RunConfig:
     if ns.subcommand == "lowdeg":
         cfg.r = ns.r
         cfg.samples = ns.samples
+        if ns.r < 1:
+            raise UsageError(f"--r {ns.r}: the bound must be a positive "
+                             f"integer")
         if ns.samples is not None:
             if ns.samples < 1:
                 raise UsageError(f"--samples {ns.samples}: sample size must "
@@ -248,6 +251,9 @@ def parse_args(argv) -> RunConfig:
         cfg.target_dim = ns.target_dim
         cfg.d_max = ns.d_max
         cfg.d_min = ns.d_min
+        if ns.target_dim < 1:
+            raise UsageError(f"--target-dim {ns.target_dim}: the dimension "
+                             f"must be a positive integer")
         if ns.d_min < 1:
             raise UsageError(f"--d-min {ns.d_min}: the degree must be a "
                              f"positive integer")

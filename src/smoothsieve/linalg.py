@@ -12,16 +12,16 @@ with `row`, read them with `entries`, and pass the field to every call.
   is unique, so stored bases (and everything derived from them, such as
   candidate indices) are canonical.
 
-The stack routines eliminate numpy stacks of many small matrices at once.
-Over F_2 one forward step, `_leads_f2`, works on rows packed into words:
-for each column, the first row holding the bit is XORed into every row
-holding it, itself included.  That needs no row swaps, no mask of used
-rows and no unpacking.  Behind it, `rank_stack_f2` counts the columns
-that found such a lead row, on rows of any number of words, and
-`pivot_rows_f2` stores each lead row at its column and back-substitutes,
-giving `echelon`'s reduced forms of rows of one word; `kernel_f2` reads
-the kernel vectors off those.  Over odd p, `echelon_stack` applies
-`echelon`'s pivot rule to a stack with row swaps.
+The stack routines eliminate numpy stacks of many small matrices at once,
+by one lead-row step for every p: for each column, the first row holding
+it is scaled to 1 and subtracted from every row holding it, itself
+included, so each lead row leaves the matrix as it is used, with no row
+swaps and no mask of used rows.  Over F_2, `_leads_f2` XORs rows packed
+into words; over odd p, `_leads_mod_p` works on entries.  `rank_stack`
+counts the columns that found a lead row, and `pivot_rows_f2` and
+`pivot_rows_mod_p` store each lead row at its column and back-substitute,
+giving `echelon`'s reduced forms (over F_2 of rows of one word);
+`kernel_f2` and `kernel_mod_p` read the kernel vectors off those.
 """
 
 from __future__ import annotations
@@ -186,40 +186,6 @@ def transpose(spec, rows, ncols) -> list:
     return [row(spec, len(rows), col) for col in cols if col]
 
 
-def echelon_stack(mats, p):
-    """The reduced row-echelon forms of a stack of matrices over F_p (an
-    array of entries in [0, p), shape (n, rows, columns)), all eliminated
-    at once, column by column, with `echelon`'s pivot rule: (the rank of
-    each, the pivot column of each of its rows, -1 past the rank, and the
-    reduced stack).
-
-    A matrix with no pivot in a column gets an all-zero lead row, which
-    leaves it as it is.  Entries are reduced mod p only where a pivot is
-    sought and at the end, so the dtype holds columns * p^2.  This serves
-    odd p; over F_2, `pivot_rows_f2` needs no row swaps."""
-    n, rows, width = mats.shape
-    mats = mats.astype(np.min_scalar_type(-width * p * p))
-    rank = np.zeros(n, dtype=np.intp)
-    pivots = np.full((n, rows), -1, dtype=np.intp)
-    below = np.arange(rows)
-    at = np.arange(n)
-    for c in range(width):
-        col = mats[:, :, c] % p
-        live = (col != 0) & (below >= rank[:, None])
-        hit = live.any(axis=1)
-        src, dst = live.argmax(axis=1), np.minimum(rank, rows - 1)
-        first = mats[at, src] % p
-        lead = first * (_inverse_mod_p(first[:, c], p) * hit)[:, None] % p
-        mats[at, src] = np.where(hit[:, None], mats[at, dst], mats[at, src])
-        col[at, src] = np.where(hit, col[at, dst], col[at, src])
-        mats -= col[:, :, None] * lead[:, None, :]
-        mats[at, dst] = np.where(hit[:, None], lead, mats[at, dst])
-        pivots[at[hit], dst[hit]] = c
-        rank += hit
-    mats %= p
-    return rank, pivots, mats
-
-
 def _leads_f2(rows):
     """The forward step over F_2 on a stack of bit-packed rows: an unsigned
     array of shape (n, rows, words), column c at bit c % b of word c // b
@@ -247,11 +213,12 @@ def _leads_f2(rows):
             yield lead
 
 
-def rank_stack_f2(rows):
-    """The rank over F_2 of each matrix of a stack of bit-packed rows (see
-    `_leads_f2`): the number of columns that found a lead row."""
+def rank_stack(rows, p):
+    """The rank over F_p of each matrix of a stack, over F_2 of bit-packed
+    rows (`_leads_f2`) and otherwise of entries (`_leads_mod_p`): the
+    number of columns that found a lead row."""
     rank = np.zeros(len(rows), dtype=np.intp)
-    for lead in _leads_f2(rows):
+    for lead in _leads_f2(rows) if p == 2 else _leads_mod_p(rows, p):
         rank += lead[0] != 0
     return rank
 
@@ -293,6 +260,51 @@ def kernel_f2(basis):
     for c in cols:
         out |= (basis[:, c, None] >> cols & one) << c
     return out
+
+
+def _leads_mod_p(mats, p):
+    """`_leads_f2`'s step over odd p, on a stack of matrices of entries in
+    [0, p), shape (n, rows, columns): per column, the first row nonzero
+    there mod p is scaled to 1 and subtracted, that many times, from every
+    row holding the column, itself included, on the columns from it on.
+    Yields each lead row from its column on, mod p (shape (columns from
+    it, n)), 0 where no row holds the column.  Entries are reduced mod p
+    only where a lead row is sought, so the dtype holds columns * p^2."""
+    n, _, width = mats.shape
+    cols = mats.transpose(2, 0, 1).astype(np.min_scalar_type(-width * p * p))
+    at = np.arange(n)
+    for c in range(width):
+        tail = cols[c:]
+        col = tail[0] % p
+        lead = tail[:, at, (col != 0).argmax(axis=1)] % p
+        lead = lead * _inverse_mod_p(lead[0], p) % p  # 0 has inverse 0
+        tail -= col * lead[:, :, None]
+        yield lead
+
+
+def pivot_rows_mod_p(mats, p):
+    """`pivot_rows_f2` over odd p, on a stack of matrices of entries in
+    [0, p), shape (n, rows, columns): (the rank of each, and basis of shape
+    (n, columns, columns), basis[:, c] the row whose pivot is column c, 0
+    where column c is free), `_leads_mod_p`'s lead rows back-substituted,
+    highest column first.  The rows are `echelon`'s."""
+    n, _, width = mats.shape
+    basis = np.zeros((width, n, width), np.min_scalar_type(-width * p * p))
+    for c, lead in enumerate(_leads_mod_p(mats, p)):
+        basis[c, :, c:] = lead.T
+    for c in range(width - 1, 0, -1):
+        lower = basis[:c, :, c:]
+        lower -= lower[:, :, :1] % p * (basis[c, :, c:] % p)
+    basis = basis.transpose(1, 0, 2) % p
+    return np.count_nonzero(basis.any(axis=2), axis=1), basis
+
+
+def kernel_mod_p(basis, p):
+    """`kernel_f2` over odd p, as digit rows: (I - basis^T) mod p, at free
+    column f `kernel`'s vector, with a 1 at f and -basis[c, f] at each
+    pivot column c, in the basis' dtype, which holds columns * p^2."""
+    eye = np.eye(basis.shape[1], dtype=basis.dtype)
+    return (eye - basis.transpose(0, 2, 1)) % p
 
 
 def _inverse_mod_p(a, p):

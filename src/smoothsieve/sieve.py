@@ -726,12 +726,11 @@ def _certify_smooth(problem, d, digits):
     for lo in range(0, len(digits), step):
         batch = digits[lo:lo + step]
         if p == 2:
-            rank = linalg.rank_stack_f2(_xor_images(batch, flat).reshape(
-                -1, rows, cols))
+            image = _xor_images(batch, flat)
         else:
             image = batch.astype(np.float64) @ flat
             image -= p * np.floor(image / p)  # float % is slow
-            rank = linalg.echelon_stack(image.reshape(-1, rows, cols), p)[0]
+        rank = linalg.rank_stack(image.reshape(-1, rows, cols), p)
         out[lo:lo + step] = rank == ncols
     return out
 
@@ -782,11 +781,6 @@ class ScanResult:
     smooth_count: int
     unresolved: int          # scan-clean, yet certifiably singular
     flags: tuple
-
-
-@lru_cache(maxsize=8)
-def _scan_cached(problem, d, budget, sing_bound, exact, seed, cap):
-    return _run_scan(problem, d, budget, sing_bound, exact, seed, cap)
 
 
 def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
@@ -943,9 +937,10 @@ def _scan_all(space, conds, ell=None):
     """ell for every candidate index, from a `_conditions` stack, in the
     narrowest signed dtype holding every ell + 1; given `ell`, the
     candidates singular at a point of the stack are marked 1 there instead.
-    One elimination brings each block of the stack to reduced echelon form,
-    and the F_p-kernels of its points of each (rank, degree) are enumerated
-    as index arrays; over F_2 a kernel vector's bits are its index's."""
+    One elimination stores each block's pivot rows at their columns, the
+    kernel vectors at the free columns are read off them, and their spans
+    at the points of each (rank, degree) are enumerated as index arrays;
+    over F_2 a kernel vector's bits are its index's."""
     p = space.problem.field.p
     degrees, funcs = conds
     mark = ell is not None
@@ -957,14 +952,15 @@ def _scan_all(space, conds, ell=None):
     dtype = ell.dtype.type
     points, rows, width = funcs.shape
     keys = int(degrees.max(initial=0)) + 1
-    per_point = max(rows, width) if p == 2 else rows * width  # words, entries
+    per_point = max(rows, width) * (1 if p == 2 else width)  # words, entries
     step = max(1, _DIGIT_ENTRIES // max(per_point, 1))
     for lo in range(0, points, step):
         if p == 2:
             rank, basis = linalg.pivot_rows_f2(funcs[lo:lo + step])
-            kernel = linalg.kernel_f2(basis)
+            kernel, free = linalg.kernel_f2(basis), basis == 0
         else:
-            rank, pivots, mats = linalg.echelon_stack(funcs[lo:lo + step], p)
+            rank, basis = linalg.pivot_rows_mod_p(funcs[lo:lo + step], p)
+            kernel, free = linalg.kernel_mod_p(basis, p), ~basis.any(axis=2)
         key = rank * keys + degrees[lo:lo + step]
         for k in np.flatnonzero(np.bincount(key)).tolist():
             r, degree = divmod(k, keys)
@@ -974,9 +970,10 @@ def _scan_all(space, conds, ell=None):
             elif r == 0:
                 ell += dtype(degree * len(sel))
             elif r < width:               # a full rank leaves only f = 0
-                kernels = (_span_f2(kernel[sel][basis[sel] == 0].reshape(
-                    len(sel), -1)) if p == 2 else
-                    _kernel_indices(p, mats[sel], pivots[sel], r))
+                vectors = kernel[sel][free[sel]].reshape(
+                    len(sel), width - r, *kernel.shape[2:])
+                kernels = (_span_f2(vectors) if p == 2 else
+                           _span_mod_p(vectors, free[sel], p))
                 for members in kernels:
                     if mark:
                         ell[members.ravel()] = 1
@@ -1000,50 +997,42 @@ def _span_f2(basis):
         yield members
 
 
-def _kernel_indices(p, mats, pivots, rank):
-    """The candidate index of every element of each point's F_p-kernel, from
-    reduced echelon forms over odd p of one rank below their width, as
-    blocks of shape (points, p^dim) of at most `_DIGIT_ENTRIES` entries or
-    one point.
-
-    The kernel vector of free column f has a 1 there and -R[t, f] at the
-    pivot column of row t.  Free columns are lone, so a combination's index
-    adds a * p^f over them, and its digits at the pivot columns are summed
-    and reduced mod p."""
-    n, _, width = mats.shape
-    dim = width - rank
-    pivots = pivots[:, :rank]
-    free = np.ones((n, width), dtype=bool)
-    free[np.arange(n)[:, None], pivots] = False
-    free = np.nonzero(free)[1].reshape(n, dim)
-    coef = -np.take_along_axis(mats[:, :rank].astype(np.int64),
-                               free[:, None, :], axis=2) % p
-    weights = np.int64(p) ** pivots                         # (n, rank)
-    steps = np.int64(p) ** free                             # (n, dim)
+def _span_mod_p(vectors, free, p):
+    """`_span_f2` over odd p, of kernel vectors as digit rows (shape
+    (points, dim, width)) at the columns of the mask `free`, as blocks of
+    candidate indices.  Free columns are lone, so a combination's index
+    adds a * p^f over them, and only its digits at the pivot columns are
+    summed and reduced mod p, in the vectors' dtype: it holds p^2."""
+    n, dim, width = vectors.shape
+    cols = np.argsort(free, axis=1, kind="stable")  # pivot columns first
+    rank = width - dim
+    at = np.take_along_axis(vectors, cols[:, None, :rank], axis=2)
+    steps = np.int64(p) ** cols[:, rank:]
+    weights = np.int64(p) ** cols[:, :rank]
     size = p ** dim
     block = max(1, _DIGIT_ENTRIES // (size * (rank + 1)))
     for lo in range(0, n, block):
         part = slice(lo, lo + block)
         members = np.zeros((len(steps[part]), size), dtype=np.int64)
-        digits = np.zeros((len(members), size, rank), dtype=np.int64)
-        vecs = coef[part].transpose(2, 0, 1)   # (dim, points, rank)
-        for j, (s, v) in enumerate(zip(steps[part].T, vecs)):
+        digits = np.zeros((len(members), size, rank), dtype=vectors.dtype)
+        for j in range(dim):
             span = p ** j
             for a in range(1, p):
-                members[:, a * span:(a + 1) * span] = (members[:, :span]
-                                                       + a * s[:, None])
-                digits[:, a * span:(a + 1) * span] = (digits[:, :span]
-                                                      + a * v[:, None, :])
-        yield members + np.einsum("ist,it->is", digits % p, weights[part])
+                new = slice(a * span, (a + 1) * span)
+                members[:, new] = members[:, :span] + a * steps[part, j, None]
+                digits[:, new] = (digits[:, :span] + a * at[part, j, None]) % p
+        yield members + np.einsum("ist,it->is", digits, weights[part])
 
 
 # Entries per block of numpy work.  Each bounds temporaries counted as
 # 8-byte entries, so it limits them to the bytes below, and narrower
 # entries to fewer bytes.
 # _DIGIT_ENTRIES, 512 KB: in `_scan_all`, a block of the stack to eliminate
-# (over odd p its entries, 64 KB as uint8; over F_2 its rows, pivot rows
-# and kernel vectors, a word of at most 8 bytes each, 512 KB, while its
-# uint8 entries are read in place) and the kernel indices per block; the
+# (over odd p its entries, pivot rows and kernel vectors, max(rows,
+# columns) per column of each point, int8 or int16 as columns * p^2 needs;
+# over F_2 its rows, pivot rows and kernel vectors, a word of at most 8
+# bytes each, 512 KB, while its uint8 entries are read in place) and the
+# kernel indices per block, with their pivot-column digits over odd p; the
 # intp copy per count in `_tally`; the float64 digits per batch of
 # candidates in the sampled classifier over odd p; the certificate's
 # float64 images per batch over odd p.
@@ -1235,8 +1224,7 @@ def estimate_density(problem: SchemeProblem, degrees, budget=("exhaustive",),
     total_all = 0
     flags = []
     for d in degrees:
-        res = _scan_cached(problem, d, tuple(budget), sing_bound, exact, seed,
-                           cap)
+        res = _run_scan(problem, d, budget, sing_bound, exact, seed, cap)
         per_degree.append((d, EstimateValue(res.smooth_count, res.count_total)))
         total_smooth += res.smooth_count
         total_all += res.count_total
@@ -1268,8 +1256,7 @@ def estimate_sing_dist(problem: SchemeProblem, degrees, budget=("exhaustive",),
     agg_total = 0
     flags = []
     for d in degrees:
-        res = _scan_cached(problem, d, tuple(budget), sing_bound, exact, seed,
-                           cap)
+        res = _run_scan(problem, d, budget, sing_bound, exact, seed, cap)
         hist = {}
         hist["0"] = res.smooth_count
         over = res.unresolved

@@ -394,7 +394,7 @@ def scan_all_per_degree(space, conds, ell=None):
         for lo in range(0, len(group), step):
             rank, pivots, mats = (
                 echelon_stack_f2_by_swaps(group[lo:lo + step]) if p == 2
-                else linalg.echelon_stack(group[lo:lo + step], p))
+                else echelon_stack(group[lo:lo + step], p))
             for r in np.flatnonzero(np.bincount(rank)).tolist():
                 sel = np.flatnonzero(rank == r)
                 if r == 0 and mark:  # vacuous: singular everywhere
@@ -404,7 +404,7 @@ def scan_all_per_degree(space, conds, ell=None):
                 elif r < width:               # a full rank leaves only f = 0
                     for members in (
                             kernel_indices_f2(mats[sel], pivots[sel], r)
-                            if p == 2 else sieve._kernel_indices(
+                            if p == 2 else kernel_indices(
                                 p, mats[sel], pivots[sel], r)):
                         if mark:
                             ell[members.ravel()] = 1
@@ -413,8 +413,80 @@ def scan_all_per_degree(space, conds, ell=None):
     return ell
 
 
+def echelon_stack(mats, p):
+    """The reduced row-echelon forms of a stack of matrices over F_p (an
+    array of entries in [0, p), shape (n, rows, columns)), all eliminated
+    at once, column by column, with `linalg.echelon`'s pivot rule and row
+    swaps, as the library's odd-p elimination was: (the rank of each, the
+    pivot column of each of its rows, -1 past the rank, and the reduced
+    stack).
+
+    A matrix with no pivot in a column gets an all-zero lead row, which
+    leaves it as it is.  Entries are reduced mod p only where a pivot is
+    sought and at the end, so the dtype holds columns * p^2."""
+    n, rows, width = mats.shape
+    mats = mats.astype(np.min_scalar_type(-width * p * p))
+    rank = np.zeros(n, dtype=np.intp)
+    pivots = np.full((n, rows), -1, dtype=np.intp)
+    below = np.arange(rows)
+    at = np.arange(n)
+    for c in range(width):
+        col = mats[:, :, c] % p
+        live = (col != 0) & (below >= rank[:, None])
+        hit = live.any(axis=1)
+        src, dst = live.argmax(axis=1), np.minimum(rank, rows - 1)
+        first = mats[at, src] % p
+        lead = first * (linalg._inverse_mod_p(first[:, c], p)
+                        * hit)[:, None] % p
+        mats[at, src] = np.where(hit[:, None], mats[at, dst], mats[at, src])
+        col[at, src] = np.where(hit, col[at, dst], col[at, src])
+        mats -= col[:, :, None] * lead[:, None, :]
+        mats[at, dst] = np.where(hit[:, None], lead, mats[at, dst])
+        pivots[at[hit], dst[hit]] = c
+        rank += hit
+    mats %= p
+    return rank, pivots, mats
+
+
+def kernel_indices(p, mats, pivots, rank):
+    """The candidate index of every element of each point's F_p-kernel, from
+    `echelon_stack`'s reduced forms over odd p of one rank below their
+    width, as the library enumerated them: blocks of shape (points, p^dim)
+    of at most DIGIT_ENTRIES entries or one point.
+
+    The kernel vector of free column f has a 1 there and -R[t, f] at the
+    pivot column of row t.  Free columns are lone, so a combination's index
+    adds a * p^f over them, and its digits at the pivot columns are summed
+    and reduced mod p."""
+    n, _, width = mats.shape
+    dim = width - rank
+    pivots = pivots[:, :rank]
+    free = np.ones((n, width), dtype=bool)
+    free[np.arange(n)[:, None], pivots] = False
+    free = np.nonzero(free)[1].reshape(n, dim)
+    coef = -np.take_along_axis(mats[:, :rank].astype(np.int64),
+                               free[:, None, :], axis=2) % p
+    weights = np.int64(p) ** pivots                         # (n, rank)
+    steps = np.int64(p) ** free                             # (n, dim)
+    size = p ** dim
+    block = max(1, DIGIT_ENTRIES // (size * (rank + 1)))
+    for lo in range(0, n, block):
+        part = slice(lo, lo + block)
+        members = np.zeros((len(steps[part]), size), dtype=np.int64)
+        digits = np.zeros((len(members), size, rank), dtype=np.int64)
+        vecs = coef[part].transpose(2, 0, 1)   # (dim, points, rank)
+        for j, (s, v) in enumerate(zip(steps[part].T, vecs)):
+            span = p ** j
+            for a in range(1, p):
+                members[:, a * span:(a + 1) * span] = (members[:, :span]
+                                                       + a * s[:, None])
+                digits[:, a * span:(a + 1) * span] = (digits[:, :span]
+                                                      + a * v[:, None, :])
+        yield members + np.einsum("ist,it->is", digits % p, weights[part])
+
+
 def echelon_stack_f2_by_swaps(mats):
-    """`linalg.echelon_stack` over F_2 as it was: each row packed into an
+    """`echelon_stack` over F_2 as the library's was: each row packed into an
     int64 bitset, and per column the first unused row holding the bit
     swapped into place below the rank and XORed into the rest, with the
     pivot columns per row and the reduced stack unpacked to int64 0/1."""
@@ -441,7 +513,7 @@ def echelon_stack_f2_by_swaps(mats):
 
 
 def kernel_indices_f2(mats, pivots, rank):
-    """`sieve._kernel_indices` over F_2 as it was: from the swap-based
+    """`kernel_indices` over F_2 as the library's was: from the swap-based
     reduced forms, the kernel vector of free column f is 2^f plus the
     entries R[t, f] times 2^(pivot of row t), and every XOR of a subset of
     a point's kernel vectors is a member, in blocks of at most

@@ -115,7 +115,16 @@ def test_max_degree_below_one_refused_before_loading(schemes_dir, capsys,
     (["embed", "--scheme", "nodal_cubic.scm", "--d-min", "5", "--d-max", "3"],
      "--d-min 5 exceeds --d-max 3: no degree to try"),
     (["embed", "--scheme", "nodal_cubic.scm", "--d-min", "-4", "--d-max",
-      "1"], "--d-min -4: the degree must be a positive integer")])
+      "1"], "--d-min -4: the degree must be a positive integer"),
+    # no point has degree below 0: the prediction read 1
+    (["lowdeg", "--scheme", "p2.scm", "--r", "-2"],
+     "--r -2: the bound must be a positive integer"),
+    # no curve lies on a smooth scheme of dimension 0: the report read
+    # "obstructed"
+    (["embed", "--scheme", "nodal_cubic.scm", "--target-dim", "0"],
+     "--target-dim 0: the dimension must be a positive integer"),
+    (["embed", "--scheme", "nodal_cubic.scm", "--target-dim", "-1"],
+     "--target-dim -1: the dimension must be a positive integer")])
 def test_out_of_range_integers_refused_before_loading(schemes_dir, capsys,
                                                       monkeypatch, argv,
                                                       message):
@@ -215,7 +224,6 @@ def test_sampled_invocations_identical_bytes(schemes_dir):
             "--budget", "sample:300", "--seed", "11"]
     outs = []
     for _ in range(2):
-        sieve._scan_cached.cache_clear()  # rerun the scan, not the cache
         code, report = run(parse_args(args))
         outs.append((code, json.dumps(report, indent=2)))
     assert outs[0] == outs[1]
@@ -226,7 +234,6 @@ def test_identical_invocations_identical_bytes(schemes_dir):
             "-d", "2..3", "--budget", "exhaustive", "--seed", "5"]
     blobs = set()
     for _ in range(2):
-        sieve._scan_cached.cache_clear()  # rerun the scan, not the cache
         blobs.add(json.dumps(run(parse_args(args))[1], indent=2))
     assert len(blobs) == 1
 

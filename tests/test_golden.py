@@ -23,7 +23,7 @@ import pathlib
 
 import pytest
 
-from smoothsieve import cli, sieve
+from smoothsieve import cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -84,7 +84,6 @@ def test_golden_result(name, schemes_dir):
     argv = list(CASES[name])
     i = argv.index("--scheme") + 1
     argv[i] = str(schemes_dir / argv[i])
-    sieve._scan_cached.cache_clear()
     code, report = cli.run(cli.parse_args(argv))
     assert code == 0
     expected = (GOLDEN / f"{name}.json").read_text()

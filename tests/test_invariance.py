@@ -67,7 +67,6 @@ def permuted_points(groups):
 
 
 def scan_reports(p2, quadric):
-    sieve._scan_cached.cache_clear()
     out = []
     for problem, degrees, bound in ((p2, [4, 5], 3), (quadric, [2], 3)):
         out.append(sieve.estimate_sing_dist(
@@ -77,7 +76,6 @@ def scan_reports(p2, quadric):
         out.append(sieve.estimate_density(problem, [d], ("exhaustive",),
                                           sing_bound=1, exact=True)
                    .value.count_smooth)
-    sieve._scan_cached.cache_clear()
     return out
 
 

@@ -134,6 +134,37 @@ def test_row_and_entries_round_trip():
             linalg.row(spec, 1, [(0, c)]) for _, c in terms]
 
 
+def check_pivot_rows(mats, p):
+    """The pivot rows and forward-only ranks of a stack over F_p against
+    the dense oracle and `kernel`: each row at its pivot column, scaled to
+    1 there, the nonzero rows `echelon`'s, and the kernel vectors at the
+    free columns `kernel`'s."""
+    width = mats.shape[2]
+    spec = gf.make_field(p)
+    if p == 2:
+        rank, basis = linalg.pivot_rows_f2(mats)
+        forward = linalg.rank_stack(pack_rows(mats), 2)
+        rows = pivot_rows(basis)
+        kernels, free = linalg.kernel_f2(basis).tolist(), basis == 0
+    else:
+        rank, basis = linalg.pivot_rows_mod_p(mats, p)
+        forward = linalg.rank_stack(mats, p)
+        rows = [[row for row in b if any(row)] for b in basis.tolist()]
+        for b in basis.tolist():
+            assert all(row[c] == 1 and not any(row[:c])
+                       for c, row in enumerate(b) if any(row))
+        kernels, free = linalg.kernel_mod_p(basis, p), ~basis.any(axis=2)
+        kernels = [[tuple(v) for v in k] for k in kernels.tolist()]
+    for m, r, f, row in zip(mats.tolist(), rank, forward, rows, strict=True):
+        assert row == oracles.dense_rref_mod_p(m, p)
+        assert r == f == len(row)
+    for m, kern, fr in zip(mats.tolist(), kernels, free.tolist()):
+        rows_p = [linalg.row(spec, width, enumerate(r)) for r in m]
+        assert [v for v, x in zip(kern, fr) if x] == linalg.kernel(
+            spec, rows_p, width)
+    return rank
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_echelon_stack_matches_dense_oracle(p):
     # a stack mixing dense, sparse, rank-deficient and zero matrices
@@ -143,12 +174,32 @@ def test_echelon_stack_matches_dense_oracle(p):
                                                     < 0.2)
     low = rng.integers(0, p, size=(20, 6, 2)) @ rng.integers(0, p, (2, 9)) % p
     mats = np.concatenate([dense_part, sparse, low, np.zeros((3, 6, 9), int)])
-    rank, pivots, reduced = linalg.echelon_stack(mats.astype(np.uint8), p)
-    for m, r, piv, red in zip(mats.tolist(), rank, pivots, reduced.tolist()):
-        expected = oracles.dense_rref_mod_p(m, p)
-        assert red[:r] == expected and not any(map(any, red[r:]))
-        assert piv.tolist() == ([next(j for j, x in enumerate(row) if x)
-                                 for row in expected] + [-1] * (6 - r))
+    check_pivot_rows(mats.astype(np.uint8), p)
+
+
+@pytest.mark.parametrize("p,width", [(7, 18), (31, 34)])
+def test_pivot_rows_mod_p_hold_columns_times_p_squared(p, width):
+    # entries are reduced mod p only where a lead row is sought, so the
+    # dtype must hold columns * p^2: 882 at p = 7 (int16, where columns * p
+    # = 126 would pick int8), and 32,674 at p = 31, just inside int16.  In
+    # the last matrix, rows e_c + (p - 1) e_last lead every column but the
+    # last, and its last row, p - 1 before the last column, loses (p - 1)^2
+    # there per step, (columns - 1) (p - 1)^2 in all, to end at 0 mod p: a
+    # wrapped entry would leave it nonzero and the rank full
+    rng = np.random.default_rng(p)
+    top = np.full((6, 40, width), p - 1)
+    top[:, 1::2] = rng.integers(0, p, size=(6, 20, width))
+    worst = np.zeros((1, 40, width), dtype=int)
+    worst[0, :width - 1, :width - 1] = np.eye(width - 1, dtype=int)
+    worst[0, :width - 1, -1] = worst[0, width - 1, :-1] = p - 1
+    worst[0, width - 1, -1] = (width - 1) % p
+    mats = np.concatenate([np.full((2, 40, width), p - 1), top,
+                           rng.integers(0, p, size=(6, 40, width)),
+                           rng.integers(p - 3, p, size=(6, 40, width)),
+                           worst])
+    rank = check_pivot_rows(mats.astype(np.uint8), p)
+    assert rank[:2].tolist() == [1, 1] and rank[-1] == width - 1
+    assert max(rank) == width
 
 
 def pivot_rows(basis):
@@ -187,7 +238,7 @@ def test_echelon_stack_f2_refuses_more_than_64_columns(width):
         linalg.pivot_rows_f2(mats)
     with pytest.raises(ValueError, match="columns"):
         oracles.echelon_stack_f2_by_swaps(mats)
-    linalg.echelon_stack(mats, 3)  # odd p has no word limit
+    linalg.pivot_rows_mod_p(mats, 3)  # odd p has no word limit
 
 
 @pytest.mark.parametrize("width", [1, 9, 63, 64])
@@ -218,8 +269,8 @@ def test_pivot_rows_f2_match_dense_oracle(width):
                        for c, x in enumerate(row) if x)
         assert rank.tolist() == [oracles.dense_rank_mod_p(m, 2)
                                  for m in mats.tolist()]
-        assert rank.tolist() == linalg.rank_stack_f2(
-            pack_rows(mats)).tolist()
+        assert rank.tolist() == linalg.rank_stack(
+            pack_rows(mats), 2).tolist()
         # the kernel vectors at the free columns are `kernel`'s
         f2 = gf.make_field(2)
         for m, row, kern in zip(mats.tolist(), basis.tolist(),
@@ -231,8 +282,8 @@ def test_pivot_rows_f2_match_dense_oracle(width):
 
 
 def pack_rows(mats):
-    """Bit-packed rows for rank_stack_f2: column c at bit c % 64 of uint64
-    word c // 64."""
+    """Bit-packed rows for `rank_stack` over F_2: column c at bit c % 64 of
+    uint64 word c // 64."""
     packed = np.packbits(mats.astype(np.uint8), axis=2, bitorder="little")
     packed = np.pad(packed, ((0, 0), (0, 0), (0, -packed.shape[2] % 8)))
     return packed.view(np.uint64)
@@ -253,7 +304,7 @@ def test_rank_stack_f2_matches_dense_oracle(width):
     for mats in (np.concatenate([dense_part, sparse, low,
                                  np.zeros((3, rows, width), int)]), tall):
         packed = pack_rows(mats)
-        rank = linalg.rank_stack_f2(packed)
+        rank = linalg.rank_stack(packed, 2)
         assert np.array_equal(packed, pack_rows(mats))  # left as it was
         assert rank.tolist() == [oracles.dense_rank_mod_p(m, 2)
                                  for m in mats.tolist()]

@@ -276,7 +276,6 @@ def test_exhaustive_cap_refuses_before_enumerating(schemes_dir, monkeypatch):
     assert str(info.value) == "|I_d| = 36028797018963968 exceeds cap 16777216"
     assert calls == []
     # the same patch sees the one enumeration of an accepted scan
-    sieve._scan_cached.cache_clear()
     sieve.estimate_density(p2, [3], ("exhaustive",), sing_bound=2,
                            exact=False)
     assert [args[1:] for args in calls] == [(2, sieve.DEFAULT_CAP)]

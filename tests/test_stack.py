@@ -110,6 +110,27 @@ def test_small_budgets_equal_per_degree(schemes_dir, monkeypatch, case):
                           scan_all_per_degree(space, per_degree))
 
 
+def check_pivot_rows_against_swaps(problem, d, bound, split):
+    """`_scan_all` on the stack of problem's points of degree <= bound
+    against the oracle's swap-based elimination and kernels: counting ell,
+    and marking the points above degree split over ell of those below."""
+    space = sieve.candidate_space(problem, d)
+    groups = variety.closed_point_arrays(problem.X, bound)
+    degrees, funcs = sieve._conditions(problem.X, space, groups)
+    per_degree = per_degree_conditions(problem.X, space, groups)
+    assert np.array_equal(sieve._scan_all(space, (degrees, funcs)),
+                          scan_all_per_degree(space, per_degree))
+    at = int(np.searchsorted(degrees, split, side="right"))
+    ell = sieve._scan_all(space, (degrees[:at], funcs[:at]))
+    expected = scan_all_per_degree(space, [g for g in per_degree
+                                           if g[0] <= split])
+    sieve._scan_all(space, (degrees[at:], funcs[at:]), ell)
+    scan_all_per_degree(space, [g for g in per_degree if g[0] > split],
+                        expected)
+    assert np.array_equal(ell, expected)
+    assert 0 < np.count_nonzero(ell == 0) < len(ell)
+
+
 # F_2 stacks of the exhaustive scans the benchmark times: (scheme, d, B)
 F2_STACKS = {"p2_d4_b6": ("p2", 4, 6), "p2_d5_b6": ("p2", 5, 6),
              "nodal_d3_b4": ("nodal_cubic", 3, 4)}
@@ -119,27 +140,36 @@ F2_STACKS = {"p2_d4_b6": ("p2", 4, 6), "p2_d5_b6": ("p2", 5, 6),
 @pytest.mark.parametrize("case", sorted(F2_STACKS))
 def test_f2_pivot_rows_equal_swap_elimination(schemes_dir, monkeypatch, case,
                                               budget):
-    # the pivot rows and the kernel steps read off them, against the
-    # oracle's swap-based elimination and kernels, on whole stacks and on
-    # blocks of about 130 points, counting ell and marking
+    # the pivot rows and the kernel steps read off them, on whole stacks
+    # and on blocks of about 130 points
     monkeypatch.setattr(sieve, "_DIGIT_ENTRIES", budget)
     scheme, d, bound = F2_STACKS[case]
-    problem = load_problem(schemes_dir / f"{scheme}.scm")
-    space = sieve.candidate_space(problem, d)
-    groups = variety.closed_point_arrays(problem.X, bound)
-    degrees, funcs = sieve._conditions(problem.X, space, groups)
-    per_degree = per_degree_conditions(problem.X, space, groups)
-    assert np.array_equal(sieve._scan_all(space, (degrees, funcs)),
-                          scan_all_per_degree(space, per_degree))
-    split = int(np.searchsorted(degrees, 2, side="right"))
-    ell = sieve._scan_all(space, (degrees[:split], funcs[:split]))
-    expected = scan_all_per_degree(space, [g for g in per_degree
-                                           if g[0] <= 2])
-    sieve._scan_all(space, (degrees[split:], funcs[split:]), ell)
-    scan_all_per_degree(space, [g for g in per_degree if g[0] > 2],
-                        expected)
-    assert np.array_equal(ell, expected)
-    assert 0 < np.count_nonzero(ell == 0) < len(ell)
+    check_pivot_rows_against_swaps(
+        load_problem(schemes_dir / f"{scheme}.scm"), d, bound, 2)
+
+
+# odd-p stacks: generic_q's exhaustive scan and others over F_3 and F_5,
+# and one over F_131, where the sum of two kernel digits passes 255
+# (scheme file or text, q, d, B)
+ODD_STACKS = {"p2_q3_d2_b3": ("p2", 3, 2, 3), "p2_q5_d2_b2": ("p2", 5, 2, 2),
+              "nodal_q3_d3_b3": ("nodal_cubic", 3, 3, 3),
+              "quadric_q3_d2_b3": (QUADRIC.format(q=3), None, 2, 3),
+              "p1_q131_d2_b1": ("p1", 131, 2, 1)}
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 3000])
+@pytest.mark.parametrize("case", sorted(ODD_STACKS))
+def test_odd_pivot_rows_equal_swap_elimination(schemes_dir, monkeypatch,
+                                               case, budget):
+    # the odd-p pivot rows and the kernel spans read off them, against the
+    # oracle's `echelon_stack` and `kernel_indices`, on whole stacks and on
+    # blocks of a few dozen points
+    monkeypatch.setattr(sieve, "_DIGIT_ENTRIES", budget)
+    scheme, q, d, bound = ODD_STACKS[case]
+    problem = (parse_problem(scheme) if "\n" in scheme else
+               load_problem(schemes_dir / f"{scheme}.scm", q_override=q))
+    assert problem.field.p > 2
+    check_pivot_rows_against_swaps(problem, d, bound, 1)
 
 
 @pytest.mark.parametrize("bound", [1, 2])

@@ -232,6 +232,9 @@ def parse_args(argv) -> RunConfig:
         if ns.r < 1:
             raise UsageError(f"--r {ns.r}: the bound must be a positive "
                              f"integer")
+        if ns.r == 1:
+            raise UsageError("--r 1: no closed point has degree below 1, so "
+                             "the product would be empty")
         if ns.samples is not None:
             if ns.samples < 1:
                 raise UsageError(f"--samples {ns.samples}: sample size must "

@@ -822,7 +822,7 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     unresolved = 0
     if top is not None:  # the degree route: scan on to B*
         _scan_all(space, (degrees[split:], funcs[split:]), ell)
-        smooth = _tally(ell[1:]).get(0, 0)
+        smooth = int(np.count_nonzero(ell[1:] == 0))
         unresolved = clean - smooth
     elif exact:  # resolve scan-clean candidates, one certificate each
         clean = np.flatnonzero(ell == 0)  # positions = indices if exhaustive
@@ -921,15 +921,20 @@ def _degree_route(problem, d, sing_bound, total):
 
 
 def _tally(ell):
-    """{value: count} of an ell array (entries >= _INFINITE), counted in
-    chunks of `_DIGIT_ENTRIES`: one np.bincount would copy a narrow ell
-    whole to intp."""
+    """{value: count} of an ell array (entries >= _INFINITE), counted per
+    sorted block of `_DIGIT_ENTRIES` entries, each cast to at least int16
+    first: numpy sorts int8 about 40 times slower than int16."""
     counts = np.zeros(0, dtype=np.int64)
     for lo in range(0, len(ell), _DIGIT_ENTRIES):
-        part = np.bincount(ell[lo:lo + _DIGIT_ENTRIES] + 1)
-        if len(part) > len(counts):
-            counts = np.pad(counts, (0, len(part) - len(counts)))
-        counts[:len(part)] += part
+        part = ell[lo:lo + _DIGIT_ENTRIES].astype(
+            np.promote_types(ell.dtype, np.int16))
+        part.sort()
+        first, last = int(part[0]), int(part[-1])
+        if len(counts) < last + 2:
+            counts = np.pad(counts, (0, last + 2 - len(counts)))
+        ends = np.searchsorted(part, np.arange(first, last + 1,
+                                               dtype=part.dtype), "right")
+        counts[first + 1:last + 2] += np.diff(ends, prepend=0)
     return {v - 1: c for v, c in enumerate(counts.tolist()) if c}
 
 
@@ -940,7 +945,9 @@ def _scan_all(space, conds, ell=None):
     One elimination stores each block's pivot rows at their columns, the
     kernel vectors at the free columns are read off them, and their spans
     at the points of each (rank, degree) are enumerated as index arrays;
-    over F_2 a kernel vector's bits are its index's."""
+    over F_2 a kernel vector's bits are its index's, and kernels of rank r
+    with 2^r at most `_SCATTER_PRICE` are read off every candidate
+    instead (`_dense_f2`)."""
     p = space.problem.field.p
     degrees, funcs = conds
     mark = ell is not None
@@ -969,6 +976,9 @@ def _scan_all(space, conds, ell=None):
                 ell[:] = 1
             elif r == 0:
                 ell += dtype(degree * len(sel))
+            elif r < width and p == 2 and 1 << r <= _SCATTER_PRICE:
+                _dense_f2(ell, basis[sel][~free[sel]].reshape(len(sel), r),
+                          width, dtype(degree), mark)
             elif r < width:               # a full rank leaves only f = 0
                 vectors = kernel[sel][free[sel]].reshape(
                     len(sel), width - r, *kernel.shape[2:])
@@ -982,19 +992,69 @@ def _scan_all(space, conds, ell=None):
     return ell
 
 
+def _dense_f2(ell, rows, width, weight, mark):
+    """`_scan_all`'s step for points whose kernels hold many candidates, by
+    passes over all of them.  f lies in a point's kernel when its r pivot
+    rows (shape (points, r), bitsets of `width` columns) all have even
+    parity on f's bits, that is when f's r-bit syndrome is 0.  With f = hi
+    * 2^low + lo, that syndrome is the XOR of those of hi * 2^low and of
+    lo, read off tables of each half built by XOR doubling from the
+    syndromes of the unit vectors; so ell gains `weight` per point (or is
+    set to 1 if mark) where the two tables agree, on the ell grid
+    (2^(width - low), 2^low), in blocks whose bool masks over the points
+    of a pass, and whose counts, take at most 8 * `_DIGIT_ENTRIES` bytes."""
+    r = rows.shape[1]
+    low = (width + 1) // 2
+    lane = np.min_scalar_type((1 << r) - 1)
+    bits = rows[:, :, None] >> np.arange(width, dtype=rows.dtype) & 1
+    units = np.bitwise_or.reduce(
+        bits.astype(lane) << np.arange(r, dtype=lane)[:, None], axis=1)
+    grid = ell.reshape(-1, 1 << low)
+    per_pass = max(1, 8 * _DIGIT_ENTRIES >> low)
+    for at in range(0, len(units), per_pass):
+        lows = _xor_span(units[at:at + per_pass, :low])
+        highs = _xor_span(units[at:at + per_pass, low:])
+        step = max(1, 8 * _DIGIT_ENTRIES
+                   // (max(len(lows), ell.itemsize) << low))
+        for lo in range(0, len(grid), step):
+            hit = highs[:, lo:lo + step, None] == lows[:, None]
+            block = grid[lo:lo + step]
+            if mark:
+                hit = hit.any(axis=0)
+                block *= ~hit
+                block += hit
+            else:
+                block += hit.sum(axis=0, dtype=ell.dtype) * weight
+            del hit  # else the next block's mask is built beside it
+
+
+def _xor_span(vectors):
+    """Every XOR of a subset of the m vectors of each row (shape (n, m,
+    ...)), shape (n, 2^m, ...): at j, the XOR of those at the set bits of
+    j, built by doubling."""
+    out = np.zeros((len(vectors), 1 << vectors.shape[1], *vectors.shape[2:]),
+                   vectors.dtype)
+    for j in range(vectors.shape[1]):
+        np.bitwise_xor(out[:, :1 << j], vectors[:, j, None],
+                       out=out[:, 1 << j:2 << j])
+    return out
+
+
 def _span_f2(basis):
     """Every XOR of a subset of each row of a kernel basis over F_2 (shape
     (points, dim)), as blocks of shape (points, 2^dim) of at most
-    `_DIGIT_ENTRIES` entries or one point."""
+    `_DIGIT_ENTRIES` entries; a larger span comes one point at a time, as
+    the cosets of the span of its first floor(log2 `_DIGIT_ENTRIES`)
+    vectors."""
     n, dim = basis.shape
+    low = min(dim, _DIGIT_ENTRIES.bit_length() - 1)
     block = max(1, _DIGIT_ENTRIES >> dim)
     for lo in range(0, n, block):
         part = basis[lo:lo + block].astype(np.int64)
-        members = np.zeros((len(part), 1 << dim), dtype=np.int64)
-        for j, s in enumerate(part.T):
-            np.bitwise_xor(members[:, :1 << j], s[:, None],
-                           out=members[:, 1 << j:2 << j])
+        members = _xor_span(part[:, :low])
         yield members
+        for offset in _xor_span(part[:, low:]).T[1:]:
+            yield members ^ offset[:, None]
 
 
 def _span_mod_p(vectors, free, p):
@@ -1028,14 +1088,18 @@ def _span_mod_p(vectors, free, p):
 # 8-byte entries, so it limits them to the bytes below, and narrower
 # entries to fewer bytes.
 # _DIGIT_ENTRIES, 512 KB: in `_scan_all`, a block of the stack to eliminate
-# (over odd p its entries, pivot rows and kernel vectors, max(rows,
-# columns) per column of each point, int8 or int16 as columns * p^2 needs;
-# over F_2 its rows, pivot rows and kernel vectors, a word of at most 8
-# bytes each, 512 KB, while its uint8 entries are read in place) and the
-# kernel indices per block, with their pivot-column digits over odd p; the
-# intp copy per count in `_tally`; the float64 digits per batch of
-# candidates in the sampled classifier over odd p; the certificate's
-# float64 images per batch over odd p.
+# (over odd p its entries, pivot rows and kernel vectors, max(rows, columns)
+# per column of each point, int8 or int16 as columns * p^2 needs; over F_2
+# its rows, pivot rows and kernel vectors, a word of at most 8 bytes each,
+# 512 KB, while its uint8 entries are read in place) and the kernel indices
+# per block, with their pivot-column digits over odd p, a larger span over
+# F_2 going as cosets of a span of _DIGIT_ENTRIES; over F_2 a dense pass's
+# bool mask over its points per block of ell, and the block's counts, 8 *
+# _DIGIT_ENTRIES bytes each at most (its syndrome tables, 2^(columns / 2)
+# bytes per point, are far smaller); a block of ell in `_tally`, at least
+# int16 and sorted in place; the float64 digits per batch of candidates in
+# the sampled classifier over odd p; the certificate's float64 images per
+# batch over odd p.
 # _BLOCK_ENTRIES, 128 KB: in `_conditions`, each temporary of a chunk of
 # points (int64 codes of the jet vectors, the functionals, their float64
 # lift); in the sampled classifier, per block of points, their float64
@@ -1046,6 +1110,14 @@ def _span_mod_p(vectors, free, p):
 # F_2.
 _DIGIT_ENTRIES = 1 << 16
 _BLOCK_ENTRIES = 1 << 14
+# The price of one kernel member scattered into ell over that of one
+# candidate in a dense pass: over F_2 the points of rank r go dense when 2^r
+# is at most this.  Rational points, 2 CPUs, numpy 2.4.6 with AVX-512,
+# elimination included: on P^2 at d = 5 (rank 3, 2^21 candidates) 2.7-3.0
+# ns per member against 0.20-0.22 ns per candidate per pass, 13-14; on P^3
+# at d = 3 (rank 4, 2^20) 17-18, near even at 2^4; on P^1 at d = 20 (rank
+# 2) 8-10, and on P^2 at d = 4 (2^15) about 9, where calls cost more.
+_SCATTER_PRICE = 14
 
 
 def _ells(space, conds, digits):
@@ -1162,14 +1234,8 @@ def _chunks(octets, c, bits):
 
 def _xor_tables(bits, c):
     """T_j[v], the XOR of the images (uint64 rows of `bits`, c per chunk j
-    of the candidates) of the set bits of v at chunk j, built by
-    doubling."""
-    bits = bits.reshape(len(bits) // c, c, bits.shape[1])
-    tables = np.zeros((len(bits), 1 << c, bits.shape[2]), dtype=np.uint64)
-    for b in range(c):
-        np.bitwise_xor(tables[:, :1 << b], bits[:, b, None],
-                       out=tables[:, 1 << b:2 << b])
-    return tables
+    of the candidates) of the set bits of v at chunk j."""
+    return _xor_span(bits.reshape(len(bits) // c, c, bits.shape[1]))
 
 
 def _xor_read(tables, chunks):

@@ -124,7 +124,11 @@ def test_max_degree_below_one_refused_before_loading(schemes_dir, capsys,
     (["embed", "--scheme", "nodal_cubic.scm", "--target-dim", "0"],
      "--target-dim 0: the dimension must be a positive integer"),
     (["embed", "--scheme", "nodal_cubic.scm", "--target-dim", "-1"],
-     "--target-dim -1: the dimension must be a positive integer")])
+     "--target-dim -1: the dimension must be a positive integer"),
+    # no point has degree below 1 either: the prediction read 1 as well
+    (["lowdeg", "--scheme", "p2.scm", "--r", "1"],
+     "--r 1: no closed point has degree below 1, so the product would be "
+     "empty")])
 def test_out_of_range_integers_refused_before_loading(schemes_dir, capsys,
                                                       monkeypatch, argv,
                                                       message):

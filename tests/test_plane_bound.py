@@ -207,7 +207,12 @@ def test_nonreduced_forms_fill_the_bins_past_the_bound(schemes_dir, q, d,
 def test_tally_across_chunks(monkeypatch):
     monkeypatch.setattr(sieve, "_DIGIT_ENTRIES", 7)
     rng = np.random.default_rng(3)
-    # values grow from chunk to chunk, so later chunks widen the counts
-    ell = np.concatenate([rng.integers(-1, top, 7) for top in (1, 3, 9, 40)]
-                         + [rng.integers(-1, 2, 5)]).astype(np.int8)
-    assert sieve._tally(ell) == dict(Counter(ell.tolist()))
+    # values grow from chunk to chunk, so later chunks widen the counts;
+    # the wider arrays hold -1 and values past int8, in sorted blocks
+    for dtype, tops in ((np.int8, (1, 3, 9, 40)),
+                        (np.int16, (1, 200, 9, 3000)),
+                        (np.int32, (1, 130, 70000, 2))):
+        ell = np.concatenate([rng.integers(-1, top, 7) for top in tops]
+                             + [rng.integers(-1, 2, 5)]).astype(dtype)
+        assert (ell == -1).any() and (ell > 127).any() == (dtype != np.int8)
+        assert sieve._tally(ell) == dict(Counter(ell.tolist()))

@@ -6,6 +6,7 @@ exhaustive scan, the degree route's marking pass and the sampled
 classifier."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,39 @@ def test_f2_pivot_rows_equal_swap_elimination(schemes_dir, monkeypatch, case,
     scheme, d, bound = F2_STACKS[case]
     check_pivot_rows_against_swaps(
         load_problem(schemes_dir / f"{scheme}.scm"), d, bound, 2)
+
+
+@pytest.mark.parametrize("price", [0, 1 << 62], ids=["scatter", "dense"])
+@pytest.mark.parametrize("case", sorted(F2_STACKS) + ["nodal_q2", "p1_q2"])
+def test_f2_dense_and_scatter_routes_equal_swap_elimination(
+        schemes_dir, monkeypatch, case, price):
+    # price 0 scatters every kernel, the largest price reads every kernel
+    # short of full rank off dense passes, counting and marking
+    monkeypatch.setattr(sieve, "_SCATTER_PRICE", price)
+    scheme, q, d, bound = (CASES[case] if case in CASES
+                           else (F2_STACKS[case][0], 2, *F2_STACKS[case][1:]))
+    check_pivot_rows_against_swaps(
+        load_problem(schemes_dir / f"{scheme}.scm", q_override=q), d, bound, 2)
+
+
+def test_f2_scan_temporaries_stay_within_blocks(schemes_dir):
+    # every temporary is at most 8 * _DIGIT_ENTRIES bytes and at most two
+    # are alive at once (a block of kernel indices while the next is built,
+    # a dense pass's mask and its counts), so three blocks bound the peak
+    # beyond ell; one rational point's span of 2^18 int64 indices alone
+    # would be four
+    problem = load_problem(schemes_dir / "p2.scm")
+    space = sieve.candidate_space(problem, 5)
+    conds = sieve._conditions(problem.X, space,
+                              variety.closed_point_arrays(problem.X, 3))
+    tracemalloc.start()
+    try:
+        ell = sieve._scan_all(space, conds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ell) == 1 << 21
+    assert peak - ell.nbytes <= 3 * 8 * sieve._DIGIT_ENTRIES
 
 
 # odd-p stacks: generic_q's exhaustive scan and others over F_3 and F_5,

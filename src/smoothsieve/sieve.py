@@ -766,9 +766,10 @@ def _empty_on_open(J: GradedIdeal, removed, e_max) -> EmptinessCertificate:
 # ---------------------------------------------------------------------------
 # The shared scan: per candidate f, the total degree of singular points of
 # X cap H_f found at degree <= B.  Exact mode then decides the scan-clean
-# candidates by one of two routes: on a free P^n, the scan on to the proven
-# degree bound of `_degree_bound` when `_degree_route` finds it cheaper than
-# the forms; otherwise the smoothness certificate of each one.
+# candidates by one of two routes: on a free P^n or a smooth quadric
+# surface in P^3, the scan on to the proven degree bound of `_degree_bound`
+# or `_quadric_bound` when `_degree_route` finds it cheaper than the forms;
+# otherwise the smoothness certificate of each one.
 
 _INFINITE = -1  # sentinel ell value for f = 0
 
@@ -804,7 +805,7 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
     else:
         total = budget[1]
     flags = list(space.flags)
-    top = (_degree_route(problem, d, sing_bound, total)
+    top = (_degree_route(problem, d, sing_bound, total, cap)
            if exact and exhaustive else None)
     degrees, funcs = _conditions(X, space, closed_point_arrays(
         X, sing_bound if top is None else top, cap))
@@ -843,7 +844,8 @@ def _degree_bound(n, d):
     closed point of degree <= B*; None where no bound is proven.  Forms
     through any Z are still hypersurfaces of P^n, so the bound holds for them.
     Throughout, a closed point lying in a Frobenius-stable set of N geometric
-    points, or in an F_q-scheme of degree N, has degree <= N.
+    points, or in an F_q-scheme of degree N, has degree <= N.  The rows for
+    sections of a smooth quadric surface in P^3 are `_quadric_bound`'s.
 
     - d = 1, or n = 0: 0.  A nonzero linear form has a nonzero partial, and
       on P^0 a nonzero form has no zeros.
@@ -899,24 +901,102 @@ def _degree_bound(n, d):
     return None
 
 
-def _degree_route(problem, d, sing_bound, total):
-    """B* = max(B, `_degree_bound`) when an exhaustive exact scan of a free
-    P^n decides smoothness by scanning on to B*, None when it certifies.
+def _quadric_bound(d, split):
+    """B* for a smooth quadric surface Q in P^3: every singular section
+    Q cap H_f by a form of degree d has a singular closed point of degree
+    <= B*; None where no bound is proven.  Over the algebraic closure Q is
+    P^1 x P^1, and Q cap H_f is a curve of bidegree (d, d), or all of Q when
+    Q divides f, singular at Q's rational points.  Frobenius keeps each
+    ruling when Q is split ((q + 1)^2 rational points) and swaps them when
+    it is not (q^2 + 1).  Curves of bidegrees (a, b) and (c, e) meet in
+    ae + bc points counted with multiplicity, and an irreducible one of
+    bidegree (a, b) has arithmetic genus (a - 1)(b - 1), a bound on its
+    singular points (Hartshorne V.1).  As for `_degree_bound`, a closed
+    point in a Frobenius-stable set of N geometric points has degree <= N.
 
-    A nonzero f is clean at B* exactly when V(f) is smooth.  The scan goes
-    on when the jet-condition rows of the closed points of degree B+1..B*,
-    (n + 1 + [p | d]) k e a_e at degree e, counted from |P^n(F_{q^e})|
-    before anything is enumerated, are fewer than the |I_d| forms; past the
-    point cap they never are."""
-    bound = _degree_bound(problem.nvars - 1, d)
-    if bound is None or not problem.X.is_free_ambient():
+    - d = 1: 1.  A plane section singular at P is the section by the
+      tangent plane T_P Q: two distinct lines meeting only at P.  So P is
+      its one singular point, and it is stable, so rational.
+    - d = 2: 2 when Q is split, 4 when not.  A singular curve C of
+      bidegree (2, 2) is one of these.
+      Non-reduced: C is singular along the support D of its multiple part,
+      which is stable, of bidegree (1, 0), (0, 1) or (1, 1).  A stable line
+      of a ruling is defined over F_q (Q is then split), so it has rational
+      points.  A (1, 1) curve is a plane section Q cap H, and H, spanned by
+      D, is defined over F_q: a plane conic over F_q, which has a rational
+      point by Chevalley-Warning.
+      Geometrically irreducible: genus 1, so at most one singular point.
+      Reduced with two geometric components: they meet in a stable set of
+      at most two points, the largest ae + bc for (a, b) + (c, e) = (2, 2).
+      With three or four (a line of each ruling and a (1, 1) conic, or two
+      lines of each ruling): the components are smooth, each pair meets in
+      at most one point, and at most two share a bidegree.  Frobenius
+      permutes the components of each bidegree when Q is split, so Frob^2
+      fixes each component; when not it swaps (a, b) and (b, a), so Frob^4
+      does.  That power then fixes each meeting point, of degree <= 2 or
+      <= 4.  The non-split bound is reached: for a line L of a ruling with
+      Frob^4 L = L != Frob^2 L, the lines L, Frob L, Frob^2 L and Frob^3 L
+      form a curve of bidegree (2, 2) over F_q whose 4 singular points,
+      Frob^i L cap Frob^(i+1) L, are one closed point of degree 4.
+    - Otherwise none.  At d = 3 three conjugate (1, 1) conics already have
+      meeting points of degree 6.
+    """
+    if d == 1:
+        return 1
+    if d == 2:
+        return 2 if split else 4
+    return None
+
+
+def _quadric_split(X, cap):
+    """Whether X is a split (True) or non-split (False) smooth quadric
+    surface in P^3, told by its rational points: (q + 1)^2 or q^2 + 1, where
+    a singular quadric has q^2 + q + 1, 2q^2 + q + 1 or q + 1.  None for any
+    other X, and where its rational points pass the cap."""
+    if (X.nvars != 4 or X.removed or X.dim() != 2 or len(X.equations) != 1
+            or X.equations[0].homogeneous_degree() != 2):
         return None
-    spec = problem.field
+    q = X.spec.q
+    try:
+        rational = variety.raw_point_count(X, 1, cap)
+    except variety.EnumerationCapExceeded:
+        return None
+    return {(q + 1) ** 2: True, q * q + 1: False}.get(rational)
+
+
+def _degree_route(problem, d, sing_bound, total, cap=DEFAULT_CAP):
+    """B* = max(B, the proven bound) when an exhaustive exact scan decides
+    smoothness by scanning on to B*, None when it certifies: on a free P^n
+    by `_degree_bound`, on a smooth quadric surface by `_quadric_bound`.
+
+    A nonzero f is clean at B* exactly when X cap H_f is smooth.  The scan
+    goes on when the jet-condition rows of the closed points of degree
+    B+1..B*, (n + 1 + [p | d]) k e a_e at degree e, are fewer than the
+    |I_d| forms, and those points are within the point cap.  The a_e come
+    by Moebius inversion from closed forms of N_e, before anything past the
+    rational points is enumerated: |P^n(F_{q^e})|, and (q^e + 1)^2 for a
+    split quadric, for a non-split one too at even e, q^(2e) + 1 at odd
+    e."""
+    X, q = problem.X, problem.field.q
+    if X.is_free_ambient():
+        split, bound = None, _degree_bound(problem.nvars - 1, d)
+    else:
+        split = _quadric_split(X, cap)
+        bound = None if split is None else _quadric_bound(d, split)
+    if bound is None:
+        return None
     top = max(sing_bound, bound)
-    per_digit = problem.nvars + int(d % spec.p == 0)  # f(P) when p | d
-    a = zeta.profile_from_scheme(problem.X, top).a
-    rows = sum(per_digit * spec.k * e * a[e - 1]
-               for e in range(max(sing_bound, 0) + 1, top + 1))
+    past = range(max(sing_bound, 0) + 1, top + 1)
+    try:
+        variety.check_enumeration_cap(X, past, cap)
+    except variety.EnumerationCapExceeded:
+        return None
+    a = (zeta.profile_from_scheme(X, top).a if split is None
+         else variety.closed_point_counts([
+             (q ** e + 1) ** 2 if split or e % 2 == 0 else q ** (2 * e) + 1
+             for e in range(1, top + 1)]))
+    per_digit = problem.nvars + int(d % problem.field.p == 0)  # f(P), p | d
+    rows = sum(per_digit * problem.field.k * e * a[e - 1] for e in past)
     return top if rows < total else None
 
 
@@ -989,6 +1069,7 @@ def _scan_all(space, conds, ell=None):
                         ell[members.ravel()] = 1
                     else:  # a dtype scalar keeps np.add.at's fast loop
                         np.add.at(ell, members.ravel(), dtype(degree))
+                    del members  # else it lives on while the next is built
     return ell
 
 
@@ -1055,6 +1136,7 @@ def _span_f2(basis):
         yield members
         for offset in _xor_span(part[:, low:]).T[1:]:
             yield members ^ offset[:, None]
+        del members  # else it lives on while the next block is built
 
 
 def _span_mod_p(vectors, free, p):
@@ -1082,6 +1164,7 @@ def _span_mod_p(vectors, free, p):
                 members[:, new] = members[:, :span] + a * steps[part, j, None]
                 digits[:, new] = (digits[:, :span] + a * at[part, j, None]) % p
         yield members + np.einsum("ist,it->is", digits, weights[part])
+        del members, digits  # else they live on while the next are built
 
 
 # Entries per block of numpy work.  Each bounds temporaries counted as

@@ -3,9 +3,9 @@
 of X and Z, exact counts and histograms under a permutation of the
 variables, every report of the nodal cubic under a permutation of its
 equations, and exact counts, histograms and `lowdeg` reports under the
-choice of modulus for F_9.  Exact scans of P^n no longer group forms by
-GL_{n+1}(F_q)-orbits, so these pin the invariance the degree bounds rely
-on nowhere else."""
+choice of modulus for F_9; and point counts under base change.  Exact
+scans of P^n no longer group forms by GL_{n+1}(F_q)-orbits, so these pin
+the invariance the degree bounds rely on nowhere else."""
 
 from dataclasses import replace
 
@@ -14,7 +14,7 @@ import pytest
 
 from conftest import SCHEMES
 from oracles import substitute
-from smoothsieve import cli, sieve, variety
+from smoothsieve import cli, sieve, variety, zeta
 from smoothsieve.variety import load_problem, parse_problem
 
 THROUGH_PAIR = "q = 2\nP 2 : x y z\nX:\nZ:\n  x\n  y^2 + y*z + z^2\n"
@@ -27,6 +27,8 @@ A3 = ((2, 1, 0), (0, 1, 1), (1, 0, 2))
 # x -> y -> z -> w -> x of its variables, which makes it y*z + w*x
 QUADRIC = "q = 2\nP 3 : x y z w\nX:\n  x*y + z*w\ndim X = 2\n"
 CYCLE4 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
+# a quadric surface whose rulings are conjugate over F_2, not over F_4
+NONSPLIT = "q = 2\nP 3 : x y z w\nX:\n  x*y + z^2 + z*w + w^2\ndim X = 2\n"
 
 
 def moved(problem, matrix):
@@ -146,3 +148,26 @@ def test_permuted_equations_change_no_report():
     assert reports[0][0]["value"] == "15/128"
     assert reports[0][2]["per_degree"]["3"]["0"]["count"] == 248
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name", ["p2", "nodal_cubic", "nonsplit"])
+def test_base_change_counts(name):
+    # N_e of X over F_4 is N_2e of X over F_2: X(F_{4^e}) = X(F_{2^2e})
+    def scheme(q):
+        if name == "nonsplit":
+            return parse_problem(NONSPLIT, q_override=q).X
+        problem = load_problem(SCHEMES / f"{name}.scm", q_override=q)
+        return sieve.intersection_presentation(problem) or problem.X
+
+    def counts(q, b):
+        return variety.point_counts(
+            zeta.profile_from_scheme(scheme(q), b).a)
+
+    small, large = counts(2, 6), counts(4, 3)
+    assert large == small[1::2]
+    if name == "nonsplit":
+        # non-split over F_2, split over F_4, so B* = 4 and B* = 2 at d = 2
+        assert small[:4] == [5, 25, 65, 289] and large[:2] == [25, 289]
+        splits = [sieve._quadric_split(scheme(q), sieve.DEFAULT_CAP)
+                  for q in (2, 4)]
+        assert [sieve._quadric_bound(2, s) for s in splits] == [4, 2]

@@ -164,10 +164,10 @@ def test_f2_dense_and_scatter_routes_equal_swap_elimination(
 
 def test_f2_scan_temporaries_stay_within_blocks(schemes_dir):
     # every temporary is at most 8 * _DIGIT_ENTRIES bytes and at most two
-    # are alive at once (a block of kernel indices while the next is built,
-    # a dense pass's mask and its counts), so three blocks bound the peak
-    # beyond ell; one rational point's span of 2^18 int64 indices alone
-    # would be four
+    # are alive at once (a dense pass's mask and its counts; a block of
+    # kernel indices is released before the next is built), so two blocks
+    # bound the peak beyond ell; one rational point's span of 2^18 int64
+    # indices alone would be four
     problem = load_problem(schemes_dir / "p2.scm")
     space = sieve.candidate_space(problem, 5)
     conds = sieve._conditions(problem.X, space,
@@ -179,7 +179,7 @@ def test_f2_scan_temporaries_stay_within_blocks(schemes_dir):
     finally:
         tracemalloc.stop()
     assert len(ell) == 1 << 21
-    assert peak - ell.nbytes <= 3 * 8 * sieve._DIGIT_ENTRIES
+    assert peak - ell.nbytes <= 2 * 8 * sieve._DIGIT_ENTRIES
 
 
 # odd-p stacks: generic_q's exhaustive scan and others over F_3 and F_5,

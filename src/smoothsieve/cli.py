@@ -323,12 +323,13 @@ def run(config: RunConfig):
     elif config.subcommand == "points":
         scheme = sieve.intersection_presentation(problem) or problem.X
         b = config.max_degree or 3
-        pts = variety.enumerate_closed_points(scheme, b, config.cap)
         rows = []
-        for P in pts:
-            e_p = variety.embedding_dimension(scheme, P)
-            rows.append({"degree": P.degree,
-                         "representative": list(P.rep_strings()), "e": e_p})
+        for d, ext, orbits in variety.closed_point_arrays(scheme, b,
+                                                          config.cap):
+            dims = variety.embedding_dimensions(scheme, ext, orbits[:, 0])
+            rows += [{"degree": d, "representative": [
+                ext.element_string(c) for c in rep], "e": e_p}
+                for rep, e_p in zip(orbits[:, 0].tolist(), dims.tolist())]
         report["result"] = {"scheme": "V" if problem.Z is not None else "X",
                             "max_degree": b, "points": rows}
     return code, report

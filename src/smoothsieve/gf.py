@@ -44,7 +44,7 @@ class IncompatibleFieldsError(SmoothsieveError):
     """No canonical embedding between the two specs."""
 
 
-class EnumerationCapError(SmoothsieveError):
+class EnumerationCapExceeded(SmoothsieveError):
     """Requested enumeration exceeds the desk-scale cap."""
 
 
@@ -401,7 +401,7 @@ class CodeArrays:
 
     def term(self, coeff, factors, shape):
         """coeff * prod(x ** n for x, n in factors) as an array of `shape`:
-        coeff a nonzero code, each x a code array of that shape, n >= 1."""
+        coeff a nonzero code, each x a code array broadcast to it, n >= 1."""
         if self._log is not None:
             s = np.full(shape, self._log[coeff])
             zero = np.zeros(shape, dtype=bool)

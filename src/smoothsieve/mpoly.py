@@ -240,21 +240,6 @@ class MPoly:
         code = self.evaluate_codes([x.code for x in point], target)
         return gf.FieldElement(target, code)
 
-    def dehomogenize(self, chart: int) -> "MPoly":
-        """Substitute 1 for the chart variable."""
-        spec = self.spec
-        out = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[chart] = 0
-            ne = tuple(ne)
-            s = spec.add(out.get(ne, 0), c)
-            if s:
-                out[ne] = s
-            else:
-                out.pop(ne, None)
-        return MPoly(spec, self.nvars, out)
-
     # -- text form ------------------------------------------------------------
 
     def to_string(self, aliases=None) -> str:
@@ -433,7 +418,7 @@ def normalized_projective_points(spec: FieldSpec, nvars: int):
     A chunk may span several leading indices, so small spaces come in one.
     """
     q = spec.q
-    _check_cap(q, nvars - 1)
+    check_point_cap(q, nvars - 1)
     place = q ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
     start = np.cumsum(place) - place    # position of each lead's first point
     total = int(place.sum())
@@ -447,10 +432,12 @@ def normalized_projective_points(spec: FieldSpec, nvars: int):
         yield rows
 
 
-def _check_cap(q, tail):
-    if q ** tail > gf.ENUMERATION_CAP:
-        raise gf.EnumerationCapError(
-            f"P^{tail}(F_{q}) exceeds the enumeration cap")
+def check_point_cap(q, n):
+    """Refuse P^n(F_q) when its q^n points with x_0 = 1 pass the cap."""
+    if q ** n > gf.ENUMERATION_CAP:
+        raise gf.EnumerationCapExceeded(
+            f"P^{n}(F_{q}) exceeds the point engine's fixed cap: "
+            f"{q}^{n} > {gf.ENUMERATION_CAP}")
 
 
 def _is_linear(f):
@@ -493,7 +480,7 @@ def _section_points(linear, spec: FieldSpec, nvars: int):
     if not linear:
         yield from normalized_projective_points(spec, nvars)
         return
-    _check_cap(spec.q, nvars - 1)     # the ambient scan's refusal
+    check_point_cap(spec.q, nvars - 1)     # the ambient scan's refusal
     free, pivots = _linear_section(linear, nvars)
     if not free:
         return

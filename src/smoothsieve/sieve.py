@@ -27,7 +27,7 @@ from . import gf, linalg, variety, zeta
 from .graded import EmptinessCertificate, GradedIdeal
 from .mpoly import MPoly, monomials_of_degree
 from .variety import (ClosedPoint, SchemePresentation, SchemeProblem,
-                      closed_point_arrays, enumerate_closed_points, stratify)
+                      closed_point_arrays, stratify)
 
 DEFAULT_CAP = variety.DEFAULT_CAP
 
@@ -358,7 +358,7 @@ def _words(rng, n):
                          dtype="<u4")
 
 
-def _draws(rng, q, rank, n):
+def _draws(rng, spec, rank, n):
     """n uniform candidates as a digit array: those that n calls of
     `getrandbits(rank)` over F_2, or of one `randrange(q)` per coordinate
     otherwise, would draw from rng, consuming exactly the same words, so
@@ -368,6 +368,7 @@ def _draws(rng, q, rank, n):
     the last shifted right to its rank % 32 bits.  randrange(q) is the top
     q.bit_length() bits of a word, drawn again while >= q; each round takes
     as many words as values are missing, so none is read past the last."""
+    p, k, q = spec.p, spec.k, spec.q
     if q == 2:
         w = -(-rank // 32)
         words = _words(rng, w * n).reshape(n, w).copy()
@@ -381,10 +382,6 @@ def _draws(rng, q, rank, n):
         values = values[values < q]
         codes[done:done + len(values)] = values
         done += len(values)
-    p = gf.prime_factors(q)[0]
-    k = 1
-    while p ** k < q:
-        k += 1
     if p != 2:
         return _index_digits(codes, p, k).reshape(n, -1)
     # code i holds bits k i .. k i + k - 1 of the index
@@ -409,20 +406,6 @@ def _index_of(digits, p):
     return sum(v * p ** i for i, v in enumerate(digits.tolist()))
 
 
-def _x_jacobian_pivots(X: SchemePresentation, ext, rep, jac):
-    """RREF rows of X's homogeneous Jacobian at the representative `rep`
-    (codes of kappa(P) = ext), given as one row of codes per equation;
-    raises if X is not smooth of its declared dimension at the point."""
-    pivots = linalg.echelon(ext, [linalg.row(ext, X.nvars, enumerate(r))
-                                  for r in jac])
-    m = X.dim()
-    if m is not None and len(pivots) != X.ambient_dim - m:
-        at = tuple(ext.element_string(c) for c in rep)
-        raise UnsupportedPresentation(
-            f"X is not smooth of dimension {m} at {at}")
-    return pivots
-
-
 def _jet_vectors(X: SchemePresentation, ext, reps, d):
     """Per-condition vectors over kappa(P) = ext for closed points of one
     degree, given by their representatives' codes (points, nvars), indexed
@@ -433,7 +416,10 @@ def _jet_vectors(X: SchemePresentation, ext, reps, d):
     modulo the row space of X's Jacobian at P; their simultaneous vanishing
     says the section X cap H_f is singular at P.  Row 0 holds the monomials'
     values at the representatives and row 1 + j their x_j-partials
-    m_j * (m / x_j)(P), all from one `monomials` call.
+    m_j * (m / x_j)(P), all from one `monomials` call.  With E the echelon
+    rows of X's Jacobian at P, row r pivoting at column c_r, grad_j becomes
+    grad_j - sum_r E[r, j] grad_(c_r), zero at each c_s as E[r, c_s] =
+    [r = s].  Raises if X is not smooth of its declared dimension at P.
     """
     arith = gf.code_arrays(ext)
     expo = np.array(monomials_of_degree(X.nvars, d), dtype=np.int64)
@@ -446,18 +432,22 @@ def _jet_vectors(X: SchemePresentation, ext, reps, d):
     vecs = vecs.reshape(len(reps), 1 + X.nvars, len(expo))
     if not X.equations:
         return vecs
-    jac = np.stack([[g.partial(j).evaluate_rows(reps, ext)
-                     for j in range(X.nvars)] for g in X.equations])
-    size = len(expo)
-    for rep, grads, rows in zip(reps.tolist(), vecs[:, 1:],
-                                jac.transpose(2, 0, 1).tolist()):
-        for prow in _x_jacobian_pivots(X, ext, rep, rows):
-            (pc, _), *rest = linalg.entries(ext, prow)
-            for j, c in rest:
-                grads[j] = arith.total(
-                    [grads[j], arith.term(ext.neg(c), [(grads[pc], 1)], size)],
-                    size)
-            grads[pc] = 0
+    pivots = variety.jacobian_echelon(X.equations, ext, reps)
+    m = X.dim()
+    singular = [] if m is None else reps[
+        pivots.any(axis=2).sum(axis=1) != X.ambient_dim - m]
+    if len(singular):
+        at = tuple(ext.element_string(c) for c in singular[0].tolist())
+        raise UnsupportedPresentation(
+            f"X is not smooth of dimension {m} at {at}")
+    grads = vecs[:, 1:]
+    lead = grads[np.arange(len(reps))[:, None], (pivots != 0).argmax(axis=2)]
+    grads[:] = arith.total(
+        [grads.ravel()] + [arith.term(ext.neg(1), [(pivots[:, r, :, None], 1),
+                                                   (lead[:, r, None], 1)],
+                                      grads.shape).ravel()
+                           for r in range(pivots.shape[1])],
+        grads.size).reshape(grads.shape)
     return vecs
 
 
@@ -572,19 +562,25 @@ def _jacobian_ideal_polys(equations, spec, nvars):
     return eqs + minors
 
 
+def _cofactors(jac, cols, spec, nvars):
+    """[(cofactor, c) for c in cols]: the minor on `cols` of the rows `jac`
+    over one more row v is sum(cofactor * v[c])."""
+    dets = [_det([[row[b] for b in cols if b != c] for row in jac], spec,
+                 nvars) for c in cols]
+    return [(-m if (len(jac) + i) % 2 else m, c)
+            for i, (m, c) in enumerate(zip(dets, cols))]
+
+
 def _det(mat, spec, nvars):
-    n = len(mat)
-    if n == 0:
-        return MPoly.constant(spec, nvars, 1)
-    if n == 1:
-        return mat[0][0]
+    """The determinant, by the expansion of `_cofactors` along the last
+    row, which is f's in J's minors."""
+    if len(mat) < 2:
+        return mat[0][0] if mat else MPoly.constant(spec, nvars, 1)
+    *above, last = mat
     acc = MPoly.zero(spec, nvars)
-    for j in range(n):
-        if not mat[0][j]:
-            continue
-        sub = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _det(sub, spec, nvars)
-        acc = acc + term if j % 2 == 0 else acc - term
+    for cof, c in _cofactors(above, range(len(last)), spec, nvars):
+        if last[c]:
+            acc = acc + cof * last[c]
     return acc
 
 
@@ -623,12 +619,7 @@ def _certificate_rows(problem, d):
         slots.append((d, [(MPoly.constant(spec, nvars, 1), None)]))
     minor_degree = sum(g.homogeneous_degree() - 1 for g in eqs) + d - 1
     for cols in combinations(range(nvars), r + 1):
-        cofactors = []
-        for i, c in enumerate(cols):
-            cof = _det([[row[b] for b in cols if b != c] for row in jac],
-                       spec, nvars)
-            cofactors.append((-cof if (r + i) % 2 else cof, c))
-        slots.append((minor_degree, cofactors))
+        slots.append((minor_degree, _cofactors(jac, cols, spec, nvars)))
     degrees = sorted([g.homogeneous_degree() for g in eqs]
                      + [deg for deg, _ in slots], reverse=True)
     t = max(0, sum(e - 1 for e in degrees[:nvars]) + 1)
@@ -815,7 +806,7 @@ def _run_scan(problem, d, budget, sing_bound, exact, seed, cap):
         ell = _scan_all(space, low)
         ell[0] = _INFINITE   # f = 0
     else:
-        digits = _draws(random.Random(seed), spec.q, space.rank, total)
+        digits = _draws(random.Random(seed), spec, space.rank, total)
         ell = _ells(space, low, digits)
         ell[~digits.any(axis=1)] = _INFINITE
     counter = _tally(ell)
@@ -1438,7 +1429,7 @@ def estimate_low_degree(problem: SchemeProblem, r: int, d: int,
     space = candidate_space(problem, d)
     conds = _conditions(problem.X, space,
                         closed_point_arrays(problem.X, r - 1, cap))
-    digits = _draws(random.Random(seed), problem.field.q, space.rank,
+    digits = _draws(random.Random(seed), problem.field, space.rank,
                     n_samples)
     good = int(np.count_nonzero(_ells(space, conds, digits) == 0))
     note = "binomial sampling; uncertainty ~ sqrt(p(1-p)/N)"
@@ -1495,10 +1486,13 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
         raise MissingProfile("embedding needs the curve presented as Z")
     C = intersection_presentation(problem)
     n = problem.nvars - 1
-    for P in enumerate_closed_points(C, _PRECHECK_DEGREE, cap):
-        e_p = variety.embedding_dimension(C, P)
-        if e_p > target_dim:
-            return EmbedResult("obstructed", witness=P, witness_e=e_p)
+    for degree, ext, orbits in closed_point_arrays(C, _PRECHECK_DEGREE, cap):
+        dims = variety.embedding_dimensions(C, ext, orbits[:, 0])
+        over = np.flatnonzero(dims > target_dim)
+        if len(over):
+            orbit = tuple(map(tuple, orbits[over[0]].tolist()))
+            return EmbedResult("obstructed", witness=ClosedPoint(
+                degree, ext, orbit, orbit[0]), witness_e=int(dims[over[0]]))
     if n <= target_dim:
         return EmbedResult("success")
     rng = random.Random(seed)
@@ -1526,8 +1520,7 @@ def embed_curve(problem: SchemeProblem, target_dim: int, d_max: int,
             if not listed:
                 try:
                     listed.append(closed_point_arrays(cur.X, e_max, cap))
-                except (variety.EnumerationCapExceeded,
-                        gf.EnumerationCapError):
+                except variety.EnumerationCapExceeded:
                     listed.append(None)
             if listed[0] is not None:
                 try:
@@ -1581,7 +1574,7 @@ def _walk(problem, space, budget, rng, jet_conditions, e_max):
         if tries == searched:
             conds = jet_conditions(space)
         state = rng.getstate()
-        digits = _draws(rng, spec.q, space.rank, min(
+        digits = _draws(rng, spec, space.rank, min(
             _EMBED_CHUNK if tries else searched, budget - tries))
         ells = None if conds is None else _ells(space, conds, digits)
         for i, row in enumerate(digits):
@@ -1599,7 +1592,7 @@ def _walk(problem, space, budget, rng, jet_conditions, e_max):
                                   e_max=e_max if ells is None else 0)
             if cert.status == "empty":
                 rng.setstate(state)
-                _draws(rng, spec.q, space.rank, i + 1)
+                _draws(rng, spec, space.rank, i + 1)
                 return EmbedStep(space.d, f, cert, tries), tries
     return None, tries
 

@@ -13,13 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf, linalg, mpoly
-from .gf import FieldSpec
+from .gf import EnumerationCapExceeded, FieldSpec
 from .graded import GradedIdeal, poly_to_vector
 from .mpoly import projective_point_count
-
-
-class EnumerationCapExceeded(gf.SmoothsieveError):
-    pass
 
 
 class PointNotOnScheme(gf.SmoothsieveError):
@@ -68,9 +64,6 @@ class ClosedPoint:
     orbit: tuple
     representative: tuple
 
-    def chart(self) -> int:
-        return next(i for i, c in enumerate(self.representative) if c)
-
     def rep_strings(self):
         return tuple(self.residue.element_string(c) for c in self.representative)
 
@@ -98,13 +91,14 @@ class StratumTable:
 def check_enumeration_cap(scheme: SchemePresentation, degrees,
                           cap: int = DEFAULT_CAP) -> None:
     """Refuse, before any point is enumerated, if P^n(F_{q^e}) is over the
-    cap for some e in `degrees`; the message names the first such e."""
+    cap or the engine's fixed limit for some e in `degrees`, the first."""
     for e in degrees:
         q_e = scheme.spec.q ** e
         total = projective_point_count(q_e, scheme.ambient_dim)
         if total > cap or q_e > cap:
             raise EnumerationCapExceeded(
                 f"P^{scheme.ambient_dim}(F_{q_e}) has {total} points (cap {cap})")
+        mpoly.check_point_cap(q_e, scheme.ambient_dim)
 
 
 def raw_point_count(scheme: SchemePresentation, e: int, cap: int = DEFAULT_CAP) -> int:
@@ -237,25 +231,43 @@ def dimension_guess(n_values, q: int) -> int | None:
 # ---------------------------------------------------------------------------
 # Smoothness and local embedding dimension.
 
-def _jacobian_rank_at(equations, point: ClosedPoint, chart: int | None = None) -> int:
-    """Rank over kappa(P) of the affine Jacobian at the representative."""
-    ext = point.residue
-    rep = point.representative
-    if chart is None:
-        chart = point.chart()
-    elif rep[chart] == 0:
-        raise ValueError("chart coordinate vanishes at the point")
-    if rep[chart] != 1:
-        scale = ext.inv(rep[chart])
-        rep = tuple(ext.mul(scale, c) for c in rep)
-    cols = [i for i in range(len(rep)) if i != chart]
-    rows = []
-    for eq in equations:
-        deh = eq.dehomogenize(chart)
-        rows.append(linalg.row(ext, len(cols), (
-            (j, deh.partial(i).evaluate_codes(rep, ext))
-            for j, i in enumerate(cols))))
-    return linalg.rank(ext, rows)
+def jacobian_echelon(equations, ext, reps):
+    """The reduced echelon rows over kappa(P) = ext of the homogeneous
+    Jacobian (dg_i/dx_j)(P) at each representative of the code array
+    `reps` (points, nvars), as codes (points, len(equations), nvars), zero
+    rows after the rank; each nonzero partial is built once.
+
+    At P on V(equations) the rank is the affine one on any piece x_c = 1
+    with x_c(P) != 0.  Euler's sum_j x_j dg/dx_j = deg g * g vanishes at
+    P, so column c is a combination of the others and dropping it keeps
+    the rank.  At P / x_c the partials dg/dx_j, j != c, of g with x_c = 1
+    are x_c^(1 - deg g) times their values at P, a nonzero row scale; so
+    is a representative lambda P, and a Frobenius conjugate of P gives
+    the conjugate matrix, the equations being over F_q."""
+    jac = np.zeros((len(reps), len(equations), reps.shape[1]), dtype=np.int64)
+    for i, j, partial in _partials(tuple(equations)):
+        jac[:, i, j] = partial.evaluate_rows(reps, ext)
+    out = np.zeros_like(jac)
+    for rows, block in zip(jac.tolist(), out):
+        for r, pivot in enumerate(linalg.echelon(
+                ext, [linalg.row(ext, len(v), enumerate(v)) for v in rows])):
+            for j, c in linalg.entries(ext, pivot):
+                block[r, j] = c
+    return out
+
+
+@lru_cache(maxsize=32)
+def _partials(equations):
+    """(i, j, dg_i/dx_j) for each nonzero partial of the equations."""
+    return tuple((i, j, partial) for i, g in enumerate(equations)
+                 for j in range(g.nvars) if (partial := g.partial(j)))
+
+
+def embedding_dimensions(V: SchemePresentation, ext, reps):
+    """e(P) = n - rank of the Jacobian of V's saturation-augmented
+    generators, for the representatives `reps` of V's points over ext."""
+    rows = jacobian_echelon(effective_generators(V)[0], ext, reps)
+    return V.ambient_dim - rows.any(axis=2).sum(axis=1)
 
 
 def _require_on_scheme(equations, removed, point: ClosedPoint):
@@ -294,11 +306,11 @@ def effective_generators(V: SchemePresentation):
 
 
 def embedding_dimension(V: SchemePresentation, point: ClosedPoint) -> int:
-    """e(P) = n - rank of the Jacobian of the (saturation-augmented)
-    presentation of V at P; the dimension of the Zariski tangent space."""
-    gens, _ = effective_generators(V)
+    """e(P), the dimension of the Zariski tangent space of V at the closed
+    point P (`embedding_dimensions`); refused off V."""
     _require_on_scheme(V.equations, V.removed, point)
-    return V.ambient_dim - _jacobian_rank_at(gens, point)
+    return int(embedding_dimensions(V, point.residue,
+                                    np.array([point.representative]))[0])
 
 
 def stratify(V: SchemePresentation, max_degree: int,
@@ -306,14 +318,15 @@ def stratify(V: SchemePresentation, max_degree: int,
              cap: int = DEFAULT_CAP) -> StratumTable:
     """Count the closed points of degree <= B in each stratum V_e."""
     declared_dims = declared_dims or {}
-    points = enumerate_closed_points(V, max_degree, cap)
+    groups = [(d, ext, orbits) for d, ext, orbits
+              in closed_point_arrays(V, max_degree, cap) if len(orbits)]
     flags = (["saturation-capped"]
-             if points and effective_generators(V)[1] == "capped" else [])
+             if groups and effective_generators(V)[1] == "capped" else [])
     grouped: dict[int, dict] = {}
-    for P in points:
-        e = embedding_dimension(V, P)
-        counts = grouped.setdefault(e, {})
-        counts[P.degree] = counts.get(P.degree, 0) + 1
+    for d, ext, orbits in groups:
+        for e in embedding_dimensions(V, ext, orbits[:, 0]).tolist():
+            counts = grouped.setdefault(e, {})
+            counts[d] = counts.get(d, 0) + 1
     strata = {}
     for e, counts in sorted(grouped.items()):
         if e in declared_dims:

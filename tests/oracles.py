@@ -1126,7 +1126,7 @@ def embed_per_draw(problem, target_dim, d_max, seed=0, d_min=1,
             seen = set()
             while tries < budget:
                 cand = sieve._index_of(
-                    sieve._draws(rng, spec.q, space.rank, 1)[0], spec.p)
+                    sieve._draws(rng, spec, space.rank, 1)[0], spec.p)
                 tries += 1
                 if not cand or cand in seen:
                     continue
@@ -1353,16 +1353,54 @@ def nonreduced_plane_forms(q, d):
 
 # ---------------------------------------------------------------------------
 # Helpers that only the tests use: field elements in code order, the
-# Jacobian criterion at a closed point and at each member of its orbit,
+# affine Jacobian rank in a chart, the Jacobian criterion at a closed point
+# and at each member of its orbit,
 # the scheme-file writer, and the symmetric-power tables of a profile.
 
 
 def enumerate_field(spec):
     """All q^k elements in deterministic (code) order."""
     if spec.q > gf.ENUMERATION_CAP:
-        raise gf.EnumerationCapError(
+        raise gf.EnumerationCapExceeded(
             f"|F| = {spec.q} exceeds the enumeration cap {gf.ENUMERATION_CAP}")
     return [gf.FieldElement(spec, c) for c in range(spec.q)]
+
+
+def dehomogenize(f, chart):
+    """f with 1 substituted for the chart variable."""
+    spec = f.spec
+    out = {}
+    for e, c in f.terms.items():
+        ne = e[:chart] + (0,) + e[chart + 1:]
+        s = spec.add(out.get(ne, 0), c)
+        if s:
+            out[ne] = s
+        else:
+            out.pop(ne, None)
+    return MPoly(spec, f.nvars, out)
+
+
+def affine_jacobian_rank(equations, point, chart=None):
+    """Rank over kappa(P) of the affine Jacobian at the representative, in
+    the chart x_chart != 0 (by default the first nonzero coordinate): the
+    partials of the dehomogenized equations by the other variables, at
+    the representative scaled to x_chart = 1."""
+    ext = point.residue
+    rep = point.representative
+    if chart is None:
+        chart = next(i for i, c in enumerate(rep) if c)
+    elif rep[chart] == 0:
+        raise ValueError("chart coordinate vanishes at the point")
+    scale = ext.inv(rep[chart])
+    rep = tuple(ext.mul(scale, c) for c in rep)
+    cols = [i for i in range(len(rep)) if i != chart]
+    rows = []
+    for eq in equations:
+        deh = dehomogenize(eq, chart)
+        rows.append(linalg.row(ext, len(cols), (
+            (j, deh.partial(i).evaluate_codes(rep, ext))
+            for j, i in enumerate(cols))))
+    return linalg.rank(ext, rows)
 
 
 def is_smooth_at(X, f, point, expected_dim, chart=None):
@@ -1371,7 +1409,7 @@ def is_smooth_at(X, f, point, expected_dim, chart=None):
     if f is not None:
         eqs.append(f)
     variety._require_on_scheme(eqs, X.removed, point)
-    rank = variety._jacobian_rank_at(eqs, point, chart)
+    rank = affine_jacobian_rank(eqs, point, chart)
     return rank == X.ambient_dim - expected_dim
 
 

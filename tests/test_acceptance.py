@@ -211,8 +211,9 @@ def test_criterion_8_invariant_suites(schemes_dir):
     gens, _ = variety.effective_generators(C)
     for P in variety.enumerate_closed_points(C, 3):
         charts = [i for i, c in enumerate(P.representative) if c]
-        geo_ok = geo_ok and len(
-            {variety._jacobian_rank_at(gens, P, ch) for ch in charts}) == 1
+        geo_ok = geo_ok and (
+            {oracles.affine_jacobian_rank(gens, P, ch) for ch in charts}
+            == {C.ambient_dim - variety.embedding_dimension(C, P)})
         geo_ok = geo_ok and len(
             {oracles.is_smooth_at(plane, cubic, v, 1)
              for v in oracles.orbit_variants(P)}) == 1

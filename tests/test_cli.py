@@ -1,5 +1,7 @@
+import ast
 import inspect
 import json
+import pathlib
 
 import pytest
 
@@ -310,7 +312,12 @@ def test_main_renders_json(schemes_dir, capsys):
     ((SCHEMES / "p2.scm").read_text(),
      ["estimate", "--q", "2", "-d", "10", "--budget", "exhaustive",
       "--sing-bound", "1", "--bounded",
-      "--cap", "100000000000000000000000"], "EnumerationCapExceeded")])
+      "--cap", "100000000000000000000000"], "EnumerationCapExceeded"),
+    # a raised cap passes P^2(F_8192), the point engine's fixed limit does
+    # not: refused before degrees 1..12 are listed
+    ((SCHEMES / "p2.scm").read_text(),
+     ["points", "--max-degree", "13", "--cap", "1000000000000"],
+     "EnumerationCapExceeded")])
 def test_bad_input_fails_closed(tmp_path, capsys, text, argv, kind):
     # one `error [Type]` line on stderr, nothing on stdout, exit code 1
     path = tmp_path / "bad.scm"
@@ -322,6 +329,33 @@ def test_bad_input_fails_closed(tmp_path, capsys, text, argv, kind):
     assert out == ""
     assert err.startswith(f"error [{kind}]: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_only_main_writes_to_stdout():
+    # the last line of a benchmark run must be its result: no module of the
+    # package calls print or touches sys.stdout outside cli.main
+    root = pathlib.Path(cli.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        inside_main = set()
+        if path == root / "cli.py":
+            [main] = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "main"]
+            inside_main = {id(node) for node in ast.walk(main)}
+        for node in ast.walk(tree):
+            if id(node) in inside_main:
+                continue
+            printing = (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "print")
+            stdout = (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "sys")
+            if printing or stdout:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_library_errors_share_one_base():

@@ -130,7 +130,7 @@ def test_jet_filter_flags_exactly_the_draws_with_a_point(schemes_dir, name,
     X, spec = prob.X, prob.field
     space = sieve.candidate_space(prob, d)
     conds = sieve._conditions(X, space, variety.closed_point_arrays(X, 2))
-    digits = sieve._draws(random.Random(q * 100 + d), spec.q, space.rank, 300)
+    digits = sieve._draws(random.Random(q * 100 + d), spec, space.rank, 300)
     ells = sieve._ells(space, conds, digits)
     flagged = 0
     for row, ell in zip(digits, ells.tolist()):

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from oracles import enumerate_field
 from smoothsieve import gf
-from smoothsieve.gf import (EnumerationCapError, FieldMismatchError,
+from smoothsieve.gf import (EnumerationCapExceeded, FieldMismatchError,
                             IncompatibleFieldsError, NonPrimeError,
                             ReducibleModulusError, embed, make_field)
 
@@ -130,7 +130,7 @@ def test_enumerate_field_sizes_and_order():
 
 
 def test_enumeration_cap():
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapExceeded):
         enumerate_field(make_field(2, 25))
 
 

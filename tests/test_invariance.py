@@ -1,9 +1,10 @@
 """Reports that do not depend on a choice of coordinates: exhaustive
-`--bounded` singular-point histograms under a linear change of coordinates
-of X and Z, exact counts and histograms under a permutation of the
-variables, every report of the nodal cubic under a permutation of its
-equations, and exact counts, histograms and `lowdeg` reports under the
-choice of modulus for F_9; and point counts under base change.  Exact
+`--bounded` singular-point histograms, `predict`, `lowdeg` and `embed`
+verdicts under a linear change of coordinates of X and Z, exact counts and
+histograms under a permutation of the variables, every report of the nodal
+cubic under a permutation of its equations, and exact counts, histograms
+and `lowdeg` reports under the choice of modulus for F_9; and point counts
+under base change.  Exact
 scans of P^n no longer group forms by GL_{n+1}(F_q)-orbits, so these pin
 the invariance the degree bounds rely on nowhere else."""
 
@@ -23,6 +24,8 @@ CONIC_F3 = "q = 3\nP 2 : x y z\nX:\n  x*z - y^2\ndim X = 1\n"
 # invertible over F_2 (determinant 1) and over F_3 (determinant 2)
 A2 = ((1, 1, 0), (0, 1, 1), (1, 0, 0))
 A3 = ((2, 1, 0), (0, 1, 1), (1, 0, 2))
+# invertible over F_2 and over F_3 (determinant -1)
+A4 = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 0))
 # the smooth quadric surface of the benchmark's exact scans, and the cycle
 # x -> y -> z -> w -> x of its variables, which makes it y*z + w*x
 QUADRIC = "q = 2\nP 3 : x y z w\nX:\n  x*y + z*w\ndim X = 2\n"
@@ -58,6 +61,27 @@ def test_bounded_histograms_are_gl_invariant(text, matrix, degrees):
     # more than one bin is filled at every degree
     assert all(sum(bin["count"] > 0 for bin in hist.values()) > 2
                for hist in before["per_degree"].values())
+
+
+@pytest.mark.parametrize("name,q", [
+    ("nodal_cubic", 2), ("nodal_cubic", 3), ("cuspidal_cubic", 2),
+    ("nonreduced_line", 2), ("nonreduced_line", 3)])
+def test_moved_coordinates_change_no_prediction(name, q):
+    problem = load_problem(SCHEMES / f"{name}.scm", q_override=q)
+    image = moved(problem, A4)
+    assert image != problem
+    assert (sieve.predict_density(image).to_json_dict()
+            == sieve.predict_density(problem).to_json_dict())
+    assert (sieve.low_degree_predictor(image, 3)
+            == sieve.low_degree_predictor(problem, 3))
+
+
+def test_moved_coordinates_keep_the_axes_obstructed():
+    # a point of e(P) = 3 stays one, and it is still found at degree 1
+    image = moved(load_problem(SCHEMES / "obstructed_axes.scm"), A4)
+    result = sieve.embed_curve(image, target_dim=2, d_max=8)
+    assert result.status == "obstructed"
+    assert (result.witness.degree, result.witness_e) == (1, 3)
 
 
 def permuted_points(groups):

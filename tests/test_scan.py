@@ -14,6 +14,7 @@ from oracles import (certify_per_candidate, dense_rref_mod_p, digit_indices,
                      index_digits, per_degree_conditions, point_functionals,
                      scan_all_per_point)
 from smoothsieve import sieve, variety
+from smoothsieve.gf import make_field
 from smoothsieve.mpoly import MPoly, monomials_of_degree
 from smoothsieve.variety import load_problem, parse_problem
 
@@ -286,11 +287,12 @@ def test_exhaustive_cap_refuses_before_enumerating(schemes_dir, monkeypatch):
 def test_draws_equal_the_per_candidate_draw(q, p, k):
     # the same candidates as one draw per candidate, and the same words
     # consumed: the embedder's later draws depend on where the stream ends
+    spec = make_field(p, k)
     for rank in (0, 1, 31, 32, 33, 64, 65, 351):
         for n in (1, 3, 2000):
             seed = q * 10 ** 6 + rank * 10 ** 4 + n
             mine, theirs = random.Random(seed), random.Random(seed)
-            digits = sieve._draws(mine, q, rank, n)
+            digits = sieve._draws(mine, spec, rank, n)
             expected = [draw(theirs, q, rank) for _ in range(n)]
             width = k * rank
             assert digits.shape == (n, -(-width // 8) if p == 2 else width)
@@ -299,7 +301,7 @@ def test_draws_equal_the_per_candidate_draw(q, p, k):
     # one candidate at a time, as the embedder draws
     for rank in (5, 33):
         mine, theirs = random.Random(rank), random.Random(rank)
-        drawn = [sieve._index_of(sieve._draws(mine, q, rank, 1)[0], p)
+        drawn = [sieve._index_of(sieve._draws(mine, spec, rank, 1)[0], p)
                  for _ in range(40)]
         assert drawn == [draw(theirs, q, rank) for _ in range(40)]
         assert mine.getstate() == theirs.getstate()
@@ -309,7 +311,7 @@ def test_poly_of_replays_the_drawn_forms(schemes_dir):
     # the index of a draw names the same form the coordinates do
     prob = load_problem(schemes_dir / "nodal_cubic.scm", q_override=4)
     space = sieve.candidate_space(prob, 3)
-    digits = sieve._draws(random.Random(5), 4, space.rank, 30)
+    digits = sieve._draws(random.Random(5), prob.field, space.rank, 30)
     indices = [sieve._index_of(row, 2) for row in digits]
     assert [space.poly_of(i) for i in indices] == drawn_forms(space, 30, 5)
 

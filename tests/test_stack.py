@@ -90,8 +90,8 @@ def test_marking_pass_equals_per_degree(schemes_dir, case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_ells_equal_per_degree(schemes_dir, case):
     space, conds, per_degree = load_case(schemes_dir, case)
-    q = space.problem.field.q
-    digits = sieve._draws(random.Random(len(case)), q, space.rank, 700)
+    digits = sieve._draws(random.Random(len(case)), space.problem.field,
+                          space.rank, 700)
     ell = sieve._ells(space, conds, digits)
     assert np.array_equal(ell, ells_per_degree(space, per_degree, digits))
     assert len(set(ell.tolist())) > (1 if case != "rank_0" else 0)
@@ -103,7 +103,7 @@ def test_small_budgets_equal_per_degree(schemes_dir, monkeypatch, case):
     monkeypatch.setattr(sieve, "_DIGIT_ENTRIES", 40)
     monkeypatch.setattr(sieve, "_BLOCK_ENTRIES", 64)
     space, conds, per_degree = load_case(schemes_dir, case)
-    digits = sieve._draws(random.Random(3), space.problem.field.q,
+    digits = sieve._draws(random.Random(3), space.problem.field,
                           space.rank, 300)
     assert np.array_equal(sieve._ells(space, conds, digits),
                           ells_per_degree(space, per_degree, digits))
@@ -233,7 +233,7 @@ def test_lowdeg_equals_per_degree(schemes_dir, scheme, r, d):
     space = sieve.candidate_space(problem, d)
     per_degree = per_degree_conditions(
         problem.X, space, variety.closed_point_arrays(problem.X, r - 1))
-    digits = sieve._draws(random.Random(5), problem.field.q, space.rank,
+    digits = sieve._draws(random.Random(5), problem.field, space.rank,
                           1500)
     expected = int(np.count_nonzero(
         ells_per_degree(space, per_degree, digits) == 0))
@@ -248,7 +248,7 @@ def test_sampled_scan_equals_per_degree(schemes_dir):
     space = sieve.candidate_space(problem, 9)
     per_degree = per_degree_conditions(
         problem.X, space, variety.closed_point_arrays(problem.X, 6))
-    digits = sieve._draws(random.Random(8), 2, space.rank, 2000)
+    digits = sieve._draws(random.Random(8), problem.field, space.rank, 2000)
     ell = ells_per_degree(space, per_degree, digits)
     ell[~digits.any(axis=1)] = sieve._INFINITE
     res = sieve._run_scan(problem, 9, ("sample", 2000), 6, False, 8,

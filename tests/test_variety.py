@@ -2,8 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import (dump_problem, frobenius_code, is_smooth_at,
-                     orbit_variants)
+from oracles import (affine_jacobian_rank, dump_problem, frobenius_code,
+                     is_smooth_at, orbit_variants)
 from smoothsieve import gf, sieve, variety, zeta
 from smoothsieve.mpoly import parse_homogeneous
 from smoothsieve.variety import (ClosedPoint, EnumerationCapExceeded,
@@ -197,14 +197,15 @@ def test_stratify_empty():
 
 
 def test_chart_independence(schemes_dir):
+    # the library's rank of the homogeneous Jacobian is the affine rank in
+    # every chart where the representative is nonzero
     C = curve_presentation(schemes_dir)
-    P3 = SchemePresentation(F2, 4, declared_dim=3)
     w = poly("w")
+    gens, _ = variety.effective_generators(C)
     for P in enumerate_closed_points(C, 3):
         charts = [i for i, c in enumerate(P.representative) if c]
-        gens, _ = variety.effective_generators(C)
-        values = {variety._jacobian_rank_at(gens, P, ch) for ch in charts}
-        assert len(values) == 1
+        values = {affine_jacobian_rank(gens, P, ch) for ch in charts}
+        assert values == {C.ambient_dim - embedding_dimension(C, P)}
         plane = SchemePresentation(F2, 4, (w,), declared_dim=2)
         cubic = C.equations[1]
         smooth_vals = {is_smooth_at(plane, cubic, P, 1, chart=ch)
@@ -223,6 +224,34 @@ def test_galois_stability(schemes_dir):
         e_vals = {embedding_dimension(C, variant)
                   for variant in orbit_variants(P)}
         assert len(e_vals) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_embedding_dimensions_equal_n_minus_the_affine_rank(schemes_dir, q):
+    # at every closed point of degree <= 3 of V and of X, e(P) read off the
+    # orbit arrays is n minus the oracle's affine rank, in every chart where
+    # the representative is nonzero and with every orbit member taken as
+    # the representative
+    schemes = {}
+    for name in ("nodal_cubic", "cuspidal_cubic", "nonreduced_line",
+                 "obstructed_axes"):
+        problem = load_problem(schemes_dir / f"{name}.scm", q_override=q)
+        schemes[sieve.intersection_presentation(problem)] = None
+        schemes[problem.X] = None
+    seen = set()
+    for V in schemes:
+        gens, _ = variety.effective_generators(V)
+        for e, ext, orbits in variety.closed_point_arrays(V, 3):
+            dims = variety.embedding_dimensions(V, ext, orbits[:, 0])
+            for orbit, e_p in zip(orbits.tolist(), dims.tolist()):
+                seen.add(e_p)
+                orbit = tuple(map(tuple, orbit))
+                for member in orbit:
+                    P = ClosedPoint(e, ext, orbit, member)
+                    assert {affine_jacobian_rank(gens, P, chart)
+                            for chart, c in enumerate(member) if c} == {
+                                V.ambient_dim - e_p}
+    assert seen == {1, 2, 3}
 
 
 def test_scheme_file_round_trip(schemes_dir):
